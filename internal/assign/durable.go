@@ -11,7 +11,6 @@ import (
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
 	"fairassign/internal/score"
-	"fairassign/internal/skyline"
 	"fairassign/internal/snapshot"
 	"fairassign/internal/vfs"
 	"fairassign/internal/wal"
@@ -41,6 +40,10 @@ var (
 	// directory already holds a workspace — recover it with
 	// OpenWorkspace instead of clobbering it.
 	ErrDurableDirInUse = errors.New("assign: durability directory already holds a workspace")
+	// ErrDurabilityUnsupported is returned by NewWorkspace when the
+	// Config asks for durability and more than one object partition:
+	// snapshots and the WAL image a single partition.
+	ErrDurabilityUnsupported = errors.New("assign: durable workspaces with more than one object partition are not supported")
 	// ErrWALDiverged is returned by OpenWorkspace when the log cannot be
 	// reconciled with the snapshot lineage: an epoch gap after a
 	// mid-log corruption, a record batch that fails validation against
@@ -211,7 +214,8 @@ func (w *Workspace) pruneDurableFiles() {
 // so its chains hold the final bytes; that flush is the only I/O the
 // capture performs. Caller holds w.mu.
 func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
-	if err := w.st.pool.Flush(); err != nil {
+	pt := w.parts[0] // durable workspaces have one partition
+	if err := pt.pool.Flush(); err != nil {
 		return nil, err
 	}
 	if err := w.fpool.Flush(); err != nil {
@@ -228,8 +232,8 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 			Resolves:   uint64(w.resolves),
 		},
 	}
-	d.Objects = make([]snapshot.ObjectRec, 0, len(w.objs))
-	for _, o := range w.objs {
+	d.Objects = make([]snapshot.ObjectRec, 0, len(pt.objs))
+	for _, o := range pt.objs {
 		d.Objects = append(d.Objects, snapshot.ObjectRec{ID: o.ID, Capacity: int64(o.Capacity), Point: o.Point})
 	}
 	sort.Slice(d.Objects, func(i, j int) bool { return d.Objects[i].ID < d.Objects[j].ID })
@@ -244,14 +248,14 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 	for i, p := range pairs {
 		d.Pairs[i] = snapshot.Pair{FuncID: p.FuncID, ObjID: p.ObjectID, Score: p.Score}
 	}
-	d.ObjCaps = capEntries(w.st.objCaps)
-	d.FuncCaps = capEntries(w.st.funcCaps)
-	for _, it := range w.avail.Skyline() {
+	d.ObjCaps = capEntries(pt.caps)
+	d.FuncCaps = capEntries(w.funcCaps)
+	for _, it := range pt.avail.Skyline() {
 		d.Avail = append(d.Avail, it.ID)
 	}
 	sort.Slice(d.Avail, func(i, j int) bool { return d.Avail[i] < d.Avail[j] })
 	var err error
-	if d.ObjStore, err = storeImage(w.vstore, w.st.tree.Meta()); err != nil {
+	if d.ObjStore, err = storeImage(pt.vstore, pt.tree.Meta()); err != nil {
 		return nil, err
 	}
 	if d.FuncStore, err = storeImage(w.fvstore, w.ftree.Meta()); err != nil {
@@ -518,41 +522,35 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		return nil, fmt.Errorf("%w: object tree size %d != %d objects", ErrBadSnapshot, d.ObjStore.Size, len(p.Objects))
 	}
 
-	vstore, pool, tree, err := restoreStore(cfg, &d.ObjStore, d.Dims, d.Epoch, true, cfg.bufferFrac())
+	vstore, pool, tree, err := restoreStore(cfg, &d.ObjStore, d.Dims, cfg.bufferFrac())
 	if err != nil {
 		return nil, err
 	}
-	st := &solveState{p: p, cfg: cfg, store: vstore, pool: pool, tree: tree}
-	st.objCaps = capsFromEntries(d.ObjCaps)
-	st.funcCaps = capsFromEntries(d.FuncCaps)
-
-	fvstore, fpool, ftree, err := restoreStore(cfg, &d.FuncStore, d.Dims, d.Epoch, false, -1)
-	if err != nil {
-		st.release()
-		return nil, err
-	}
-
+	pt := newObjPart(vstore, pool, tree, len(p.Objects))
+	pt.caps = capsFromEntries(d.ObjCaps)
 	w := &Workspace{
-		st:      st,
-		cfg:     cfg,
-		vstore:  vstore,
-		fstore:  fvstore,
-		fvstore: fvstore,
-		fpool:   fpool,
-		ftree:   ftree,
-		objs:    make(map[uint64]Object, len(p.Objects)),
-		funcs:   make(map[uint64]Function, len(p.Functions)),
-		eff:     make(map[uint64][]float64, len(p.Functions)),
-		nonlin:  score.NewFuncBlocks(p.Dims),
-		byObj:   make(map[uint64][]wsPair),
-		byFunc:  make(map[uint64][]wsPair),
+		cfg:      cfg,
+		dims:     d.Dims,
+		parts:    []*objPart{pt},
+		part:     NewPartitioner(d.Dims, 1, nil),
+		epoch:    d.Epoch - 1, // the commit sealing the restored state publishes d.Epoch
+		funcs:    make(map[uint64]Function, len(p.Functions)),
+		eff:      make(map[uint64][]float64, len(p.Functions)),
+		nonlin:   score.NewFuncBlocks(p.Dims),
+		funcCaps: capsFromEntries(d.FuncCaps),
+		byFunc:   make(map[uint64][]wsPair),
+	}
+	w.fvstore, w.fpool, w.ftree, err = restoreStore(cfg, &d.FuncStore, d.Dims, -1)
+	if err != nil {
+		w.Close()
+		return nil, err
 	}
 	fail := func(format string, args ...any) (*Workspace, error) {
 		w.Close()
 		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
 	for _, o := range p.Objects {
-		w.objs[o.ID] = o
+		pt.objs[o.ID] = o
 	}
 	linear := 0
 	for _, f := range p.Functions {
@@ -571,7 +569,7 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		if _, ok := w.funcs[pr.FuncID]; !ok {
 			return fail("pair references unknown function %d", pr.FuncID)
 		}
-		if _, ok := w.objs[pr.ObjID]; !ok {
+		if _, ok := pt.objs[pr.ObjID]; !ok {
 			return fail("pair references unknown object %d", pr.ObjID)
 		}
 		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjID, score: pr.Score})
@@ -580,13 +578,13 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	// the tables must be derivable, so a bit-rotted (yet
 	// checksum-passing — e.g. truncated by a buggy tool) state cannot
 	// serve.
-	if err := checkCaps(st.objCaps, len(w.objs), func(id uint64) (int, int, bool) {
-		o, ok := w.objs[id]
-		return o.capacity(), len(w.byObj[id]), ok
+	if err := checkCaps(pt.caps, len(pt.objs), func(id uint64) (int, int, bool) {
+		o, ok := pt.objs[id]
+		return o.capacity(), len(pt.byObj[id]), ok
 	}); err != nil {
 		return fail("object capacity table: %v", err)
 	}
-	if err := checkCaps(st.funcCaps, len(w.funcs), func(id uint64) (int, int, bool) {
+	if err := checkCaps(w.funcCaps, len(w.funcs), func(id uint64) (int, int, bool) {
 		f, ok := w.funcs[id]
 		return f.capacity(), len(w.byFunc[id]), ok
 	}); err != nil {
@@ -597,18 +595,8 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	// available objects is unique, so recomputing it from the restored
 	// capacity table and comparing ID sets doubles as an end-to-end
 	// consistency check of pairs, capacities, and points.
-	var availItems []rtree.Item
-	for id, o := range w.objs {
-		if st.objCaps.remaining[id] > 0 {
-			availItems = append(availItems, rtree.Item{ID: id, Point: o.Point})
-		}
-	}
-	w.avail = skyline.NewMaintainerFromItems(d.Dims, availItems, nil)
-	w.avail.SetLiveCheck(func(id uint64, pt geom.Point) bool {
-		o, ok := w.objs[id]
-		return ok && w.st.objCaps.remaining[id] > 0 && o.Point.Equal(pt)
-	})
-	sky := w.avail.Skyline()
+	pt.buildFrontier(d.Dims)
+	sky := pt.avail.Skyline()
 	if len(sky) != len(d.Avail) {
 		return fail("frontier has %d entries, snapshot recorded %d", len(sky), len(d.Avail))
 	}
@@ -622,15 +610,12 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		}
 	}
 
-	// Seal the restored state as epoch d.Epoch (restoreStore rebased the
-	// object store to d.Epoch−1), then overwrite the counters with the
-	// persisted lifetime values — the restore itself is not a commit.
+	// Seal the restored state as epoch d.Epoch, then overwrite the
+	// counters with the persisted lifetime values — the restore itself
+	// is not a commit.
 	if err := w.commitLocked(); err != nil {
 		w.Close()
 		return nil, err
-	}
-	if w.epoch != d.Epoch {
-		return fail("restored epoch %d, want %d", w.epoch, d.Epoch)
 	}
 	w.mutations = int64(d.Counters.Mutations)
 	w.commits = int64(d.Counters.Commits)
@@ -661,28 +646,22 @@ func checkCaps(t *capTable, population int, lookup func(id uint64) (capacity, as
 // restoreStore re-images one page store from a snapshot: pages are
 // allocated up to the persisted watermark, live images written at their
 // exact IDs, holes freed — so the restored ID space matches the saved
-// one — and the R-tree reattaches via FromMeta. rebase rebases the
-// versioned store so the next publish seals exactly the snapshot epoch
-// (object side; the function side is never epoch-pinned). frac < 0
+// one — and the R-tree reattaches via FromMeta. frac < 0
 // keeps the construction-sized pool (function side); otherwise the pool
 // is resized to the experiment fraction and cleared, and the I/O
 // counters reset — restore, like construction, is not charged to the
 // algorithm.
-func restoreStore(cfg Config, si *snapshot.StoreImage, dims int, epoch uint64, rebase bool, frac float64) (*pagestore.VersionedStore, *pagestore.BufferPool, *rtree.Tree, error) {
+func restoreStore(cfg Config, si *snapshot.StoreImage, dims int, frac float64) (*pagestore.VersionedStore, *pagestore.BufferPool, *rtree.Tree, error) {
 	scfg := cfg
 	scfg.PageSize = si.PageSize
-	inner, err := scfg.newStore()
+	store, err := scfg.versioned().newStore()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if inner.PageSize() != si.PageSize {
-		inner.Close()
-		return nil, nil, nil, fmt.Errorf("assign: store factory page size %d, snapshot has %d", inner.PageSize(), si.PageSize)
-	}
-	vs := pagestore.NewVersioned(inner)
-	vs.SetSerializedAcquire(true)
-	if rebase {
-		vs.SetBaseEpoch(epoch - 1)
+	vs := store.(*pagestore.VersionedStore)
+	if vs.PageSize() != si.PageSize {
+		vs.Close()
+		return nil, nil, nil, fmt.Errorf("assign: store factory page size %d, snapshot has %d", vs.PageSize(), si.PageSize)
 	}
 	bad := func(format string, args ...any) (*pagestore.VersionedStore, *pagestore.BufferPool, *rtree.Tree, error) {
 		vs.Close()

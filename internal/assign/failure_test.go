@@ -172,6 +172,35 @@ func TestBatchStructuralFailurePoisons(t *testing.T) {
 	}
 }
 
+// TestPairIndexDesyncPoisons breaks the invariant that every pair sits
+// on both sides of the matching index, then removes the pair's object:
+// the repair must report the broken invariant as ErrCorrupt instead of
+// panicking, poison the workspace, and leave an earlier view serving.
+func TestPairIndexDesyncPoisons(t *testing.T) {
+	ws, _ := faultyWorkspace(t)
+	defer ws.Close()
+	before, err := ws.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Close()
+
+	p := before.Pairs()[0]
+	ws.mu.Lock()
+	ws.byFunc[p.FuncID] = nil // the object side still holds the pair
+	ws.mu.Unlock()
+
+	if err := ws.RemoveObject(p.ObjectID); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("RemoveObject over a desynced pair index = %v, want ErrCorrupt", err)
+	}
+	if err := ws.AddFunction(Function{ID: 500, Weights: []float64{0.5, 0.5}}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("AddFunction after poisoning = %v, want ErrCorrupt", err)
+	}
+	if err := before.VerifyStable(); err != nil {
+		t.Fatalf("pre-failure view audit: %v", err)
+	}
+}
+
 // TestValidationErrorsAreAtomic asserts the other half of the contract:
 // every validation error — bad input, duplicate or unknown ID, anywhere
 // in a batch — rejects the call with the workspace untouched and fully

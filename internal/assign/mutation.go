@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fairassign/internal/rtree"
 	"fairassign/internal/snapshot"
@@ -118,18 +119,15 @@ func (w *Workspace) applyLocked(muts []Mutation) error {
 		return nil
 	}
 	batch := len(muts) > 1
-	var bv *batchView
-	if batch {
-		bv = &batchView{w: w}
-	}
+	bv := batchView{w: w}
 	for i := range muts {
-		if err := w.validateMutationLocked(&muts[i], bv); err != nil {
+		if err := bv.validate(&muts[i]); err != nil {
 			if batch {
 				return fmt.Errorf("assign: batch mutation %d (%s): %w", i, muts[i].Kind, err)
 			}
 			return err
 		}
-		if bv != nil {
+		if batch {
 			bv.record(&muts[i])
 		}
 	}
@@ -185,7 +183,8 @@ func (w *Workspace) corruptLocked(cause error) error {
 
 // batchView overlays the net liveness effect of a validated batch prefix
 // on the live population, so pre-flight duplicate/unknown-ID checks see
-// exactly the state sequential application would.
+// exactly the state sequential application would. With nothing recorded
+// it is the live population itself.
 type batchView struct {
 	w                *Workspace
 	objAdd, objDel   map[uint64]bool
@@ -199,8 +198,7 @@ func (b *batchView) objLive(id uint64) bool {
 	if b.objDel[id] {
 		return false
 	}
-	_, ok := b.w.objs[id]
-	return ok
+	return b.w.objLive(id)
 }
 
 func (b *batchView) funcLive(id uint64) bool {
@@ -241,25 +239,65 @@ func (b *batchView) record(m *Mutation) {
 	}
 }
 
-// validateMutationLocked checks one mutation against the current state
-// (overlaid with the batch prefix when bv is non-nil) without touching
-// any workspace structure. Caller holds w.mu.
-func (w *Workspace) validateMutationLocked(m *Mutation, bv *batchView) error {
-	objLive := func(id uint64) bool {
-		if bv != nil {
-			return bv.objLive(id)
+// validate checks one mutation against the current state overlaid with
+// the batch prefix, without touching any workspace structure. Caller
+// holds w.mu.
+func (b *batchView) validate(m *Mutation) error {
+	dims := b.w.dims
+	switch m.Kind {
+	case MutAddObject:
+		o := &m.Object
+		if len(o.Point) != dims {
+			return fmt.Errorf("assign: object %d has %d dims, want %d", o.ID, len(o.Point), dims)
 		}
-		_, ok := w.objs[id]
-		return ok
-	}
-	funcLive := func(id uint64) bool {
-		if bv != nil {
-			return bv.funcLive(id)
+		for _, v := range o.Point {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: object %d", ErrBadPoint, o.ID)
+			}
 		}
-		_, ok := w.funcs[id]
-		return ok
+		if o.Capacity < 0 {
+			return fmt.Errorf("%w: object %d has capacity %d", ErrBadCapacity, o.ID, o.Capacity)
+		}
+		if b.objLive(o.ID) {
+			return fmt.Errorf("%w: object %d", ErrDuplicateID, o.ID)
+		}
+	case MutRemoveObject:
+		if !b.objLive(m.ID) {
+			return fmt.Errorf("%w: object %d", ErrUnknownID, m.ID)
+		}
+	case MutAddFunction:
+		f := &m.Function
+		if len(f.Weights) != dims {
+			return fmt.Errorf("assign: function %d has %d weights, want %d", f.ID, len(f.Weights), dims)
+		}
+		for _, v := range f.Weights {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: function %d has non-finite weight", ErrBadWeight, f.ID)
+			}
+			if v < 0 {
+				return fmt.Errorf("%w: function %d has negative weight", ErrBadWeight, f.ID)
+			}
+		}
+		if math.IsNaN(f.Gamma) || math.IsInf(f.Gamma, 0) {
+			return fmt.Errorf("%w: function %d", ErrBadGamma, f.ID)
+		}
+		if f.Capacity < 0 {
+			return fmt.Errorf("%w: function %d has capacity %d", ErrBadCapacity, f.ID, f.Capacity)
+		}
+		if err := f.Fam.Validate(); err != nil {
+			return fmt.Errorf("assign: function %d: %w", f.ID, err)
+		}
+		if b.funcLive(f.ID) {
+			return fmt.Errorf("%w: function %d", ErrDuplicateID, f.ID)
+		}
+	case MutRemoveFunction:
+		if !b.funcLive(m.ID) {
+			return fmt.Errorf("%w: function %d", ErrUnknownID, m.ID)
+		}
+	default:
+		return fmt.Errorf("%w: %d", ErrBadMutation, m.Kind)
 	}
-	return ValidateMutation(w.Dims(), m, objLive, funcLive)
+	return nil
 }
 
 // mutateLocked performs the structural phase of one already-validated
@@ -280,13 +318,20 @@ func (w *Workspace) mutateLocked(m *Mutation) error {
 }
 
 func (w *Workspace) addObjectLocked(o Object) error {
-	pt := o.Point.Clone()
-	w.objs[o.ID] = Object{ID: o.ID, Point: pt, Capacity: o.Capacity}
-	if err := w.st.tree.Insert(rtree.Item{ID: o.ID, Point: pt}); err != nil {
+	point := o.Point.Clone()
+	i := w.part.Route(point, o.ID)
+	if w.owner != nil {
+		w.owner[o.ID] = i
+	}
+	pt := w.parts[i]
+	pt.objs[o.ID] = Object{ID: o.ID, Point: point, Capacity: o.Capacity}
+	pt.dropPub()
+	pt.pageDirty = true
+	if err := pt.tree.Insert(rtree.Item{ID: o.ID, Point: point}); err != nil {
 		return err
 	}
-	w.st.objCaps.add(o.ID, o.capacity())
-	if err := w.avail.Insert(rtree.Item{ID: o.ID, Point: pt}); err != nil {
+	pt.caps.add(o.ID, o.capacity())
+	if err := pt.avail.Insert(rtree.Item{ID: o.ID, Point: point}); err != nil {
 		return err
 	}
 	w.pushObj(o.ID)
@@ -294,26 +339,32 @@ func (w *Workspace) addObjectLocked(o Object) error {
 }
 
 func (w *Workspace) removeObjectLocked(id uint64) error {
-	o := w.objs[id]
+	pt := w.partOf(id)
+	o := pt.objs[id]
+	pt.dropPub()
+	pt.pageDirty = true
 	// Invalidate the availability frontier first: an exhausted object
 	// already left it (Discarded on exhaustion), so a second Discard
 	// would only grow the tombstone set.
-	if w.st.objCaps.remaining[id] > 0 {
-		if err := w.avail.Discard(id); err != nil {
+	if pt.caps.remaining[id] > 0 {
+		if err := pt.avail.Discard(id); err != nil {
 			return err
 		}
 	}
-	for _, p := range append([]wsPair(nil), w.byObj[id]...) {
-		w.unlink(p)
-		w.st.funcCaps.restore(p.fid)
+	for _, p := range append([]wsPair(nil), pt.byObj[id]...) {
+		if err := w.unlink(p); err != nil {
+			return err
+		}
+		w.funcCaps.restore(p.fid)
 		w.pushFunc(p.fid)
 	}
-	delete(w.byObj, id)
-	if err := w.st.tree.Delete(rtree.Item{ID: id, Point: o.Point}); err != nil {
+	delete(pt.byObj, id)
+	if err := pt.tree.Delete(rtree.Item{ID: id, Point: o.Point}); err != nil {
 		return err
 	}
-	w.st.objCaps.drop(id)
-	delete(w.objs, id)
+	pt.caps.drop(id)
+	delete(pt.objs, id)
+	delete(w.owner, id)
 	return nil
 }
 
@@ -324,6 +375,7 @@ func (w *Workspace) addFunctionLocked(f Function) error {
 	ew := f.Effective()
 	w.funcs[f.ID] = f
 	w.eff[f.ID] = ew
+	w.funcsSnap = nil
 	if f.Fam.IsLinear() {
 		if err := w.ftree.Insert(rtree.Item{ID: f.ID, Point: ew}); err != nil {
 			return err
@@ -331,15 +383,19 @@ func (w *Workspace) addFunctionLocked(f Function) error {
 	} else {
 		w.nonlin.Add(f.ID, f.Fam, ew)
 	}
-	w.st.funcCaps.add(f.ID, f.capacity())
+	w.funcCaps.add(f.ID, f.capacity())
 	w.pushFunc(f.ID)
 	return nil
 }
 
 func (w *Workspace) removeFunctionLocked(id uint64) error {
 	for _, p := range append([]wsPair(nil), w.byFunc[id]...) {
-		w.unlink(p)
-		w.restoreObjectUnit(p.oid)
+		if err := w.unlink(p); err != nil {
+			return err
+		}
+		if err := w.partOf(p.oid).restoreUnit(p.oid); err != nil {
+			return err
+		}
 		w.pushObj(p.oid)
 	}
 	delete(w.byFunc, id)
@@ -348,8 +404,9 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 			return err
 		}
 	}
-	w.st.funcCaps.drop(id)
+	w.funcCaps.drop(id)
 	delete(w.funcs, id)
 	delete(w.eff, id)
+	w.funcsSnap = nil
 	return nil
 }

@@ -1,4 +1,4 @@
-package shard
+package assign_test
 
 import (
 	"math"
@@ -105,7 +105,8 @@ func TestShardedSnapshotStress(t *testing.T) {
 		}
 	}
 	cfg := assign.Config{PageSize: 512, BufferFrac: 0.05}
-	e, err := New(base, cfg, Options{Shards: 4})
+	cfg.Shards = 4
+	e, err := assign.NewWorkspace(base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +152,13 @@ func TestShardedSnapshotStress(t *testing.T) {
 				}
 				if !scoreMultisetEqual(pairs, cold.Pairs) {
 					t.Errorf("reader %d: seq %d: view matching differs from cold SB solve of its own pinned population (%d pairs vs %d)",
-						r, v.Seq(), len(pairs), len(cold.Pairs))
+						r, v.Epoch(), len(pairs), len(cold.Pairs))
 					v.Close()
 					return
 				}
 				if readCount.Load()%8 == 0 {
 					if err := v.VerifyStable(); err != nil {
-						t.Errorf("reader %d: seq %d: %v", r, v.Seq(), err)
+						t.Errorf("reader %d: seq %d: %v", r, v.Epoch(), err)
 					}
 				}
 				v.Close()

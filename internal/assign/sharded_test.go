@@ -1,4 +1,4 @@
-package shard
+package assign_test
 
 import (
 	"errors"
@@ -21,8 +21,8 @@ func testProblem(t *testing.T, n int) *assign.Problem {
 func TestPartitionerSpatialBalance(t *testing.T) {
 	objs := datagen.Objects(datagen.Independent, 1000, 3, 7)
 	for _, n := range []int{1, 2, 4, 7} {
-		p := NewPartitioner(3, n, objs, PartitionAuto)
-		if p.Kind() != PartitionSpatial {
+		p := assign.NewPartitioner(3, n, objs)
+		if p.Kind() != "spatial" {
 			t.Fatalf("n=%d: kind = %s, want spatial", n, p.Kind())
 		}
 		counts := make([]int, n)
@@ -48,8 +48,8 @@ func TestPartitionerHashFallback(t *testing.T) {
 	for i := range objs {
 		objs[i] = assign.Object{ID: uint64(i + 1), Point: geom.Point{0.5, 0.5}}
 	}
-	p := NewPartitioner(2, 4, objs, PartitionAuto)
-	if p.Kind() != PartitionHash {
+	p := assign.NewPartitioner(2, 4, objs)
+	if p.Kind() != "hash" {
 		t.Fatalf("kind = %s, want hash fallback", p.Kind())
 	}
 	counts := make([]int, 4)
@@ -61,16 +61,11 @@ func TestPartitionerHashFallback(t *testing.T) {
 			t.Fatalf("hash routing left shard %d empty: %v", s, counts)
 		}
 	}
-	// Forced spatial stays spatial even when degenerate (ID tiebreak
-	// keeps the ranges well defined).
-	if k := NewPartitioner(2, 4, objs, PartitionSpatial).Kind(); k != PartitionSpatial {
-		t.Fatalf("forced spatial resolved to %s", k)
-	}
 }
 
 func TestPartitionerRouteStable(t *testing.T) {
 	objs := datagen.Objects(datagen.Correlated, 200, 2, 11)
-	p := NewPartitioner(2, 4, objs, PartitionAuto)
+	p := assign.NewPartitioner(2, 4, objs)
 	// Routing is a pure function: the same (point, ID) always lands on
 	// the same shard, including points never seen at construction.
 	fresh := datagen.Objects(datagen.Correlated, 50, 2, 12)
@@ -84,16 +79,16 @@ func TestPartitionerRouteStable(t *testing.T) {
 
 func TestEngineRejectsDurability(t *testing.T) {
 	p := testProblem(t, 50)
-	if _, err := New(p, assign.Config{Durable: true}, Options{Shards: 2}); !errors.Is(err, ErrDurabilityUnsupported) {
+	if _, err := assign.NewWorkspace(p, assign.Config{Durable: true, Shards: 2}); !errors.Is(err, assign.ErrDurabilityUnsupported) {
 		t.Fatalf("Durable config: err = %v, want ErrDurabilityUnsupported", err)
 	}
-	if _, err := New(p, assign.Config{WALDir: t.TempDir()}, Options{Shards: 2}); !errors.Is(err, ErrDurabilityUnsupported) {
+	if _, err := assign.NewWorkspace(p, assign.Config{WALDir: t.TempDir(), Shards: 2}); !errors.Is(err, assign.ErrDurabilityUnsupported) {
 		t.Fatalf("WALDir config: err = %v, want ErrDurabilityUnsupported", err)
 	}
 }
 
 func TestSnapshotIsolationAcrossShards(t *testing.T) {
-	e, err := New(testProblem(t, 120), assign.Config{PageSize: 512}, Options{Shards: 4})
+	e, err := assign.NewWorkspace(testProblem(t, 120), assign.Config{PageSize: 512, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +100,7 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 	}
 	defer before.Close()
 	frozen := append([]assign.Pair(nil), before.Pairs()...)
-	seq := before.Seq()
+	seq := before.Epoch()
 
 	// Mutate: one arrival and one departure, routed to whatever shards
 	// own them.
@@ -121,8 +116,8 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer after.Close()
-	if after.Seq() <= seq {
-		t.Fatalf("sequence did not advance: %d -> %d", seq, after.Seq())
+	if after.Epoch() <= seq {
+		t.Fatalf("sequence did not advance: %d -> %d", seq, after.Epoch())
 	}
 	got := before.Pairs()
 	if len(got) != len(frozen) {
@@ -148,7 +143,7 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 }
 
 func TestCleanShardCaptureReuse(t *testing.T) {
-	e, err := New(testProblem(t, 400), assign.Config{PageSize: 512}, Options{Shards: 4})
+	e, err := assign.NewWorkspace(testProblem(t, 400), assign.Config{PageSize: 512, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,39 +168,40 @@ func TestCleanShardCaptureReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	for i := range v1.pub.shards {
-		same := v1.pub.shards[i] == v2.pub.shards[i]
+	e1, e2 := v1.PartitionedStats().Partitions, v2.PartitionedStats().Partitions
+	for i := range e1 {
+		same := assign.PartitionCapture(v1, i) == assign.PartitionCapture(v2, i)
 		if i == dirty && same {
 			t.Fatalf("dirty shard %d did not recapture", i)
 		}
 		if i != dirty && !same {
 			t.Fatalf("clean shard %d recaptured (epoch %d -> %d)", i,
-				v1.pub.shards[i].epoch, v2.pub.shards[i].epoch)
+				e1[i].Epoch, e2[i].Epoch)
 		}
 	}
 	// Epochs advance only on the dirty shard.
-	if v2.pub.shards[dirty].epoch <= v1.pub.shards[dirty].epoch {
+	if e2[dirty].Epoch <= e1[dirty].Epoch {
 		t.Fatalf("dirty shard epoch did not advance")
 	}
 }
 
 func TestShardStatsDecompose(t *testing.T) {
-	e, err := New(testProblem(t, 150), assign.Config{PageSize: 512}, Options{Shards: 3})
+	e, err := assign.NewWorkspace(testProblem(t, 150), assign.Config{PageSize: 512, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	s := e.Stats()
-	if s.Shards != 3 || len(s.PerShard) != 3 {
+	s := e.PartitionedStats()
+	if len(s.Partitions) != 3 {
 		t.Fatalf("shard count: %+v", s)
 	}
 	objs, units, frontier := 0, 0, 0
-	for _, ps := range s.PerShard {
+	for _, ps := range s.Partitions {
 		objs += ps.Objects
 		units += ps.AssignedUnits
 		frontier += ps.Frontier
 	}
-	if objs != s.Objects || units != s.AssignedUnits || frontier != s.Frontier {
+	if objs != s.Objects || units != s.AssignedUnits || frontier != s.SkylineSize {
 		t.Fatalf("per-shard totals (%d, %d, %d) disagree with globals (%d, %d, %d)",
 			objs, units, frontier, s.Objects, s.Functions, s.AssignedUnits)
 	}
@@ -215,7 +211,7 @@ func TestShardStatsDecompose(t *testing.T) {
 }
 
 func TestUseAfterClose(t *testing.T) {
-	e, err := New(testProblem(t, 60), assign.Config{}, Options{Shards: 2})
+	e, err := assign.NewWorkspace(testProblem(t, 60), assign.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,43 +71,71 @@ func (c Config) newFuncStore() (pagestore.Store, *pagestore.BufferPool, error) {
 	return store, c.newBuildPool(store), nil
 }
 
-// newSolveState validates the problem and builds the object index. The
-// index is bulk-loaded, then the buffer is shrunk to the experiment's
-// fraction, cleared, and the I/O counters reset so that runs start cold
-// and index construction is not charged to the algorithm — matching the
-// paper's setup where O is a persistent indexed dataset.
+// versioned returns the config with its store factory wrapped so every
+// store it builds is a pagestore.VersionedStore whose snapshots a
+// Workspace can pin. Acquire is serialized: the workspace writer lock
+// orders snapshots with mutations, so page versions no live view
+// observes are recycled in place.
+func (c Config) versioned() Config {
+	base := c
+	c.StoreFactory = func(int) (pagestore.Store, error) {
+		inner, err := base.newStore()
+		if err != nil {
+			return nil, err
+		}
+		vs := pagestore.NewVersioned(inner)
+		vs.SetSerializedAcquire(true)
+		return vs, nil
+	}
+	return c
+}
+
+// newSolveState validates the problem and builds the object index.
 func newSolveState(p *Problem, cfg Config) (*solveState, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	store, pool, tree, err := buildObjectIndex(cfg, p.Dims, p.Objects)
+	if err != nil {
+		return nil, err
+	}
+	return &solveState{p: p, cfg: cfg, store: store, pool: pool, tree: tree}, nil
+}
+
+// buildObjectIndex bulk-loads an object R-tree into a fresh store. The
+// buffer is then shrunk to the experiment's fraction, cleared, and the
+// I/O counters reset so that runs start cold and index construction is
+// not charged to the algorithm — matching the paper's setup where O is
+// a persistent indexed dataset.
+func buildObjectIndex(cfg Config, dims int, objs []Object) (pagestore.Store, *pagestore.BufferPool, *rtree.Tree, error) {
 	store, err := cfg.newStore()
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	pool := cfg.newBuildPool(store)
-	items := make([]rtree.Item, len(p.Objects))
-	for i, o := range p.Objects {
+	items := make([]rtree.Item, len(objs))
+	for i, o := range objs {
 		items[i] = rtree.Item{ID: o.ID, Point: o.Point}
 	}
-	tree, err := rtree.BulkLoadWorkers(pool, p.Dims, items, cfg.treeFill(), cfg.buildWorkers())
-	if err != nil {
+	fail := func(err error) (pagestore.Store, *pagestore.BufferPool, *rtree.Tree, error) {
 		store.Close()
-		return nil, err
+		return nil, nil, nil, err
+	}
+	tree, err := rtree.BulkLoadWorkers(pool, dims, items, cfg.treeFill(), cfg.buildWorkers())
+	if err != nil {
+		return fail(err)
 	}
 	if err := pool.Flush(); err != nil {
-		store.Close()
-		return nil, err
+		return fail(err)
 	}
 	if err := pool.Resize(pagestore.CapacityFromFraction(tree.NumPages(), cfg.bufferFrac())); err != nil {
-		store.Close()
-		return nil, err
+		return fail(err)
 	}
 	if err := pool.Clear(); err != nil {
-		store.Close()
-		return nil, err
+		return fail(err)
 	}
 	store.IO().Reset()
-	return &solveState{p: p, cfg: cfg, store: store, pool: pool, tree: tree}, nil
+	return store, pool, tree, nil
 }
 
 // buildCaps initializes the two capacity tables.

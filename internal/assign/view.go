@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,35 +12,58 @@ import (
 	"fairassign/internal/topk"
 )
 
+// partPub is one object partition's capture: a pagestore snapshot
+// pinning the partition's index pages, plus flat copies of its object
+// table and availability frontier. It is refcounted by the partition
+// (which caches it until its objects, tree or frontier next change) and
+// by every pubState composing it, so a partition untouched by a commit
+// joins the next epoch's capture for the cost of a refcount increment.
+type partPub struct {
+	refs atomic.Int64
+
+	snap  *pagestore.Snapshot
+	meta  rtree.Meta
+	avail []rtree.Item // availability frontier (skyline of spare capacity)
+	objs  []Object
+}
+
+func (p *partPub) retain() { p.refs.Add(1) }
+
+func (p *partPub) release() {
+	if p.refs.Add(-1) == 0 {
+		p.snap.Release()
+	}
+}
+
 // pubState is one published epoch of a Workspace: the logical matching
-// state captured under the writer lock, plus a pagestore snapshot
-// pinning the object index's pages at the same epoch. It is shared —
-// refcounted — between the workspace (which caches the state of its
-// latest epoch until the next mutation) and every View handed out for
-// that epoch; the page snapshot is released when the last reference
-// drops.
+// state captured under the writer lock, plus one partition capture per
+// object partition. It is shared — refcounted — between the workspace
+// (which caches the state of its latest epoch until the next mutation)
+// and every View handed out for that epoch; the partition captures are
+// released when the last reference drops.
 //
 // Captured slices alias the writer's immutable per-entity storage
 // (object points and function weight vectors are cloned on arrival and
-// never written again), so a capture is three flat struct copies, not a
-// deep clone. Derived forms — the definitional sort order, the
-// per-function index, the object lookup — are materialized lazily,
-// once per epoch, on first use.
+// never written again), so a capture is flat struct copies, not a deep
+// clone. Derived forms — the definitional sort order, the per-function
+// index, the object lookup — are materialized lazily, once per epoch,
+// on first use.
 type pubState struct {
 	refs atomic.Int64
 
-	epoch uint64
-	dims  int
-	snap  *pagestore.Snapshot
-	meta  rtree.Meta
-	stats WorkspaceStats
-	avail []rtree.Item // availability frontier (skyline of spare capacity)
+	epoch     uint64
+	dims      int
+	stats     WorkspaceStats
+	partStats []PartitionStats
+	parts     []*partPub
 
 	pairs    []Pair // definitional order after sortOnce
 	sortOnce sync.Once
 
-	objs  []Object
 	funcs []Function
+
+	objs     []Object // every partition's objects
+	objsOnce sync.Once
 
 	byFunc     map[uint64][]Pair
 	byFuncOnce sync.Once
@@ -68,7 +92,9 @@ func (p *pubState) tryRetain() bool {
 
 func (p *pubState) release() {
 	if p.refs.Add(-1) == 0 {
-		p.snap.Release()
+		for _, pp := range p.parts {
+			pp.release()
+		}
 	}
 }
 
@@ -88,10 +114,24 @@ func (p *pubState) pairsOf(fid uint64) []Pair {
 	return p.byFunc[fid]
 }
 
+func (p *pubState) allObjs() []Object {
+	p.objsOnce.Do(func() {
+		if len(p.parts) == 1 {
+			p.objs = p.parts[0].objs
+			return
+		}
+		for _, pp := range p.parts {
+			p.objs = append(p.objs, pp.objs...)
+		}
+	})
+	return p.objs
+}
+
 func (p *pubState) object(id uint64) (Object, bool) {
 	p.objByIDOnce.Do(func() {
-		idx := make(map[uint64]Object, len(p.objs))
-		for _, o := range p.objs {
+		objs := p.allObjs()
+		idx := make(map[uint64]Object, len(objs))
+		for _, o := range objs {
 			idx[o.ID] = o
 		}
 		p.objByID = idx
@@ -104,8 +144,8 @@ func (p *pubState) object(id uint64) (Object, bool) {
 // answers from the epoch the view pinned when Workspace.Snapshot was
 // called, no matter how many mutations the workspace absorbs
 // afterwards. Logical reads (Pairs, Stats, Problem) are served from the
-// captured state; index-backed queries (TopK, Skyline, Tree) traverse
-// the object R-tree through the pinned page epoch. A View is safe for
+// captured state; index-backed queries (TopK, Skyline) traverse the
+// object R-trees through the pinned page epochs. A View is safe for
 // concurrent use by multiple goroutines, stays valid after the
 // workspace is closed, and must be Closed to release the epoch's page
 // versions for reclamation.
@@ -161,6 +201,16 @@ func (v *View) Stats() WorkspaceStats {
 	return v.pub.stats
 }
 
+// PartitionedStats returns the workspace summary with its
+// per-partition breakdown as of the view's epoch (the zero value once
+// the view is closed).
+func (v *View) PartitionedStats() PartitionedStats {
+	if v.closed.Load() {
+		return PartitionedStats{}
+	}
+	return PartitionedStats{WorkspaceStats: v.pub.stats, Epoch: v.pub.epoch, Partitions: v.pub.partStats}
+}
+
 // Object returns a frozen object by ID.
 func (v *View) Object(id uint64) (Object, bool) {
 	if v.closed.Load() {
@@ -176,7 +226,7 @@ func (v *View) Problem() *Problem {
 	if v.closed.Load() {
 		return nil
 	}
-	return &Problem{Dims: v.pub.dims, Objects: v.pub.objs, Functions: v.pub.funcs}
+	return &Problem{Dims: v.pub.dims, Objects: v.pub.allObjs(), Functions: v.pub.funcs}
 }
 
 // VerifyStable checks that the frozen matching is stable for the frozen
@@ -188,11 +238,12 @@ func (v *View) VerifyStable() error {
 	return IsStable(v.Problem(), v.Pairs())
 }
 
-// Tree returns the object index frozen at the view's epoch. Searches
-// over it read the pinned page versions and never touch the writer's
-// buffer pool or I/O counters.
-func (v *View) Tree() *rtree.View {
-	return rtree.NewView(v.pub.snap, v.pub.dims, v.pub.meta)
+// tree returns partition i's object index frozen at the view's epoch.
+// Searches over it read the pinned page versions and never touch the
+// writer's buffer pool or I/O counters.
+func (v *View) tree(i int) *rtree.View {
+	pp := v.pub.parts[i]
+	return rtree.NewView(pp.snap, v.pub.dims, pp.meta)
 }
 
 // TopK runs a BRS ranked search with the given effective weights over
@@ -203,32 +254,126 @@ func (v *View) TopK(weights []float64, k int) ([]rtree.Item, []float64, error) {
 
 // TopKScorer is TopK under an arbitrary monotone scorer (effective
 // weights folded in), evaluated with BRS over the pinned index epoch.
+// With several partitions it lazily merges one BRS stream per
+// partition, TA-style: a stream only advances while its score ceiling
+// (the maxscore bound at the head of its frontier heap) could still
+// beat the best buffered candidate, so cold partitions stop after their
+// root node. Emission order — score descending, ties to the lower ID —
+// is identical to one BRS search over the union of the partitions.
 func (v *View) TopKScorer(sc score.Scorer, k int) ([]rtree.Item, []float64, error) {
 	if v.closed.Load() {
 		return nil, nil, ErrViewClosed
 	}
-	return topk.TopKScorer(v.Tree(), sc, k, nil)
+	if len(v.pub.parts) == 1 {
+		return topk.TopKScorer(v.tree(0), sc, k, nil)
+	}
+	type stream struct {
+		sr   *topk.Searcher
+		it   rtree.Item
+		s    float64
+		have bool
+		done bool
+	}
+	streams := make([]stream, len(v.pub.parts))
+	for i := range streams {
+		streams[i].sr = topk.NewScorerSearcher(v.tree(i), sc, nil)
+	}
+	var items []rtree.Item
+	var scores []float64
+	for len(items) < k {
+		// Best buffered candidate across streams.
+		best := -1
+		for i := range streams {
+			st := &streams[i]
+			if !st.have {
+				continue
+			}
+			if best < 0 || st.s > streams[best].s || (st.s == streams[best].s && st.it.ID < streams[best].it.ID) {
+				best = i
+			}
+		}
+		bestScore := math.Inf(-1)
+		if best >= 0 {
+			bestScore = streams[best].s
+		}
+		// Advance every unbuffered stream whose ceiling could still
+		// matter. >= (not >) keeps equal-score candidates in play so the
+		// ID tiebreak across partitions sees them all before anything
+		// emits.
+		advanced := false
+		for i := range streams {
+			st := &streams[i]
+			if st.have || st.done || st.sr.Ceiling() < bestScore {
+				continue
+			}
+			it, s, ok, err := st.sr.Next()
+			if err != nil {
+				return nil, nil, err
+			}
+			st.it, st.s, st.have, st.done = it, s, ok, !ok
+			advanced = true
+		}
+		if advanced {
+			continue
+		}
+		if best < 0 {
+			break // every partition drained
+		}
+		items = append(items, streams[best].it)
+		scores = append(scores, streams[best].s)
+		streams[best].have = false
+	}
+	return items, scores, nil
 }
 
-// Skyline computes the skyline of the frozen object set with BBS over
-// the pinned index epoch.
+// Skyline computes the skyline of the frozen object set: BBS over each
+// partition's pinned index, then — with several partitions — one BNL
+// pass over their concatenated skylines (the skyline of a union is the
+// skyline of the parts' skylines).
 func (v *View) Skyline() ([]rtree.Item, error) {
 	if v.closed.Load() {
 		return nil, ErrViewClosed
 	}
-	return skyline.Compute(v.Tree(), nil)
+	var all []rtree.Item
+	for i := range v.pub.parts {
+		sky, err := skyline.Compute(v.tree(i), nil)
+		if err != nil {
+			return nil, err
+		}
+		if len(v.pub.parts) == 1 {
+			return sky, nil
+		}
+		all = append(all, sky...)
+	}
+	return skyline.BNL(all), nil
 }
 
 // AvailableFrontier returns the frozen availability skyline (objects
 // with spare capacity, as maintained incrementally by the workspace).
+// With several partitions it is the union of the per-partition
+// skylines, which may contain points dominated across partition
+// boundaries; the set of available objects it covers is the same.
 // Shared and immutable.
 func (v *View) AvailableFrontier() []rtree.Item {
 	if v.closed.Load() {
 		return nil
 	}
-	return v.pub.avail
+	if len(v.pub.parts) == 1 {
+		return v.pub.parts[0].avail
+	}
+	var out []rtree.Item
+	for _, pp := range v.pub.parts {
+		out = append(out, pp.avail...)
+	}
+	return out
 }
 
-// IOReads reports how many page resolutions this view's epoch snapshot
-// has served so far (reader-side I/O; never charged to the writer).
-func (v *View) IOReads() int64 { return v.pub.snap.Reads() }
+// IOReads reports how many page resolutions this view's epoch snapshots
+// have served so far (reader-side I/O; never charged to the writer).
+func (v *View) IOReads() int64 {
+	var n int64
+	for _, pp := range v.pub.parts {
+		n += pp.snap.Reads()
+	}
+	return n
+}

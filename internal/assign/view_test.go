@@ -270,7 +270,7 @@ func TestWorkspaceTypedErrors(t *testing.T) {
 func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	ws := viewTestWorkspace(t, 200, 12, 3, 99)
 	defer ws.Close()
-	pool := ws.st.pool
+	pool := ws.parts[0].pool
 	poolCap := pool.Capacity()
 
 	var views []*View
@@ -288,7 +288,7 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 		mutateBatch(t, ws, 300+i)
 	}
 
-	grown := ws.vstore.DebugStats()
+	grown := ws.parts[0].vstore.DebugStats()
 	if grown.TotalVersions <= grown.LivePages {
 		t.Fatalf("expected retained history while views are open: %+v", grown)
 	}
@@ -298,7 +298,7 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	// One more mutation publishes past the last pinned epoch, after
 	// which nothing may remain but the live pages.
 	mutateBatch(t, ws, 400)
-	st := ws.vstore.DebugStats()
+	st := ws.parts[0].vstore.DebugStats()
 	if st.LiveSnapshots != 0 || st.RetiredQueue != 0 || st.TotalVersions != st.LivePages {
 		t.Fatalf("epoch reclamation leaked: %+v", st)
 	}

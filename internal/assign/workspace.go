@@ -71,6 +71,24 @@ var (
 // scan that skyline for the best free object and use its score as a
 // ceiling for the displacement search, which then expands only the
 // index region that could beat taking a free object outright.
+//
+// The object side is split into one or more object partitions
+// (Config.Shards), each with its own page store, R-tree, availability
+// frontier and store epoch; the function side and the repair loop are
+// shared. A proposal takes the best frontier object and the best
+// displacement candidate across all partitions, each by (score desc,
+// ID asc) — the order one BRS search over their union enumerates — so
+// the matching is byte-identical at every partition count. What the
+// partitions buy is commit and capture cost: a batch flushes and
+// republishes only the partitions whose pages it changed, and the next
+// Snapshot re-copies only the partitions whose objects or frontier it
+// changed. (One theoretical exception to the identity: a scorer family
+// that is not strictly monotone can tie a dominated point with its
+// dominator; if partition boundaries separate them, the per-partition
+// frontiers may surface the dominated lower-ID point a single global
+// skyline pruned. Both resolutions are stable; the case needs exactly
+// tied scores across a dominance pair, which is measure-zero for
+// continuous data.)
 type Workspace struct {
 	// mu is the single-writer lock: it serializes mutations, epoch
 	// publication, and snapshot acquisition. Snapshot readers never take
@@ -78,15 +96,17 @@ type Workspace struct {
 	// proceed concurrently with (and unblocked by) repairs.
 	mu sync.Mutex
 
-	st  *solveState
-	cfg Config
+	cfg  Config
+	dims int
 
-	// vstore is the versioned wrapper around the object-index store
-	// (st.store). Each mutation ends by flushing the buffer pool and
-	// publishing a new store epoch; snapshots pin published epochs and
-	// read page versions copy-on-write-retained for them.
-	vstore *pagestore.VersionedStore
-	epoch  uint64 // latest published epoch
+	// parts are the object partitions; part routes objects to them.
+	// owner records the partition of every live object, and is nil with
+	// a single partition.
+	parts []*objPart
+	part  *Partitioner
+	owner map[uint64]int
+
+	epoch uint64 // latest published epoch: one per commit
 
 	// pub caches the captured state of the latest published epoch. It is
 	// built lazily by the first Snapshot after a mutation and dropped
@@ -98,18 +118,12 @@ type Workspace struct {
 	pub  *pubState
 	pubA atomic.Pointer[pubState]
 
-	// avail is the availability frontier: a materialized skyline
-	// maintainer over the objects with remaining capacity. It holds no
-	// R-tree references (the workspace physically mutates its trees), so
-	// arbitrary Insert/Discard traffic stays correct.
-	avail *skyline.Maintainer
-
 	// Function R-tree over effective weight vectors (as in Chain),
 	// dynamically maintained; reverse searches (best function for an
-	// object) run against it. fstore is fvstore: the function side is
-	// versioned too, so snapshot capture can image both stores from the
-	// in-memory version chains without physical reads.
-	fstore  pagestore.Store
+	// object) run against it. The function store is versioned too, so
+	// durable snapshot capture can image it from the in-memory version
+	// chains without physical reads; views never traverse it, so no
+	// epoch is ever pinned and every write recycles in place.
 	fvstore *pagestore.VersionedStore
 	fpool   *pagestore.BufferPool
 	ftree   *rtree.Tree
@@ -121,7 +135,6 @@ type Workspace struct {
 	dur      *durableState
 	recovery *RecoveryInfo
 
-	objs  map[uint64]Object
 	funcs map[uint64]Function
 	eff   map[uint64][]float64 // function ID -> effective weights (ftree points)
 	// nonlin holds the live non-linear functions in per-family columnar
@@ -130,11 +143,15 @@ type Workspace struct {
 	// these blocks with the batched dual kernel instead. Purely linear
 	// populations — the paper's workload — keep this empty and pay
 	// nothing.
-	nonlin *score.FuncBlocks
+	nonlin   *score.FuncBlocks
+	funcCaps *capTable
+	// funcsSnap is the captured function table, shared by every capture
+	// until a function arrives or departs (which resets it to nil).
+	funcsSnap []Function
 
-	// The matching, indexed from both sides; one wsPair per assigned
-	// unit, present in exactly one slice of each map.
-	byObj  map[uint64][]wsPair
+	// byFunc is the function half of the matching; the object half is
+	// each partition's byObj. One wsPair per assigned unit, present in
+	// exactly one slice of each side.
 	byFunc map[uint64][]wsPair
 
 	queue []repairItem // free units awaiting chain repair
@@ -147,6 +164,33 @@ type Workspace struct {
 	chainLen  int64 // reassignments performed by repair chains
 	searches  int64 // top-1 probes issued by repair
 	resolves  int64 // full solves (the initial build)
+}
+
+// objPart is one object partition: a slice of the object space with its
+// own versioned page store, R-tree, availability frontier, object and
+// capacity tables, the object half of the matching, and store epoch.
+type objPart struct {
+	vstore *pagestore.VersionedStore
+	pool   *pagestore.BufferPool
+	tree   *rtree.Tree
+
+	// avail is the availability frontier: a materialized skyline
+	// maintainer over the partition's objects with remaining capacity.
+	// It holds no R-tree references (the workspace physically mutates
+	// its trees), so arbitrary Insert/Discard traffic stays correct.
+	avail *skyline.Maintainer
+
+	objs  map[uint64]Object
+	caps  *capTable
+	byObj map[uint64][]wsPair
+	units int // assigned units held by this partition's objects
+
+	epoch     uint64 // latest published store epoch
+	pageDirty bool   // tree pages written since the last publish
+	// pub caches the capture of the partition's current objects, tree
+	// and frontier. Any change to them drops it; otherwise every epoch's
+	// capture reuses it for the cost of a refcount increment.
+	pub *partPub
 }
 
 // wsPair is one assigned unit of the matching.
@@ -168,7 +212,7 @@ type WorkspaceStats struct {
 	Objects       int   // live objects
 	Functions     int   // live functions
 	AssignedUnits int   // pairs in the current matching
-	SkylineSize   int   // availability frontier (objects with spare capacity)
+	SkylineSize   int   // availability frontier (objects with spare capacity), summed over partitions
 	Mutations     int64 // mutations applied since construction
 	Commits       int64 // epochs published (Apply groups many mutations into one)
 	ChainSteps    int64 // reassignments performed by repair chains
@@ -177,28 +221,37 @@ type WorkspaceStats struct {
 	IO            metrics.IOCounter
 }
 
+// PartitionedStats is the workspace summary together with the latest
+// published epoch and the per-partition breakdown.
+type PartitionedStats struct {
+	WorkspaceStats
+	Epoch      uint64
+	Partitions []PartitionStats
+}
+
+// PartitionStats is one object partition's slice of the summary.
+type PartitionStats struct {
+	Objects       int
+	AssignedUnits int
+	Frontier      int
+	// Epoch is the partition's own store epoch: it advances only on
+	// commits that changed the partition's pages.
+	Epoch uint64
+}
+
 // NewWorkspace builds the shared state, solves the initial instance with
-// SB, and returns a workspace ready for mutations. The object-index
-// store is built through a versioned wrapper around the configured
-// store factory, so snapshots can pin page epochs; the function-side
-// store stays unversioned (views never traverse it).
+// SB, and returns a workspace ready for mutations. Object and function
+// stores are built through a versioned wrapper around the configured
+// store factory, so snapshots can pin page epochs. With one partition
+// the workspace adopts the SB solve's object tree; with more, the solve
+// tree is released and every partition bulk-loads its own.
 func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
-	scfg := cfg
-	innerFactory := cfg.StoreFactory
-	scfg.StoreFactory = func(pageSize int) (pagestore.Store, error) {
-		var inner pagestore.Store
-		if innerFactory != nil {
-			var err error
-			inner, err = innerFactory(pageSize)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			inner = pagestore.NewMemStore(pageSize)
-		}
-		return pagestore.NewVersioned(inner), nil
+	n := max(cfg.Shards, 1)
+	if n > 1 && (cfg.Durable || cfg.WALDir != "") {
+		return nil, ErrDurabilityUnsupported
 	}
-	st, err := newSolveState(p, scfg)
+	vcfg := cfg.versioned()
+	st, err := newSolveState(p, vcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -207,44 +260,50 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		st.release()
 		return nil, err
 	}
-
-	finner, err := cfg.newStore()
-	if err != nil {
-		st.release()
-		return nil, err
-	}
-	// The function store gets the same versioned wrapper as the object
-	// store. Views never traverse it, so no epochs are ever pinned and
-	// every write recycles in place (one shadow memcpy); what the
-	// wrapper buys is CurrentPages — durable snapshot capture images the
-	// function index from the in-memory chains instead of issuing
-	// counted physical reads.
-	fvstore := pagestore.NewVersioned(finner)
-	fvstore.SetSerializedAcquire(true)
-	fpool := cfg.newBuildPool(fvstore)
-	vstore := st.store.(*pagestore.VersionedStore)
-	// w.mu serializes Snapshot (→ Acquire) with mutations, so the store
-	// may recycle page versions in place whenever no live view observes
-	// them — churn without open views then retains no history.
-	vstore.SetSerializedAcquire(true)
 	w := &Workspace{
-		st:       st,
 		cfg:      cfg,
-		vstore:   vstore,
-		fstore:   fvstore,
-		fvstore:  fvstore,
-		fpool:    fpool,
-		objs:     make(map[uint64]Object, len(p.Objects)),
+		dims:     p.Dims,
+		part:     NewPartitioner(p.Dims, n, p.Objects),
 		funcs:    make(map[uint64]Function, len(p.Functions)),
 		eff:      make(map[uint64][]float64, len(p.Functions)),
 		nonlin:   score.NewFuncBlocks(p.Dims),
-		byObj:    make(map[uint64][]wsPair),
+		funcCaps: st.funcCaps,
 		byFunc:   make(map[uint64][]wsPair),
 		resolves: 1,
 	}
-	for _, o := range p.Objects {
-		w.objs[o.ID] = Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity}
+	if n == 1 {
+		w.parts = []*objPart{newObjPart(st.store, st.pool, st.tree, len(p.Objects))}
+	} else {
+		st.release()
+		groups := make([][]Object, n)
+		w.owner = make(map[uint64]int, len(p.Objects))
+		for _, o := range p.Objects {
+			i := w.part.Route(o.Point, o.ID)
+			groups[i] = append(groups[i], o)
+			w.owner[o.ID] = i
+		}
+		for _, g := range groups {
+			store, pool, tree, err := buildObjectIndex(vcfg, p.Dims, g)
+			if err != nil {
+				w.Close()
+				return nil, err
+			}
+			w.parts = append(w.parts, newObjPart(store, pool, tree, len(g)))
+		}
 	}
+	for _, o := range p.Objects {
+		pt := w.partOf(o.ID)
+		pt.objs[o.ID] = Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity}
+		pt.caps.add(o.ID, st.objCaps.remaining[o.ID])
+	}
+
+	fstore, err := vcfg.newStore()
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	w.fvstore = fstore.(*pagestore.VersionedStore)
+	w.fpool = cfg.newBuildPool(w.fvstore)
 	fitems := make([]rtree.Item, 0, len(p.Functions))
 	for _, f := range p.Functions {
 		ew := f.Effective()
@@ -256,7 +315,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 			w.nonlin.Add(f.ID, f.Fam, ew)
 		}
 	}
-	w.ftree, err = rtree.BulkLoadWorkers(fpool, p.Dims, fitems, cfg.treeFill(), cfg.buildWorkers())
+	w.ftree, err = rtree.BulkLoadWorkers(w.fpool, p.Dims, fitems, cfg.treeFill(), cfg.buildWorkers())
 	if err != nil {
 		w.Close()
 		return nil, err
@@ -264,25 +323,13 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	for _, pr := range res.Pairs {
 		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjectID, score: pr.Score})
 	}
-	// Materialize the availability frontier from the post-solve capacity
-	// table. The solve's own maintainer ends in the same logical state
-	// but parks pruned subtrees by page reference, which would go stale
-	// under the physical tree mutations ahead.
-	var availItems []rtree.Item
-	for id, o := range w.objs {
-		if w.st.objCaps.remaining[id] > 0 {
-			availItems = append(availItems, rtree.Item{ID: id, Point: o.Point})
-		}
+	// Materialize the availability frontiers from the post-solve
+	// capacity tables. The solve's own maintainer ends in the same
+	// logical state but parks pruned subtrees by page reference, which
+	// would go stale under the physical tree mutations ahead.
+	for _, pt := range w.parts {
+		pt.buildFrontier(p.Dims)
 	}
-	w.avail = skyline.NewMaintainerFromItems(p.Dims, availItems, nil)
-	// Parked entries can go stale (their object departed or exhausted —
-	// and its ID may even be reused for a different point); the oracle
-	// drops them the moment they resurface, so no tombstones accumulate.
-	w.avail.SetLiveCheck(func(id uint64, pt geom.Point) bool {
-		o, ok := w.objs[id]
-		return ok && w.st.objCaps.remaining[id] > 0 && o.Point.Equal(pt)
-	})
-	w.st.maint = nil // drop the tree-backed maintainer: it must not outlive tree mutations
 	// Publish the initial epoch so snapshots taken before any mutation
 	// have a sealed page state to pin.
 	if err := w.commitLocked(); err != nil {
@@ -298,18 +345,117 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	return w, nil
 }
 
+// newObjPart wraps a freshly built object index (store from a versioned
+// config) over n objects as a partition with empty tables, whose pages
+// await their first publish.
+func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.Tree, n int) *objPart {
+	return &objPart{
+		vstore:    store.(*pagestore.VersionedStore),
+		pool:      pool,
+		tree:      tree,
+		objs:      make(map[uint64]Object, n),
+		caps:      &capTable{remaining: make(map[uint64]int, n)},
+		byObj:     make(map[uint64][]wsPair),
+		pageDirty: true,
+	}
+}
+
+// buildFrontier materializes the partition's availability frontier from
+// its capacity table.
+func (pt *objPart) buildFrontier(dims int) {
+	var items []rtree.Item
+	for id, o := range pt.objs {
+		if pt.caps.remaining[id] > 0 {
+			items = append(items, rtree.Item{ID: id, Point: o.Point})
+		}
+	}
+	pt.avail = skyline.NewMaintainerFromItems(dims, items, nil)
+	// Parked entries can go stale (their object departed or exhausted —
+	// and its ID may even be reused for a different point); the oracle
+	// drops them the moment they resurface, so no tombstones accumulate.
+	pt.avail.SetLiveCheck(func(id uint64, p geom.Point) bool {
+		o, ok := pt.objs[id]
+		return ok && pt.caps.remaining[id] > 0 && o.Point.Equal(p)
+	})
+}
+
+// dropPub releases the partition's cached capture after a change to its
+// objects, tree or frontier, so the next Snapshot re-captures it.
+func (pt *objPart) dropPub() {
+	if pt.pub != nil {
+		pt.pub.release()
+		pt.pub = nil
+	}
+}
+
+// restoreUnit gives one unit of capacity back to an object; a revival
+// (exhausted → available) re-enters the availability frontier.
+func (pt *objPart) restoreUnit(oid uint64) error {
+	if !pt.caps.restore(oid) {
+		return nil
+	}
+	pt.dropPub()
+	if err := pt.avail.Insert(rtree.Item{ID: oid, Point: pt.objs[oid].Point}); err != nil {
+		// Insert only errors on a live duplicate, which consistent
+		// availability bookkeeping rules out.
+		return fmt.Errorf("assign: availability frontier out of sync: %w", err)
+	}
+	return nil
+}
+
+// consumeUnit takes one unit of an object's capacity; exhaustion leaves
+// the availability frontier via Discard.
+func (pt *objPart) consumeUnit(oid uint64) error {
+	if !pt.caps.consume(oid) {
+		return nil
+	}
+	pt.dropPub()
+	return pt.avail.Discard(oid)
+}
+
+// displaceable reports whether a full object would evict its worst
+// assignment in favor of the proposing function (available objects are
+// handled by the frontier path and skipped here).
+func (pt *objPart) displaceable(fid uint64, fsc score.Scorer, oid uint64) bool {
+	if pt.caps.remaining[oid] > 0 {
+		return false
+	}
+	worst := worstOfObj(pt.byObj[oid])
+	s := fsc.Score(pt.objs[oid].Point)
+	return s > worst.score || (s == worst.score && fid < worst.fid)
+}
+
+// partOf returns the partition owning an object. An unknown ID (or any
+// ID, with a single partition and so a nil owner map) maps to partition
+// 0, whose tables hold the object if it is live.
+func (w *Workspace) partOf(oid uint64) *objPart { return w.parts[w.owner[oid]] }
+
+// objLive reports whether an object is live. Caller holds w.mu.
+func (w *Workspace) objLive(id uint64) bool {
+	_, ok := w.partOf(id).objs[id]
+	return ok
+}
+
 // commitLocked seals the current epoch: the workspace's cached
-// published state is dropped (open views keep theirs alive), dirty
-// pages are flushed so the version layer holds the epoch's final bytes,
-// and the store publishes — after which every page the epoch retired
-// and no snapshot still pins is reclaimed. Caller holds w.mu (or is
-// constructing the workspace).
+// published state is dropped (open views keep theirs alive), and every
+// partition whose pages changed flushes its buffer pool, so the version
+// layer holds the epoch's final bytes, and publishes — after which every
+// page the epoch retired and no snapshot still pins is reclaimed.
+// Partitions the epoch left untouched publish nothing. Caller holds w.mu
+// (or is constructing the workspace).
 func (w *Workspace) commitLocked() error {
 	w.dropPubLocked()
-	if err := w.st.pool.Flush(); err != nil {
-		return err
+	for _, pt := range w.parts {
+		if !pt.pageDirty {
+			continue
+		}
+		if err := pt.pool.Flush(); err != nil {
+			return err
+		}
+		pt.epoch = pt.vstore.Publish()
+		pt.pageDirty = false
 	}
-	w.epoch = w.vstore.Publish()
+	w.epoch++
 	w.commits++
 	return nil
 }
@@ -360,34 +506,74 @@ func (w *Workspace) Snapshot() (*View, error) {
 	return &View{pub: w.pub}, nil
 }
 
-// captureLocked freezes the logical state of the current epoch. Pair,
-// object, and function slices are flat copies whose per-entity points
-// and weights alias the immutable originals; derived forms (sort
-// order, indexes) are materialized lazily by the views. Holds w.mu.
+// captureLocked freezes the logical state of the current epoch. Every
+// partition contributes its cached capture, re-captured only if its
+// objects, tree or frontier changed since; the function table is shared
+// until a function arrives or departs; the pairs are a flat copy. Per
+// entity points and weights alias the immutable originals; derived forms
+// (sort order, indexes) are materialized lazily by the views. Holds w.mu.
 func (w *Workspace) captureLocked() *pubState {
 	p := &pubState{
-		epoch: w.epoch,
-		dims:  w.Dims(),
-		snap:  w.vstore.Acquire(),
-		meta:  w.st.tree.Meta(),
-		stats: w.statsLocked(),
-		avail: w.avail.Skyline(),
+		epoch:     w.epoch,
+		dims:      w.dims,
+		stats:     w.statsLocked(),
+		partStats: w.partStatsLocked(),
+		parts:     make([]*partPub, len(w.parts)),
 	}
 	p.refs.Store(1) // the workspace's own cache reference
-	p.pairs = w.pairsLocked()
-	p.objs = make([]Object, 0, len(w.objs))
-	for _, o := range w.objs {
-		p.objs = append(p.objs, o)
+	for i, pt := range w.parts {
+		if pt.pub == nil {
+			pt.pub = pt.capture()
+		}
+		pt.pub.retain()
+		p.parts[i] = pt.pub
 	}
-	p.funcs = make([]Function, 0, len(w.funcs))
-	for _, f := range w.funcs {
-		p.funcs = append(p.funcs, f)
+	if w.funcsSnap == nil {
+		w.funcsSnap = make([]Function, 0, len(w.funcs))
+		for _, f := range w.funcs {
+			w.funcsSnap = append(w.funcsSnap, f)
+		}
+	}
+	p.funcs = w.funcsSnap
+	p.pairs = w.pairsLocked()
+	return p
+}
+
+// capture freezes the partition: a pinned page snapshot, the tree
+// metadata, and flat copies of the object table and frontier.
+func (pt *objPart) capture() *partPub {
+	p := &partPub{
+		snap:  pt.vstore.Acquire(),
+		meta:  pt.tree.Meta(),
+		avail: pt.avail.Skyline(),
+		objs:  make([]Object, 0, len(pt.objs)),
+	}
+	p.refs.Store(1) // the partition's own cache reference
+	for _, o := range pt.objs {
+		p.objs = append(p.objs, o)
 	}
 	return p
 }
 
 // Dims returns the workspace dimensionality.
-func (w *Workspace) Dims() int { return w.st.p.Dims }
+func (w *Workspace) Dims() int { return w.dims }
+
+// Partitions returns the number of object partitions.
+func (w *Workspace) Partitions() int { return len(w.parts) }
+
+// PartitionKind returns the resolved partitioning, "spatial" or "hash".
+func (w *Workspace) PartitionKind() string { return w.part.Kind() }
+
+// RouteObject returns the partition a (possibly not yet live) object
+// with the given point and ID lands on.
+func (w *Workspace) RouteObject(pt geom.Point, id uint64) int { return w.part.Route(pt, id) }
+
+// PartitionOf returns the partition owning a live object.
+func (w *Workspace) PartitionOf(id uint64) (int, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.owner[id], w.objLive(id)
+}
 
 // Close releases the page stores behind both indexes. The workspace
 // must not be used afterwards.
@@ -400,9 +586,12 @@ func (w *Workspace) Close() {
 	w.closed = true
 	w.closedA.Store(true)
 	w.dropPubLocked()
-	w.st.release()
-	if w.fstore != nil {
-		w.fstore.Close()
+	for _, pt := range w.parts {
+		pt.dropPub()
+		pt.vstore.Close()
+	}
+	if w.fvstore != nil {
+		w.fvstore.Close()
 	}
 	if w.dur != nil && w.dur.log != nil {
 		w.dur.log.Close()
@@ -411,24 +600,39 @@ func (w *Workspace) Close() {
 
 // link records one assigned unit on both sides.
 func (w *Workspace) link(p wsPair) {
-	w.byObj[p.oid] = append(w.byObj[p.oid], p)
+	pt := w.partOf(p.oid)
+	pt.byObj[p.oid] = append(pt.byObj[p.oid], p)
+	pt.units++
 	w.byFunc[p.fid] = append(w.byFunc[p.fid], p)
 }
 
 // unlink removes one instance of the pair from both sides.
-func (w *Workspace) unlink(p wsPair) {
-	w.byObj[p.oid] = cutPair(w.byObj[p.oid], p)
-	w.byFunc[p.fid] = cutPair(w.byFunc[p.fid], p)
+func (w *Workspace) unlink(p wsPair) error {
+	pt := w.partOf(p.oid)
+	ps, err := cutPair(pt.byObj[p.oid], p)
+	if err != nil {
+		return err
+	}
+	pt.byObj[p.oid] = ps
+	pt.units--
+	if ps, err = cutPair(w.byFunc[p.fid], p); err != nil {
+		return err
+	}
+	w.byFunc[p.fid] = ps
+	return nil
 }
 
-func cutPair(ps []wsPair, p wsPair) []wsPair {
+// cutPair removes one instance of p from ps. A missing pair means the
+// two halves of the matching disagree — a broken invariant the caller
+// escalates to corruption.
+func cutPair(ps []wsPair, p wsPair) ([]wsPair, error) {
 	for i := range ps {
 		if ps[i] == p {
 			ps[i] = ps[len(ps)-1]
-			return ps[:len(ps)-1]
+			return ps[:len(ps)-1], nil
 		}
 	}
-	panic("assign: workspace pair index out of sync")
+	return ps, fmt.Errorf("assign: workspace pair index out of sync: pair (function %d, object %d) missing", p.fid, p.oid)
 }
 
 // worstOfObj returns the weakest assignment an object holds — the one a
@@ -456,9 +660,9 @@ func worstOfFunc(ps []wsPair) wsPair {
 	return worst
 }
 
-// AddObject introduces a new object: it joins both the R-tree and the
-// availability skyline, then pulls takers for its capacity via chain
-// repair.
+// AddObject introduces a new object: it joins its partition's R-tree
+// and availability frontier, then pulls takers for its capacity via
+// chain repair.
 func (w *Workspace) AddObject(o Object) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -490,28 +694,6 @@ func (w *Workspace) RemoveFunction(id uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.applyLocked([]Mutation{{Kind: MutRemoveFunction, ID: id}})
-}
-
-// restoreObjectUnit gives one unit of capacity back to an object; a
-// revival (exhausted → available) re-enters the availability skyline.
-func (w *Workspace) restoreObjectUnit(oid uint64) {
-	if w.st.objCaps.restore(oid) {
-		o := w.objs[oid]
-		if err := w.avail.Insert(rtree.Item{ID: oid, Point: o.Point}); err != nil {
-			// Insert only errors on a live duplicate, which the
-			// availability bookkeeping rules out.
-			panic(fmt.Sprintf("assign: workspace availability out of sync: %v", err))
-		}
-	}
-}
-
-// consumeObjectUnit takes one unit of an object's capacity; exhaustion
-// leaves the availability skyline via Discard.
-func (w *Workspace) consumeObjectUnit(oid uint64) error {
-	if w.st.objCaps.consume(oid) {
-		return w.avail.Discard(oid)
-	}
-	return nil
 }
 
 func (w *Workspace) pushFunc(id uint64) { w.queue = append(w.queue, repairItem{isFunc: true, id: id}) }
@@ -556,7 +738,7 @@ func (w *Workspace) placeFunction(fid uint64) error {
 	if _, ok := w.funcs[fid]; !ok {
 		return nil // departed while queued
 	}
-	for w.st.funcCaps.remaining[fid] > 0 {
+	for w.funcCaps.remaining[fid] > 0 {
 		oid, score, displace, ok, err := w.bestEntry(fid)
 		if err != nil {
 			return err
@@ -565,14 +747,16 @@ func (w *Workspace) placeFunction(fid uint64) error {
 			return nil // no object accepts: the unit stays free
 		}
 		if displace {
-			evicted := worstOfObj(w.byObj[oid])
-			w.unlink(evicted)
-			w.st.funcCaps.restore(evicted.fid)
+			evicted := worstOfObj(w.partOf(oid).byObj[oid])
+			if err := w.unlink(evicted); err != nil {
+				return err
+			}
+			w.funcCaps.restore(evicted.fid)
 			w.pushFunc(evicted.fid)
-		} else if err := w.consumeObjectUnit(oid); err != nil {
+		} else if err := w.partOf(oid).consumeUnit(oid); err != nil {
 			return err
 		}
-		w.st.funcCaps.consume(fid)
+		w.funcCaps.consume(fid)
 		w.link(wsPair{fid: fid, oid: oid, score: score})
 		w.chainLen++
 	}
@@ -586,76 +770,95 @@ func (w *Workspace) scorerOf(fid uint64) score.Scorer {
 	return score.Scorer{Fam: w.funcs[fid].Fam, W: w.eff[fid]}
 }
 
+// candidate is one object (or function) a repair step could take, with
+// its score. Candidates are ordered by score descending, ties to the
+// lower ID — the order BRS enumerates inside one tree — so combining the
+// winners of several partitions lands on the entry a single search over
+// their union would find.
+type candidate struct {
+	id    uint64
+	score float64
+	ok    bool
+}
+
+func (c candidate) beats(o candidate) bool {
+	return c.ok && (!o.ok || c.score > o.score || (c.score == o.score && c.id < o.id))
+}
+
 // bestEntry finds the best object a function unit can enter: the best
-// available object (scanned off the availability skyline, no I/O), or
+// available object (scanned off the availability frontiers, no I/O), or
 // a full object holding a strictly worse assignment. The availability
-// score is the ceiling of the displacement search. Both the frontier
-// scan and the BRS displacement search run under the function's scorer,
-// which is what keeps repair correct for every monotone family.
+// score is the ceiling of the displacement searches, one per partition.
+// Both the frontier scans and the BRS displacement searches run under
+// the function's scorer, which is what keeps repair correct for every
+// monotone family.
 func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok bool, err error) {
 	fsc := w.scorerOf(fid)
-	availScore, availID := math.Inf(-1), uint64(0)
-	haveAvail := false
-	// One batched kernel pass over the frontier's columnar mirror —
-	// bit-identical scores and the same (score, lowest-ID) selection as
-	// the former per-item Skyline() scan.
-	if it, s, ok := w.avail.Best(fsc); ok {
-		availScore, availID, haveAvail = s, it.ID, true
+	// One batched kernel pass over each frontier's columnar mirror, with
+	// the same (score, lowest-ID) selection as a scan of the skyline.
+	var avail candidate
+	for _, pt := range w.parts {
+		if it, s, ok := pt.avail.Best(fsc); ok {
+			if c := (candidate{id: it.ID, score: s, ok: true}); c.beats(avail) {
+				avail = c
+			}
+		}
 	}
-
-	bound := availScore
-	sr := topk.NewScorerSearcher(w.st.tree, fsc, func(cand uint64) bool {
-		return !w.displaceable(fid, fsc, cand)
-	})
-	w.searches++
-	it, s, found, err := sr.NextAtLeast(bound)
-	if err != nil {
-		return 0, 0, false, false, err
+	bound := math.Inf(-1)
+	if avail.ok {
+		bound = avail.score
 	}
-	if found && (!haveAvail || s > availScore || (s == availScore && it.ID < availID)) {
-		return it.ID, s, true, true, nil
+	var best candidate
+	for _, pt := range w.parts {
+		w.searches++
+		it, s, found, err := topk.BestAtLeast(pt.tree, fsc, bound, func(cand uint64) bool {
+			return !pt.displaceable(fid, fsc, cand)
+		})
+		if err != nil {
+			return 0, 0, false, false, err
+		}
+		if c := (candidate{id: it.ID, score: s, ok: found}); c.beats(best) {
+			best = c
+		}
 	}
-	if haveAvail {
-		return availID, availScore, false, true, nil
+	if best.beats(avail) {
+		return best.id, best.score, true, true, nil
+	}
+	if avail.ok {
+		return avail.id, avail.score, false, true, nil
 	}
 	return 0, 0, false, false, nil
 }
 
-// displaceable reports whether a full object would evict its worst
-// assignment in favor of the proposing function (available objects are
-// handled by the skyline path and skipped here).
-func (w *Workspace) displaceable(fid uint64, fsc score.Scorer, oid uint64) bool {
-	if w.st.objCaps.remaining[oid] > 0 {
-		return false
-	}
-	worst := worstOfObj(w.byObj[oid])
-	s := fsc.Score(w.objs[oid].Point)
-	return s > worst.score || (s == worst.score && fid < worst.fid)
-}
-
 // fillObject runs vacancy chains for every free unit of an object.
 func (w *Workspace) fillObject(oid uint64) error {
-	if _, ok := w.objs[oid]; !ok {
+	pt := w.partOf(oid)
+	o, ok := pt.objs[oid]
+	if !ok {
 		return nil // departed while queued
 	}
-	for w.st.objCaps.remaining[oid] > 0 {
-		gid, score, ok, err := w.bestTaker(oid)
+	for pt.caps.remaining[oid] > 0 {
+		gid, score, ok, err := w.bestTaker(oid, o.Point)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return nil // nobody wants the vacancy: it stays open
 		}
-		if w.st.funcCaps.remaining[gid] > 0 {
-			w.st.funcCaps.consume(gid)
+		if w.funcCaps.remaining[gid] > 0 {
+			w.funcCaps.consume(gid)
 		} else {
 			// The mover abandons its worst unit, cascading the vacancy.
 			left := worstOfFunc(w.byFunc[gid])
-			w.unlink(left)
-			w.restoreObjectUnit(left.oid)
+			if err := w.unlink(left); err != nil {
+				return err
+			}
+			if err := w.partOf(left.oid).restoreUnit(left.oid); err != nil {
+				return err
+			}
 			w.pushObj(left.oid)
 		}
-		if err := w.consumeObjectUnit(oid); err != nil {
+		if err := pt.consumeUnit(oid); err != nil {
 			return err
 		}
 		w.link(wsPair{fid: gid, oid: oid, score: score})
@@ -670,10 +873,9 @@ func (w *Workspace) fillObject(oid uint64) error {
 // reverse search runs over the function R-tree, bounded below by the
 // weakest assignment any function holds (nothing scoring under that can
 // be wanted).
-func (w *Workspace) bestTaker(oid uint64) (gid uint64, score float64, ok bool, err error) {
-	o := w.objs[oid]
+func (w *Workspace) bestTaker(oid uint64, point geom.Point) (gid uint64, sc float64, ok bool, err error) {
 	bound := math.Inf(1)
-	if w.st.funcCaps.live > 0 {
+	if w.funcCaps.live > 0 {
 		// Some function has spare capacity and wants anything: no bound.
 		bound = math.Inf(-1)
 	} else {
@@ -683,11 +885,10 @@ func (w *Workspace) bestTaker(oid uint64) (gid uint64, score float64, ok bool, e
 			}
 		}
 	}
-	sr := topk.NewSearcher(w.ftree, o.Point, func(cand uint64) bool {
-		return !w.wants(cand, oid, o.Point)
-	})
 	w.searches++
-	it, s, found, err := sr.NextAtLeast(bound)
+	it, s, found, err := topk.BestAtLeast(w.ftree, score.LinearScorer(point), bound, func(cand uint64) bool {
+		return !w.wants(cand, oid, point)
+	})
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -697,7 +898,7 @@ func (w *Workspace) bestTaker(oid uint64) (gid uint64, score float64, ok bool, e
 	// wants filter and bound, breaking ties to the lower ID exactly as
 	// the BRS enumeration does (Best follows the same (score, lowest-ID)
 	// total order with bit-identical scores).
-	if bid, v, bok := w.nonlin.Best(o.Point, func(fid uint64, v float64) bool {
+	if bid, v, bok := w.nonlin.Best(point, func(fid uint64, v float64) bool {
 		return v >= bound && w.wantsAt(fid, oid, v)
 	}); bok {
 		if !found || v > s || (v == s && bid < gid) {
@@ -713,7 +914,7 @@ func (w *Workspace) bestTaker(oid uint64) (gid uint64, score float64, ok bool, e
 // wants reports whether a function prefers the vacant object over its
 // current worst assignment (or has a free unit).
 func (w *Workspace) wants(fid, oid uint64, point geom.Point) bool {
-	if w.st.funcCaps.remaining[fid] > 0 {
+	if w.funcCaps.remaining[fid] > 0 {
 		return true
 	}
 	return w.wantsAt(fid, oid, w.scorerOf(fid).Score(point))
@@ -722,7 +923,7 @@ func (w *Workspace) wants(fid, oid uint64, point geom.Point) bool {
 // wantsAt is wants with the function's score for the object already in
 // hand (spare capacity is re-checked so both entry points agree).
 func (w *Workspace) wantsAt(fid, oid uint64, s float64) bool {
-	if w.st.funcCaps.remaining[fid] > 0 {
+	if w.funcCaps.remaining[fid] > 0 {
 		return true
 	}
 	worst := worstOfFunc(w.byFunc[fid])
@@ -770,7 +971,7 @@ func (w *Workspace) Pairs() []Pair {
 func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	o, ok := w.objs[id]
+	o, ok := w.partOf(id).objs[id]
 	if !ok {
 		return nil, false
 	}
@@ -800,9 +1001,11 @@ func (w *Workspace) ProblemSnapshot() *Problem {
 }
 
 func (w *Workspace) problemLocked() *Problem {
-	p := &Problem{Dims: w.Dims()}
-	for _, o := range w.objs {
-		p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+	p := &Problem{Dims: w.dims}
+	for _, pt := range w.parts {
+		for _, o := range pt.objs {
+			p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+		}
 	}
 	sort.Slice(p.Objects, func(i, j int) bool { return p.Objects[i].ID < p.Objects[j].ID })
 	for _, f := range w.funcs {
@@ -840,24 +1043,40 @@ func (w *Workspace) Stats() WorkspaceStats {
 }
 
 func (w *Workspace) statsLocked() WorkspaceStats {
-	units := 0
-	for _, ps := range w.byFunc {
-		units += len(ps)
-	}
 	s := WorkspaceStats{
-		Objects:       len(w.objs),
-		Functions:     len(w.funcs),
-		AssignedUnits: units,
-		SkylineSize:   w.avail.Size(),
-		Mutations:     w.mutations,
-		Commits:       w.commits,
-		ChainSteps:    w.chainLen,
-		Searches:      w.searches,
-		Resolves:      w.resolves,
+		Functions:  len(w.funcs),
+		Mutations:  w.mutations,
+		Commits:    w.commits,
+		ChainSteps: w.chainLen,
+		Searches:   w.searches,
+		Resolves:   w.resolves,
+	}
+	for _, pt := range w.parts {
+		s.Objects += len(pt.objs)
+		s.AssignedUnits += pt.units
+		s.SkylineSize += pt.avail.Size()
+		if !w.closed {
+			s.IO.Add(pt.vstore.IO().Snapshot())
+		}
 	}
 	if !w.closed {
-		s.IO = w.st.store.IO().Snapshot()
-		s.IO.Add(w.fstore.IO().Snapshot())
+		s.IO.Add(w.fvstore.IO().Snapshot())
 	}
 	return s
+}
+
+// PartitionedStats summarizes the workspace with its per-partition
+// breakdown, atomically with respect to mutations.
+func (w *Workspace) PartitionedStats() PartitionedStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return PartitionedStats{WorkspaceStats: w.statsLocked(), Epoch: w.epoch, Partitions: w.partStatsLocked()}
+}
+
+func (w *Workspace) partStatsLocked() []PartitionStats {
+	out := make([]PartitionStats, len(w.parts))
+	for i, pt := range w.parts {
+		out[i] = PartitionStats{Objects: len(pt.objs), AssignedUnits: pt.units, Frontier: pt.avail.Size(), Epoch: pt.epoch}
+	}
+	return out
 }

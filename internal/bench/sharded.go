@@ -10,7 +10,6 @@ import (
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
 	"fairassign/internal/geom"
-	"fairassign/internal/shard"
 )
 
 // ShardedScaleCase is one row of the sharded-tier scaling matrix: the
@@ -107,7 +106,7 @@ func runShardedScale(opts Options) ([]ShardedScaleCase, error) {
 	var baseTopScores []uint64
 	var baseRate float64
 	for _, shards := range shardedScaleCounts {
-		e, err := shard.New(p, assign.Config{}, shard.Options{Shards: shards})
+		e, err := assign.NewWorkspace(p, assign.Config{Shards: shards})
 		if err != nil {
 			return nil, fmt.Errorf("sharded_scale: %d shards: %w", shards, err)
 		}

@@ -7,11 +7,10 @@ import (
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
 	"fairassign/internal/score"
-	"fairassign/internal/shard"
 )
 
 // ShardCounts is the standard shard-count grid of the invariance sweep.
-// 1 exercises the degenerate single-shard engine against the workspace,
+// 1 exercises an explicitly one-partition workspace against the default,
 // 2 and 4 the even spatial splits, and 7 an odd count whose uneven
 // ranges catch any balance assumption baked into routing or repair.
 var ShardCounts = []int{1, 2, 4, 7}
@@ -19,9 +18,9 @@ var ShardCounts = []int{1, 2, 4, 7}
 // identicalPairs asserts two definitionally sorted pair lists are
 // byte-identical: same pairs, same order, bit-equal scores. This is the
 // shard-count invariance contract — stronger than sameMatching's
-// epsilon, because the sharded engine runs the same float operations in
-// the same order as the workspace, just routed through per-shard
-// structures.
+// epsilon, because a partitioned workspace runs the same float
+// operations in the same order as the default one, just routed through
+// per-partition structures.
 func identicalPairs(got, want []assign.Pair) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d pairs, want %d", len(got), len(want))
@@ -35,7 +34,7 @@ func identicalPairs(got, want []assign.Pair) error {
 }
 
 // VerifyShardInvariance runs one mutation script simultaneously on a
-// single Workspace and on sharded engines at every given shard count,
+// default Workspace and on workspaces at every given partition count,
 // applying identical mutation batches to all replicas. After the
 // initial build and after every batch it asserts, per engine:
 //
@@ -56,9 +55,11 @@ func VerifyShardInvariance(spec MutationSpec, cfg assign.Config, counts []int) e
 		return fmt.Errorf("[%s] build workspace: %w", spec, err)
 	}
 	defer ws.Close()
-	engines := make([]*shard.Engine, len(counts))
+	engines := make([]*assign.Workspace, len(counts))
 	for i, n := range counts {
-		eng, err := shard.New(p, cfg, shard.Options{Shards: n})
+		scfg := cfg
+		scfg.Shards = n
+		eng, err := assign.NewWorkspace(p, scfg)
 		if err != nil {
 			return fmt.Errorf("[%s] build %d-shard engine: %w", spec, n, err)
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"fairassign/internal/score"
 )
 
 // TestNextAtLeastMatchesFilteredNext checks that a bound-pruned
@@ -128,5 +130,29 @@ func TestNextAtLeastSkipRespected(t *testing.T) {
 	}
 	if got.ID == first.ID {
 		t.Fatal("skip filter ignored by NextAtLeast")
+	}
+}
+
+// TestBestAtLeastMatchesNextAtLeast checks that the push-pruned one-shot
+// search returns what a fresh resumable search's NextAtLeast returns,
+// under a skip filter, for bounds across the score range.
+func TestBestAtLeastMatchesNextAtLeast(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	items := randItems(rng, 400, 3)
+	tr := buildTree(t, items, 3)
+	w := randWeights(rng, 3)
+	skip := func(id uint64) bool { return id%3 == 0 }
+	for _, bound := range []float64{math.Inf(-1), 0, 0.2, 0.4, 0.6, 0.8, 1, math.Inf(1)} {
+		want, wantSc, wantOK, err := NewSearcher(tr, w, skip).NextAtLeast(bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, sc, ok, err := BestAtLeast(tr, score.LinearScorer(w), bound, skip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != wantOK || got.ID != want.ID || sc != wantSc {
+			t.Fatalf("bound %v: BestAtLeast = (%d, %v, %v), want (%d, %v, %v)", bound, got.ID, sc, ok, want.ID, wantSc, wantOK)
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fairassign"
 	"fairassign/internal/assign"
 	"fairassign/internal/geom"
-	"fairassign/internal/shard"
 )
 
 // Spec describes one reproducible workload trace. Everything the trace
@@ -230,7 +229,7 @@ func NewTrace(spec Spec) (*Trace, error) {
 			points[o.ID] = pt
 		}
 		rt = &router{
-			part:   shard.NewPartitioner(spec.Dims, spec.Shards, seedObjs, shard.PartitionAuto),
+			part:   assign.NewPartitioner(spec.Dims, spec.Shards, seedObjs),
 			points: points,
 		}
 	}
@@ -278,7 +277,7 @@ func NewTrace(spec Spec) (*Trace, error) {
 // same spatial partitioner plus a point registry, because routing a
 // departure needs the coordinates of the departing object.
 type router struct {
-	part   *shard.Partitioner
+	part   *assign.Partitioner
 	points map[uint64]geom.Point
 }
 

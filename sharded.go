@@ -1,81 +1,41 @@
 package fairassign
 
 import (
-	"fmt"
+	"sync"
 
 	"fairassign/internal/assign"
 	"fairassign/internal/geom"
-	"fairassign/internal/shard"
 )
-
-// PartitionStrategy selects how a ShardedWorkspace maps objects to
-// shards.
-type PartitionStrategy uint8
-
-const (
-	// PartitionAuto (the default) derives a spatial range partition
-	// from the initial object set — contiguous slabs of the STR
-	// bulk-load key order, so each shard covers a coherent region —
-	// and falls back to ID hashing when the distribution is degenerate
-	// (fewer objects than shards, or not enough distinct coordinate
-	// values on any axis to cut balanced ranges).
-	PartitionAuto PartitionStrategy = iota
-	// PartitionSpatial forces the spatial range partition.
-	PartitionSpatial
-	// PartitionHash forces ID hashing.
-	PartitionHash
-)
-
-func (s PartitionStrategy) String() string { return s.internal().String() }
-
-func (s PartitionStrategy) internal() shard.PartitionKind {
-	switch s {
-	case PartitionSpatial:
-		return shard.PartitionSpatial
-	case PartitionHash:
-		return shard.PartitionHash
-	default:
-		return shard.PartitionAuto
-	}
-}
 
 // ErrDurabilityUnsupported is returned by NewShardedWorkspace when the
-// Options request a WAL: the sharded tier has no durability story yet.
-// Run durable single Workspaces, or treat the sharded tier as a
-// rebuildable serving layer.
-var ErrDurabilityUnsupported = shard.ErrDurabilityUnsupported
+// Options request a WAL for more than one shard: snapshots and the log
+// image a single object partition. Run durable single Workspaces, or
+// treat the sharded tier as a rebuildable serving layer.
+var ErrDurabilityUnsupported = assign.ErrDurabilityUnsupported
 
 // ShardedOptions configures a ShardedWorkspace: the embedded Options
-// are honored exactly as in NewWorkspace (Durable/WALDir excepted —
-// they are rejected), plus the shard layout.
+// are honored exactly as in NewWorkspace (Durable/WALDir excepted — they
+// are rejected above one shard), plus the shard count.
 type ShardedOptions struct {
 	Options
 	// Shards is the number of object shards (<= 0 means 1).
 	Shards int
-	// Partition selects the object->shard mapping.
-	Partition PartitionStrategy
-	// SearchWorkers bounds how many shards repair probes and commit
-	// flushes touch concurrently: <= 0 uses min(Shards, GOMAXPROCS);
-	// 1 runs them sequentially. The matching is identical either way.
-	SearchWorkers int
 }
 
-// ShardedWorkspace is the scale-out tier over Workspace: the object
-// space is partitioned across N shards — each with its own R-tree,
-// availability frontier, page store, and epoch stream — behind one
-// stable-matching engine. The matching it maintains is byte-identical
-// to a single Workspace's at every mutation boundary, for every shard
-// count (the conformance suite asserts counts {1,2,4,7}); what changes
-// is the serving economics:
+// ShardedWorkspace is a Workspace whose object side is split into N
+// object partitions (shards) — each with its own R-tree, availability
+// frontier, page store, and epoch stream — under the same repair
+// engine. The matching it maintains is byte-identical to a single
+// Workspace's at every mutation boundary, for every shard count (the
+// conformance suite asserts counts {1,2,4,7}); what changes is the
+// serving economics:
 //
 //   - a mutation dirties only the shard owning its object, so the
 //     commit flushes and republishes 1/N of the page state, and the
 //     next Snapshot re-captures 1/N of the object table (clean shards
 //     are reused by refcount);
-//   - cross-shard repair runs a bounded displacement protocol — each
-//     shard answers frontier and displacement probes over its own
-//     (smaller) structures, fanned out across SearchWorkers on
-//     multi-core hosts;
+//   - each repair proposal probes every shard's frontier and index and
+//     takes the best candidate across them;
 //   - global TopK lazily merges per-shard ranked streams by score
 //     ceiling, so shards that cannot contribute stop after one node.
 //
@@ -83,8 +43,7 @@ type ShardedOptions struct {
 // contract as Workspace and satisfies Applier, so MutationQueue (or
 // the shard-routing ShardedQueue) can front it.
 type ShardedWorkspace struct {
-	e    *shard.Engine
-	opts Options
+	w *Workspace
 }
 
 // ShardBreakdown is one shard's slice of ShardedStats.
@@ -123,29 +82,24 @@ type ShardedStats struct {
 	PerShard   []ShardBreakdown
 }
 
-func shardedStatsFromInternal(s shard.Stats) ShardedStats {
+func shardedStatsFromInternal(s assign.PartitionedStats) ShardedStats {
 	out := ShardedStats{
-		Shards:            s.Shards,
+		Shards:            len(s.Partitions),
 		Objects:           s.Objects,
 		Functions:         s.Functions,
 		AssignedUnits:     s.AssignedUnits,
-		AvailableFrontier: s.Frontier,
+		AvailableFrontier: s.SkylineSize,
 		Mutations:         s.Mutations,
 		Commits:           s.Commits,
-		Seq:               s.Seq,
+		Seq:               s.Epoch,
 		ChainSteps:        s.ChainSteps,
 		Searches:          s.Searches,
 		Resolves:          s.Resolves,
 		IOAccesses:        s.IO.Accesses(),
+		PerShard:          make([]ShardBreakdown, len(s.Partitions)),
 	}
-	out.PerShard = make([]ShardBreakdown, len(s.PerShard))
-	for i, ps := range s.PerShard {
-		out.PerShard[i] = ShardBreakdown{
-			Objects:       ps.Objects,
-			AssignedUnits: ps.AssignedUnits,
-			Frontier:      ps.Frontier,
-			Epoch:         ps.Epoch,
-		}
+	for i, ps := range s.Partitions {
+		out.PerShard[i] = ShardBreakdown(ps)
 	}
 	return out
 }
@@ -155,63 +109,39 @@ func shardedStatsFromInternal(s shard.Stats) ShardedStats {
 // bulk-loads one index per shard. Input handling (dimensionality,
 // weight normalization, scorer families) matches NewWorkspace exactly.
 func NewShardedWorkspace(objects []Object, functions []Function, sopts ShardedOptions) (*ShardedWorkspace, error) {
-	if len(objects) == 0 && len(functions) == 0 {
-		return nil, fmt.Errorf("fairassign: nothing to assign")
-	}
-	dims := problemDims(objects, functions)
-	if dims == 0 {
-		return nil, fmt.Errorf("fairassign: cannot derive dimensionality (no objects and no function carries explicit weights)")
-	}
-	p := &assign.Problem{Dims: dims}
-	for _, o := range objects {
-		p.Objects = append(p.Objects, assign.Object{
-			ID:       o.ID,
-			Point:    geom.Point(o.Attributes).Clone(),
-			Capacity: o.Capacity,
-		})
-	}
-	for _, f := range functions {
-		af, err := resolveFunction(f, sopts.Options, dims)
-		if err != nil {
-			return nil, err
-		}
-		p.Functions = append(p.Functions, af)
-	}
-	e, err := shard.New(p, sopts.assignConfig(), shard.Options{
-		Shards:        sopts.Shards,
-		Partition:     sopts.Partition.internal(),
-		SearchWorkers: sopts.SearchWorkers,
-	})
+	w, err := newWorkspace(objects, functions, sopts.Options, sopts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedWorkspace{e: e, opts: sopts.Options}, nil
+	return &ShardedWorkspace{w: w}, nil
 }
 
 // Dims returns the workspace dimensionality.
-func (w *ShardedWorkspace) Dims() int { return w.e.Dims() }
+func (s *ShardedWorkspace) Dims() int { return s.w.Dims() }
 
 // Shards returns the shard count.
-func (w *ShardedWorkspace) Shards() int { return w.e.ShardCount() }
+func (s *ShardedWorkspace) Shards() int { return s.w.ws.Partitions() }
 
-// Partition returns the resolved partition strategy ("spatial" or
-// "hash" — Auto resolves at construction).
-func (w *ShardedWorkspace) Partition() string { return w.e.Partition().String() }
+// Partition returns the resolved partition strategy: "spatial" (ranges
+// of the STR bulk-load key order cut from the initial objects), or
+// "hash" when that distribution was too degenerate to cut balanced
+// ranges.
+func (s *ShardedWorkspace) Partition() string { return s.w.ws.PartitionKind() }
 
 // ShardOfObject returns the shard owning a live object.
-func (w *ShardedWorkspace) ShardOfObject(id uint64) (int, bool) { return w.e.ShardOfObject(id) }
+func (s *ShardedWorkspace) ShardOfObject(id uint64) (int, bool) { return s.w.ws.PartitionOf(id) }
 
 // RouteMutation returns the shard a mutation's work lands on: the
 // owning (or would-be owning) shard for object operations, and -1 for
 // function operations, whose structures are global. ShardedQueue uses
 // this to coalesce per-shard batches.
-func (w *ShardedWorkspace) RouteMutation(m Mutation) int {
+func (s *ShardedWorkspace) RouteMutation(m Mutation) int {
 	switch m.kind {
 	case assign.MutAddObject:
-		return w.e.RouteObject(geom.Point(m.obj.Attributes), m.obj.ID)
+		return s.w.ws.RouteObject(geom.Point(m.obj.Attributes), m.obj.ID)
 	case assign.MutRemoveObject:
-		if s, ok := w.e.ShardOfObject(m.id); ok {
-			return s
+		if sh, ok := s.ShardOfObject(m.id); ok {
+			return sh
 		}
 		return 0 // unknown ID: validation rejects it wherever it lands
 	default:
@@ -220,74 +150,54 @@ func (w *ShardedWorkspace) RouteMutation(m Mutation) int {
 }
 
 // Apply applies a batch of mutations as one group commit, with
-// Workspace.Apply's exact semantics: up-front sequential validation
-// (an error applies nothing), per-mutation chain repair in arrival
-// order, one global sequence publish at the end — but only the shards
-// the batch actually dirtied flush, republish, and later re-capture.
-func (w *ShardedWorkspace) Apply(muts []Mutation) error {
-	ims := make([]assign.Mutation, len(muts))
-	dims := w.Dims()
-	for i := range muts {
-		im, err := muts[i].internal(w.opts, dims)
-		if err != nil {
-			return fmt.Errorf("fairassign: mutation %d (%s): %w", i, muts[i].String(), err)
-		}
-		ims[i] = im
-	}
-	return w.e.Apply(ims)
-}
+// Workspace.Apply's exact semantics — but only the shards the batch
+// actually dirtied flush, republish, and later re-capture.
+func (s *ShardedWorkspace) Apply(muts []Mutation) error { return s.w.Apply(muts) }
 
 // AddObject introduces a new object on its owning shard; the matching
 // is repaired in place.
-func (w *ShardedWorkspace) AddObject(o Object) error {
-	return w.Apply([]Mutation{AddObjectOp(o)})
-}
+func (s *ShardedWorkspace) AddObject(o Object) error { return s.w.AddObject(o) }
 
 // RemoveObject withdraws an object; functions holding it re-chain,
 // possibly landing on other shards.
-func (w *ShardedWorkspace) RemoveObject(id uint64) error {
-	return w.Apply([]Mutation{RemoveObjectOp(id)})
-}
+func (s *ShardedWorkspace) RemoveObject(id uint64) error { return s.w.RemoveObject(id) }
 
 // AddFunction introduces a new preference function; it claims its
-// stable share of the objects via cross-shard displacement chains.
-func (w *ShardedWorkspace) AddFunction(f Function) error {
-	return w.Apply([]Mutation{AddFunctionOp(f)})
-}
+// stable share of the objects across all shards.
+func (s *ShardedWorkspace) AddFunction(f Function) error { return s.w.AddFunction(f) }
 
 // RemoveFunction withdraws a function; the object units it held are
-// re-offered shard by shard to the functions that want them most.
-func (w *ShardedWorkspace) RemoveFunction(id uint64) error {
-	return w.Apply([]Mutation{RemoveFunctionOp(id)})
-}
+// re-offered to the functions that want them most.
+func (s *ShardedWorkspace) RemoveFunction(id uint64) error { return s.w.RemoveFunction(id) }
 
 // Assignment returns the current stable matching in the definitional
 // greedy order — byte-identical to the equivalent single Workspace's.
-func (w *ShardedWorkspace) Assignment() []Pair { return pairsFromInternal(w.e.Pairs()) }
+func (s *ShardedWorkspace) Assignment() []Pair { return s.w.Assignment() }
 
 // Stats returns a point-in-time summary with per-shard breakdown.
-func (w *ShardedWorkspace) Stats() ShardedStats { return shardedStatsFromInternal(w.e.Stats()) }
+func (s *ShardedWorkspace) Stats() ShardedStats {
+	return shardedStatsFromInternal(s.w.ws.PartitionedStats())
+}
 
 // Verify checks that the current matching is stable for the current
-// population, concatenated across shards.
-func (w *ShardedWorkspace) Verify() error { return w.e.VerifyStable() }
+// population.
+func (s *ShardedWorkspace) Verify() error { return s.w.Verify() }
 
 // Close releases every shard's page store. The workspace must not be
 // used afterwards.
-func (w *ShardedWorkspace) Close() { w.e.Close() }
+func (s *ShardedWorkspace) Close() { s.w.Close() }
 
 // Snapshot returns a read-only view pinning every shard's latest
-// published epoch atomically under one global sequence number: the
-// composed observation is consistent even though each shard advances
-// its own epoch stream. Only shards dirtied since the last snapshot
-// are re-captured; clean shards are shared by refcount, so snapshot
-// cost scales with write locality, not population.
-func (w *ShardedWorkspace) Snapshot() (*ShardedView, error) {
-	v, err := w.e.Snapshot()
+// published epoch atomically under one global sequence number. Only
+// shards dirtied since the last snapshot are re-captured; clean shards
+// are shared by refcount, so snapshot cost scales with write locality,
+// not population.
+func (s *ShardedWorkspace) Snapshot() (*ShardedView, error) {
+	v, err := s.w.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedView{v: v, opts: w.opts}, nil
+	return &ShardedView{v: v}, nil
 }
 
 // ShardedView is a snapshot-isolated read handle on a ShardedWorkspace,
@@ -295,13 +205,12 @@ func (w *ShardedWorkspace) Snapshot() (*ShardedView, error) {
 // for concurrent use, valid after the workspace closes, and released
 // by Close.
 type ShardedView struct {
-	v    *shard.View
-	opts Options
+	v *View
 }
 
 // Seq returns the global commit sequence number this view observes
 // (one publish at construction plus one per Apply batch).
-func (v *ShardedView) Seq() uint64 { return v.v.Seq() }
+func (v *ShardedView) Seq() uint64 { return v.v.Epoch() }
 
 // Dims returns the problem dimensionality.
 func (v *ShardedView) Dims() int { return v.v.Dims() }
@@ -311,51 +220,23 @@ func (v *ShardedView) Close() { v.v.Close() }
 
 // Assignment returns the frozen stable matching in the definitional
 // greedy order. The slice is freshly allocated and owned by the caller.
-func (v *ShardedView) Assignment() []Pair { return pairsFromInternal(v.v.Pairs()) }
+func (v *ShardedView) Assignment() []Pair { return v.v.Assignment() }
 
 // Stats returns the workspace summary as of the view's sequence point.
-func (v *ShardedView) Stats() ShardedStats { return shardedStatsFromInternal(v.v.Stats()) }
+func (v *ShardedView) Stats() ShardedStats {
+	return shardedStatsFromInternal(v.v.v.PartitionedStats())
+}
 
 // Verify checks that the frozen matching is stable for the frozen
 // population — answered entirely from the snapshot.
-func (v *ShardedView) Verify() error { return v.v.VerifyStable() }
+func (v *ShardedView) Verify() error { return v.v.Verify() }
 
 // TopK returns the k objects the given preference function ranks
 // highest among the view's frozen object set, by lazily merging one
-// ranked stream per shard: a shard's stream only advances while its
-// score ceiling could still beat the best buffered candidate, so the
-// result — and its order — is identical to the single-index BRS scan,
-// while cold shards stop after one node read.
-func (v *ShardedView) TopK(f Function, k int) ([]Ranked, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	af, err := resolveFunction(f, v.opts, v.Dims())
-	if err != nil {
-		return nil, err
-	}
-	if len(af.Weights) != v.Dims() {
-		return nil, fmt.Errorf("fairassign: function has %d weights, view has %d dims", len(af.Weights), v.Dims())
-	}
-	items, scores, err := v.v.TopKScorer(af.Scorer(), k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(items))
-	for i, it := range items {
-		obj, ok := v.v.Object(it.ID)
-		if !ok {
-			return nil, fmt.Errorf("fairassign: view index returned unknown object %d", it.ID)
-		}
-		attrs := make([]float64, len(obj.Point))
-		copy(attrs, obj.Point)
-		out[i] = Ranked{
-			Object: Object{ID: obj.ID, Attributes: attrs, Capacity: obj.Capacity},
-			Score:  scores[i],
-		}
-	}
-	return out, nil
-}
+// ranked stream per shard: the result — and its order — is identical
+// to the single-index BRS scan, while cold shards stop after one node
+// read.
+func (v *ShardedView) TopK(f Function, k int) ([]Ranked, error) { return v.v.TopK(f, k) }
 
 // ShardedQueue is the shard-routing group-commit front end for a
 // ShardedWorkspace: one MutationQueue per shard for object operations
@@ -368,6 +249,13 @@ func (v *ShardedView) TopK(f Function, k int) ([]Ranked, error) {
 type ShardedQueue struct {
 	sw     *ShardedWorkspace
 	queues []*MutationQueue // queues[i] serves shard i; queues[n] serves function ops
+
+	// pendingAdds maps each object whose AddObject is queued but not yet
+	// applied to the lane it went to. The workspace cannot route a
+	// removal of such an object (it does not know it yet), so the
+	// removal follows its add into that lane and commits after it.
+	mu          sync.Mutex
+	pendingAdds map[uint64]int
 }
 
 // NewShardedQueue starts one pump per shard plus one for function
@@ -376,19 +264,58 @@ type ShardedQueue struct {
 // own the workspace: Close stops the pumps but leaves it open.
 func NewShardedQueue(sw *ShardedWorkspace, maxBatch int) *ShardedQueue {
 	n := sw.Shards()
-	q := &ShardedQueue{sw: sw, queues: make([]*MutationQueue, n+1)}
+	q := &ShardedQueue{sw: sw, queues: make([]*MutationQueue, n+1), pendingAdds: make(map[uint64]int)}
 	for i := range q.queues {
-		q.queues[i] = NewMutationQueue(sw, maxBatch)
+		q.queues[i] = NewMutationQueue(queueLane{q: q, lane: i}, maxBatch)
 	}
 	return q
 }
 
-func (q *ShardedQueue) route(m Mutation) *MutationQueue {
-	s := q.sw.RouteMutation(m)
-	if s < 0 {
-		return q.queues[len(q.queues)-1]
+// queueLane is the Applier behind one ShardedQueue lane: it commits the
+// lane's batch and then forgets the pending adds the commit settled.
+type queueLane struct {
+	q    *ShardedQueue
+	lane int
+}
+
+func (l queueLane) Apply(muts []Mutation) error {
+	err := l.q.sw.Apply(muts)
+	// A failed batch is retried one mutation at a time, so only a
+	// success or a single attempt settles its adds: applied, the
+	// workspace routes the object; rejected, the object does not exist.
+	if err == nil || len(muts) == 1 {
+		l.q.mu.Lock()
+		for _, m := range muts {
+			if m.kind == assign.MutAddObject && l.q.pendingAdds[m.obj.ID] == l.lane {
+				delete(l.q.pendingAdds, m.obj.ID)
+			}
+		}
+		l.q.mu.Unlock()
 	}
-	return q.queues[s]
+	return err
+}
+
+func (q *ShardedQueue) route(m Mutation) *MutationQueue {
+	lane := len(q.queues) - 1 // function operations
+	switch m.kind {
+	case assign.MutAddObject:
+		lane = q.sw.RouteMutation(m)
+		q.mu.Lock()
+		q.pendingAdds[m.obj.ID] = lane
+		q.mu.Unlock()
+	case assign.MutRemoveObject:
+		// An entry is dropped only after its add has applied, so on a
+		// miss the workspace already knows the object (or never will).
+		q.mu.Lock()
+		l, pending := q.pendingAdds[m.id]
+		q.mu.Unlock()
+		if pending {
+			lane = l
+		} else {
+			lane = q.sw.RouteMutation(m)
+		}
+	}
+	return q.queues[lane]
 }
 
 // Enqueue submits one mutation to its shard's pump and returns a

@@ -125,6 +125,19 @@ func TestShardedQueueRouting(t *testing.T) {
 		AddFunctionOp(Function{ID: 9000, Weights: []float64{1, 1, 1}}),
 		RemoveObjectOp(11),
 	}
+	// Adds followed at once by their removals, for objects owned by lanes
+	// other than 0: the workspace cannot route such a removal until the
+	// add commits, so the queue must send it down the add's lane.
+	for i := 0; i < 8; i++ {
+		o := Object{ID: uint64(9100 + i), Attributes: []float64{0.95 - 0.1*float64(i), 0.5, 0.5}}
+		if sw.RouteMutation(AddObjectOp(o)) == 0 {
+			continue
+		}
+		muts = append(muts, AddObjectOp(o), RemoveObjectOp(o.ID))
+	}
+	if len(muts) == 5 {
+		t.Fatal("no probe object routed to a lane other than 0")
+	}
 	acks := make([]<-chan error, len(muts))
 	for i, m := range muts {
 		acks[i] = q.Enqueue(m)

@@ -92,6 +92,12 @@ type WorkspaceStats struct {
 // NewSolver; the Algorithm field is ignored (the initial solve is SB,
 // mutations use chain repair).
 func NewWorkspace(objects []Object, functions []Function, opts Options) (*Workspace, error) {
+	return newWorkspace(objects, functions, opts, 1)
+}
+
+// newWorkspace builds the problem from the public inputs and hands it to
+// the engine with the given number of object partitions.
+func newWorkspace(objects []Object, functions []Function, opts Options, shards int) (*Workspace, error) {
 	if len(objects) == 0 && len(functions) == 0 {
 		return nil, fmt.Errorf("fairassign: nothing to assign")
 	}
@@ -114,7 +120,9 @@ func NewWorkspace(objects []Object, functions []Function, opts Options) (*Worksp
 		}
 		p.Functions = append(p.Functions, af)
 	}
-	ws, err := assign.NewWorkspace(p, opts.assignConfig())
+	cfg := opts.assignConfig()
+	cfg.Shards = shards
+	ws, err := assign.NewWorkspace(p, cfg)
 	if err != nil {
 		return nil, err
 	}
