@@ -232,13 +232,13 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 			Resolves:   uint64(w.resolves),
 		},
 	}
-	d.Objects = make([]snapshot.ObjectRec, 0, len(pt.objs))
-	for _, o := range pt.objs {
+	d.Objects = make([]snapshot.ObjectRec, 0, pt.objs.len())
+	for _, o := range pt.objs.all() {
 		d.Objects = append(d.Objects, snapshot.ObjectRec{ID: o.ID, Capacity: int64(o.Capacity), Point: o.Point})
 	}
 	sort.Slice(d.Objects, func(i, j int) bool { return d.Objects[i].ID < d.Objects[j].ID })
-	d.Functions = make([]snapshot.FunctionRec, 0, len(w.funcs))
-	for _, f := range w.funcs {
+	d.Functions = make([]snapshot.FunctionRec, 0, w.funcs.len())
+	for _, f := range w.funcs.all() {
 		d.Functions = append(d.Functions, functionRec(f))
 	}
 	sort.Slice(d.Functions, func(i, j int) bool { return d.Functions[i].ID < d.Functions[j].ID })
@@ -534,11 +534,11 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		parts:    []*objPart{pt},
 		part:     NewPartitioner(d.Dims, 1, nil),
 		epoch:    d.Epoch - 1, // the commit sealing the restored state publishes d.Epoch
-		funcs:    make(map[uint64]Function, len(p.Functions)),
-		eff:      make(map[uint64][]float64, len(p.Functions)),
+		funcs:    newCowTable[Function](len(p.Functions)),
+		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
 		nonlin:   score.NewFuncBlocks(p.Dims),
 		funcCaps: capsFromEntries(d.FuncCaps),
-		byFunc:   make(map[uint64][]wsPair),
+		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
 	}
 	w.fvstore, w.fpool, w.ftree, err = restoreStore(cfg, &d.FuncStore, d.Dims, -1)
 	if err != nil {
@@ -550,26 +550,27 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
 	for _, o := range p.Objects {
-		pt.objs[o.ID] = o
+		pt.objs.set(o.ID, o)
 	}
 	linear := 0
 	for _, f := range p.Functions {
-		w.funcs[f.ID] = f
-		w.eff[f.ID] = f.Effective()
+		ew := f.Effective()
+		w.funcs.set(f.ID, f)
+		w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
 		if f.Fam.IsLinear() {
 			linear++
 		} else {
-			w.nonlin.Add(f.ID, f.Fam, w.eff[f.ID])
+			w.nonlin.Add(f.ID, f.Fam, ew)
 		}
 	}
 	if d.FuncStore.Size != linear {
 		return fail("function tree size %d != %d linear functions", d.FuncStore.Size, linear)
 	}
 	for _, pr := range d.Pairs {
-		if _, ok := w.funcs[pr.FuncID]; !ok {
+		if _, ok := w.eff[pr.FuncID]; !ok {
 			return fail("pair references unknown function %d", pr.FuncID)
 		}
-		if _, ok := pt.objs[pr.ObjID]; !ok {
+		if _, ok := pt.objs.get(pr.ObjID); !ok {
 			return fail("pair references unknown object %d", pr.ObjID)
 		}
 		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjID, score: pr.Score})
@@ -578,15 +579,16 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	// the tables must be derivable, so a bit-rotted (yet
 	// checksum-passing — e.g. truncated by a buggy tool) state cannot
 	// serve.
-	if err := checkCaps(pt.caps, len(pt.objs), func(id uint64) (int, int, bool) {
-		o, ok := pt.objs[id]
+	if err := checkCaps(pt.caps, pt.objs.len(), func(id uint64) (int, int, bool) {
+		o, ok := pt.objs.get(id)
 		return o.capacity(), len(pt.byObj[id]), ok
 	}); err != nil {
 		return fail("object capacity table: %v", err)
 	}
-	if err := checkCaps(w.funcCaps, len(w.funcs), func(id uint64) (int, int, bool) {
-		f, ok := w.funcs[id]
-		return f.capacity(), len(w.byFunc[id]), ok
+	if err := checkCaps(w.funcCaps, w.funcs.len(), func(id uint64) (int, int, bool) {
+		f, ok := w.funcs.get(id)
+		ps, _ := w.byFunc.get(id)
+		return f.capacity(), len(ps), ok
 	}); err != nil {
 		return fail("function capacity table: %v", err)
 	}

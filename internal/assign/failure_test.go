@@ -187,7 +187,7 @@ func TestPairIndexDesyncPoisons(t *testing.T) {
 
 	p := before.Pairs()[0]
 	ws.mu.Lock()
-	ws.byFunc[p.FuncID] = nil // the object side still holds the pair
+	ws.byFunc.del(p.FuncID) // the object side still holds the pair
 	ws.mu.Unlock()
 
 	if err := ws.RemoveObject(p.ObjectID); !errors.Is(err, ErrCorrupt) {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"fairassign/internal/rtree"
+	"fairassign/internal/score"
 	"fairassign/internal/snapshot"
 )
 
@@ -208,7 +209,7 @@ func (b *batchView) funcLive(id uint64) bool {
 	if b.funcDel[id] {
 		return false
 	}
-	_, ok := b.w.funcs[id]
+	_, ok := b.w.eff[id]
 	return ok
 }
 
@@ -324,7 +325,7 @@ func (w *Workspace) addObjectLocked(o Object) error {
 		w.owner[o.ID] = i
 	}
 	pt := w.parts[i]
-	pt.objs[o.ID] = Object{ID: o.ID, Point: point, Capacity: o.Capacity}
+	pt.objs.set(o.ID, Object{ID: o.ID, Point: point, Capacity: o.Capacity})
 	pt.dropPub()
 	pt.pageDirty = true
 	if err := pt.tree.Insert(rtree.Item{ID: o.ID, Point: point}); err != nil {
@@ -340,7 +341,7 @@ func (w *Workspace) addObjectLocked(o Object) error {
 
 func (w *Workspace) removeObjectLocked(id uint64) error {
 	pt := w.partOf(id)
-	o := pt.objs[id]
+	o, _ := pt.objs.get(id)
 	pt.dropPub()
 	pt.pageDirty = true
 	// Invalidate the availability frontier first: an exhausted object
@@ -351,7 +352,7 @@ func (w *Workspace) removeObjectLocked(id uint64) error {
 			return err
 		}
 	}
-	for _, p := range append([]wsPair(nil), pt.byObj[id]...) {
+	for _, p := range pt.byObj[id] {
 		if err := w.unlink(p); err != nil {
 			return err
 		}
@@ -363,7 +364,7 @@ func (w *Workspace) removeObjectLocked(id uint64) error {
 		return err
 	}
 	pt.caps.drop(id)
-	delete(pt.objs, id)
+	pt.objs.del(id)
 	delete(w.owner, id)
 	return nil
 }
@@ -373,9 +374,8 @@ func (w *Workspace) addFunctionLocked(f Function) error {
 	copy(weights, f.Weights)
 	f.Weights = weights
 	ew := f.Effective()
-	w.funcs[f.ID] = f
-	w.eff[f.ID] = ew
-	w.funcsSnap = nil
+	w.funcs.set(f.ID, f)
+	w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
 	if f.Fam.IsLinear() {
 		if err := w.ftree.Insert(rtree.Item{ID: f.ID, Point: ew}); err != nil {
 			return err
@@ -389,7 +389,9 @@ func (w *Workspace) addFunctionLocked(f Function) error {
 }
 
 func (w *Workspace) removeFunctionLocked(id uint64) error {
-	for _, p := range append([]wsPair(nil), w.byFunc[id]...) {
+	// Unlinking the last pair drops the function's byFunc entry.
+	ps, _ := w.byFunc.get(id)
+	for _, p := range ps {
 		if err := w.unlink(p); err != nil {
 			return err
 		}
@@ -398,15 +400,13 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 		}
 		w.pushObj(p.oid)
 	}
-	delete(w.byFunc, id)
 	if !w.nonlin.Remove(id) {
-		if err := w.ftree.Delete(rtree.Item{ID: id, Point: w.eff[id]}); err != nil {
+		if err := w.ftree.Delete(rtree.Item{ID: id, Point: w.eff[id].W}); err != nil {
 			return err
 		}
 	}
 	w.funcCaps.drop(id)
-	delete(w.funcs, id)
+	w.funcs.del(id)
 	delete(w.eff, id)
-	w.funcsSnap = nil
 	return nil
 }

@@ -13,18 +13,20 @@ import (
 )
 
 // partPub is one object partition's capture: a pagestore snapshot
-// pinning the partition's index pages, plus flat copies of its object
-// table and availability frontier. It is refcounted by the partition
-// (which caches it until its objects, tree or frontier next change) and
-// by every pubState composing it, so a partition untouched by a commit
-// joins the next epoch's capture for the cost of a refcount increment.
+// pinning the partition's index pages, a flat copy of its availability
+// frontier, and a frozen copy of its object table, which shares every
+// chunk the writer has not written since. It is refcounted by the
+// partition (which caches it until its objects, tree or frontier next
+// change) and by every pubState composing it, so a partition untouched
+// by a commit joins the next epoch's capture for the cost of a refcount
+// increment.
 type partPub struct {
 	refs atomic.Int64
 
 	snap  *pagestore.Snapshot
 	meta  rtree.Meta
 	avail []rtree.Item // availability frontier (skyline of spare capacity)
-	objs  []Object
+	objs  frozenTable[Object]
 }
 
 func (p *partPub) retain() { p.refs.Add(1) }
@@ -42,12 +44,14 @@ func (p *partPub) release() {
 // and every View handed out for that epoch; the partition captures are
 // released when the last reference drops.
 //
-// Captured slices alias the writer's immutable per-entity storage
-// (object points and function weight vectors are cloned on arrival and
-// never written again), so a capture is flat struct copies, not a deep
-// clone. Derived forms — the definitional sort order, the per-function
-// index, the object lookup — are materialized lazily, once per epoch,
-// on first use.
+// The function, pair and object tables are frozen copy-on-write copies
+// of the writer's own tables: a capture copies their chunk-pointer
+// arrays, and the chunks themselves — with the object points, weight
+// vectors and pair slices they hold, none of which the writer edits in
+// place — are shared with the writer until it next writes to them. The
+// view's lookups (Object, PairsOf) read the frozen tables directly; the
+// flat forms (the sorted matching, the Problem) are built lazily, once
+// per epoch, for readers that want everything.
 type pubState struct {
 	refs atomic.Int64
 
@@ -56,20 +60,15 @@ type pubState struct {
 	stats     WorkspaceStats
 	partStats []PartitionStats
 	parts     []*partPub
+	funcs     frozenTable[Function]
+	byFunc    frozenTable[[]wsPair]
 
-	pairs    []Pair // definitional order after sortOnce
-	sortOnce sync.Once
+	pairs     []Pair // flattened in definitional order by pairsOnce
+	pairsOnce sync.Once
 
-	funcs []Function
-
-	objs     []Object // every partition's objects
-	objsOnce sync.Once
-
-	byFunc     map[uint64][]Pair
-	byFuncOnce sync.Once
-
-	objByID     map[uint64]Object
-	objByIDOnce sync.Once
+	objs        []Object // every partition's objects, flattened by problemOnce
+	funcList    []Function
+	problemOnce sync.Once
 }
 
 func (p *pubState) retain() { p.refs.Add(1) }
@@ -99,45 +98,28 @@ func (p *pubState) release() {
 }
 
 func (p *pubState) sortedPairs() []Pair {
-	p.sortOnce.Do(func() { sortPairsDefinitional(p.pairs) })
+	p.pairsOnce.Do(func() {
+		p.pairs = flattenPairs(&p.byFunc, p.stats.AssignedUnits)
+		sortPairsDefinitional(p.pairs)
+	})
 	return p.pairs
 }
 
-func (p *pubState) pairsOf(fid uint64) []Pair {
-	p.byFuncOnce.Do(func() {
-		idx := make(map[uint64][]Pair)
-		for _, pr := range p.sortedPairs() {
-			idx[pr.FuncID] = append(idx[pr.FuncID], pr)
-		}
-		p.byFunc = idx
-	})
-	return p.byFunc[fid]
-}
-
-func (p *pubState) allObjs() []Object {
-	p.objsOnce.Do(func() {
-		if len(p.parts) == 1 {
-			p.objs = p.parts[0].objs
-			return
-		}
+// problem flattens the frozen object and function tables.
+func (p *pubState) problem() ([]Object, []Function) {
+	p.problemOnce.Do(func() {
+		p.objs = make([]Object, 0, p.stats.Objects)
 		for _, pp := range p.parts {
-			p.objs = append(p.objs, pp.objs...)
+			for _, o := range pp.objs.all() {
+				p.objs = append(p.objs, o)
+			}
+		}
+		p.funcList = make([]Function, 0, p.funcs.len())
+		for _, f := range p.funcs.all() {
+			p.funcList = append(p.funcList, f)
 		}
 	})
-	return p.objs
-}
-
-func (p *pubState) object(id uint64) (Object, bool) {
-	p.objByIDOnce.Do(func() {
-		objs := p.allObjs()
-		idx := make(map[uint64]Object, len(objs))
-		for _, o := range objs {
-			idx[o.ID] = o
-		}
-		p.objByID = idx
-	})
-	o, ok := p.objByID[id]
-	return o, ok
+	return p.objs, p.funcList
 }
 
 // View is a snapshot-isolated read handle on a Workspace: every method
@@ -183,13 +165,20 @@ func (v *View) Pairs() []Pair {
 	return v.pub.sortedPairs()
 }
 
-// PairsOf returns the frozen assignments of one function, best first.
-// Shared and immutable, like Pairs.
+// PairsOf returns the frozen assignments of one function, best first:
+// one lookup in the epoch's frozen pair table, copied into a fresh
+// slice the caller owns (nil if the function holds none).
 func (v *View) PairsOf(fid uint64) []Pair {
 	if v.closed.Load() {
 		return nil
 	}
-	return v.pub.pairsOf(fid)
+	ps, _ := v.pub.byFunc.get(fid)
+	if len(ps) == 0 {
+		return nil
+	}
+	out := appendPairs(make([]Pair, 0, len(ps)), ps)
+	sortPairsDefinitional(out)
+	return out
 }
 
 // Stats returns the workspace summary as of the view's epoch (the
@@ -211,22 +200,30 @@ func (v *View) PartitionedStats() PartitionedStats {
 	return PartitionedStats{WorkspaceStats: v.pub.stats, Epoch: v.pub.epoch, Partitions: v.pub.partStats}
 }
 
-// Object returns a frozen object by ID.
+// Object returns a frozen object by ID, looked up in the partitions'
+// frozen object tables.
 func (v *View) Object(id uint64) (Object, bool) {
 	if v.closed.Load() {
 		return Object{}, false
 	}
-	return v.pub.object(id)
+	for _, pp := range v.pub.parts {
+		if o, ok := pp.objs.get(id); ok {
+			return o, true
+		}
+	}
+	return Object{}, false
 }
 
-// Problem materializes the frozen population as a Problem. Entity
-// slices are shared with the view (treat as immutable); the per-entity
-// points and weights are the immutable originals.
+// Problem materializes the frozen population as a Problem, flattening
+// the frozen tables once per epoch. Entity slices are shared with the
+// view (treat as immutable); the per-entity points and weights are the
+// immutable originals.
 func (v *View) Problem() *Problem {
 	if v.closed.Load() {
 		return nil
 	}
-	return &Problem{Dims: v.pub.dims, Objects: v.pub.allObjs(), Functions: v.pub.funcs}
+	objs, funcs := v.pub.problem()
+	return &Problem{Dims: v.pub.dims, Objects: objs, Functions: funcs}
 }
 
 // VerifyStable checks that the frozen matching is stable for the frozen

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"fairassign/internal/geom"
@@ -307,5 +309,96 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	}
 	if pool.Capacity() != poolCap {
 		t.Fatalf("pool capacity drifted: %d -> %d", poolCap, pool.Capacity())
+	}
+}
+
+// TestOldViewSurvivesPairSliceEdits pins the copy-on-write contract of
+// the frozen tables: a view taken while a capacity-3 function holds 3
+// objects keeps answering PairsOf, Pairs, Object and Problem exactly as
+// before after the middle object of the function's pair slice departs
+// and a better object arrives. Editing the shared pair slice in place
+// (a swap-delete on unlink) would show through the old view.
+func TestOldViewSurvivesPairSliceEdits(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := &Problem{Dims: 2, Functions: []Function{
+		{ID: 1, Weights: []float64{0.5, 0.5}, Capacity: 3},
+		{ID: 2, Weights: []float64{0.8, 0.2}},
+	}}
+	for id := uint64(10); id < 20; id++ {
+		p.Objects = append(p.Objects, Object{ID: id, Point: randPoint(rng, 2)})
+	}
+	ws, err := NewWorkspace(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	held, _ := ws.byFunc.get(1)
+	if len(held) != 3 {
+		t.Fatalf("function 1 holds %d objects, want 3", len(held))
+	}
+
+	old, err := ws.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	wantPairsOf := clonePairs(old.PairsOf(1))
+	wantPairs := ws.Pairs()
+	wantProblem := ws.ProblemSnapshot()
+	wantObjs := map[uint64]Object{}
+	for _, o := range p.Objects {
+		got, ok := old.Object(o.ID)
+		if !ok {
+			t.Fatalf("old view lost object %d before any mutation", o.ID)
+		}
+		wantObjs[o.ID] = Object{ID: got.ID, Point: got.Point.Clone(), Capacity: got.Capacity}
+	}
+
+	mid := held[1].oid
+	if err := ws.RemoveObject(mid); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.AddObject(Object{ID: 99, Point: geom.Point{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	now, _ := ws.byFunc.get(1)
+	took := false
+	for _, pr := range now {
+		took = took || pr.oid == 99
+	}
+	if !took {
+		t.Fatalf("function 1 did not take the better arrival: %+v", now)
+	}
+
+	identicalPairs(t, "old PairsOf", old.PairsOf(1), wantPairsOf)
+	identicalPairs(t, "old Pairs", old.Pairs(), wantPairs)
+	for id, want := range wantObjs {
+		got, ok := old.Object(id)
+		if !ok || got.ID != want.ID || got.Capacity != want.Capacity || !got.Point.Equal(want.Point) {
+			t.Fatalf("old Object(%d) = %+v, %v; want %+v", id, got, ok, want)
+		}
+	}
+	if _, ok := old.Object(99); ok {
+		t.Fatal("old view sees the later arrival")
+	}
+	got := old.Problem()
+	objs := append([]Object(nil), got.Objects...)
+	funcs := append([]Function(nil), got.Functions...)
+	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
+	sort.Slice(funcs, func(i, j int) bool { return funcs[i].ID < funcs[j].ID })
+	if !reflect.DeepEqual(objs, wantProblem.Objects) || !reflect.DeepEqual(funcs, wantProblem.Functions) {
+		t.Fatalf("old Problem changed:\n got %+v %+v\nwant %+v %+v", objs, funcs, wantProblem.Objects, wantProblem.Functions)
+	}
+
+	fresh, err := ws.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, ok := fresh.Object(mid); ok {
+		t.Fatalf("new view still holds removed object %d", mid)
+	}
+	if _, ok := fresh.Object(99); !ok {
+		t.Fatal("new view misses the arrival")
 	}
 }

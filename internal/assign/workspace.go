@@ -79,16 +79,26 @@ var (
 // displacement candidate across all partitions, each by (score desc,
 // ID asc) — the order one BRS search over their union enumerates — so
 // the matching is byte-identical at every partition count. What the
-// partitions buy is commit and capture cost: a batch flushes and
-// republishes only the partitions whose pages it changed, and the next
-// Snapshot re-copies only the partitions whose objects or frontier it
-// changed. (One theoretical exception to the identity: a scorer family
-// that is not strictly monotone can tie a dominated point with its
-// dominator; if partition boundaries separate them, the per-partition
-// frontiers may surface the dominated lower-ID point a single global
-// skyline pruned. Both resolutions are stable; the case needs exactly
-// tied scores across a dominance pair, which is measure-zero for
-// continuous data.)
+// partitions buy is commit cost: a batch flushes and republishes only
+// the partitions whose pages it changed, and the next Snapshot
+// re-captures only the partitions whose objects or frontier it changed.
+// (One theoretical exception to the identity: a scorer family that is
+// not strictly monotone can tie a dominated point with its dominator;
+// if partition boundaries separate them, the per-partition frontiers
+// may surface the dominated lower-ID point a single global skyline
+// pruned. Both resolutions are stable; the case needs exactly tied
+// scores across a dominance pair, which is measure-zero for continuous
+// data.)
+//
+// Snapshot capture is O(Δ), not O(population): the object tables, the
+// function table and the function half of the matching live in
+// copy-on-write chunked tables (cowTable). A capture freezes them —
+// one chunk-pointer array per table — and the writer clones a chunk
+// only on its first write after the freeze, so an epoch pays for the
+// chunks it wrote. Pair slices are immutable values, so frozen pair
+// tables share them too. Writer-only state (the object half of the
+// matching, the per-function scorers, the capacity tables) stays in
+// plain maps.
 type Workspace struct {
 	// mu is the single-writer lock: it serializes mutations, epoch
 	// publication, and snapshot acquisition. Snapshot readers never take
@@ -135,8 +145,11 @@ type Workspace struct {
 	dur      *durableState
 	recovery *RecoveryInfo
 
-	funcs map[uint64]Function
-	eff   map[uint64][]float64 // function ID -> effective weights (ftree points)
+	// funcs is the function table; views read frozen copies of it. eff
+	// is the writer's own per-function scorer (family over the effective
+	// weights the ftree indexes), which repair reads on every candidate.
+	funcs *cowTable[Function]
+	eff   map[uint64]score.Scorer
 	// nonlin holds the live non-linear functions in per-family columnar
 	// blocks. Linear functions live in the ftree (reverse search via dot
 	// symmetry); non-linear scores are not bilinear, so bestTaker scans
@@ -145,14 +158,13 @@ type Workspace struct {
 	// nothing.
 	nonlin   *score.FuncBlocks
 	funcCaps *capTable
-	// funcsSnap is the captured function table, shared by every capture
-	// until a function arrives or departs (which resets it to nil).
-	funcsSnap []Function
 
 	// byFunc is the function half of the matching; the object half is
 	// each partition's byObj. One wsPair per assigned unit, present in
-	// exactly one slice of each side.
-	byFunc map[uint64][]wsPair
+	// exactly one slice of each side. Pair slices are immutable values —
+	// link and unlink build new ones — so frozen copies of byFunc share
+	// them with the writer; a function with no pairs has no entry.
+	byFunc *cowTable[[]wsPair]
 
 	queue []repairItem // free units awaiting chain repair
 
@@ -180,7 +192,7 @@ type objPart struct {
 	// its trees), so arbitrary Insert/Discard traffic stays correct.
 	avail *skyline.Maintainer
 
-	objs  map[uint64]Object
+	objs  *cowTable[Object] // views read frozen copies of it
 	caps  *capTable
 	byObj map[uint64][]wsPair
 	units int // assigned units held by this partition's objects
@@ -264,11 +276,11 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		cfg:      cfg,
 		dims:     p.Dims,
 		part:     NewPartitioner(p.Dims, n, p.Objects),
-		funcs:    make(map[uint64]Function, len(p.Functions)),
-		eff:      make(map[uint64][]float64, len(p.Functions)),
+		funcs:    newCowTable[Function](len(p.Functions)),
+		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
 		nonlin:   score.NewFuncBlocks(p.Dims),
 		funcCaps: st.funcCaps,
-		byFunc:   make(map[uint64][]wsPair),
+		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
 		resolves: 1,
 	}
 	if n == 1 {
@@ -293,7 +305,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	}
 	for _, o := range p.Objects {
 		pt := w.partOf(o.ID)
-		pt.objs[o.ID] = Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity}
+		pt.objs.set(o.ID, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
 		pt.caps.add(o.ID, st.objCaps.remaining[o.ID])
 	}
 
@@ -307,8 +319,8 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	fitems := make([]rtree.Item, 0, len(p.Functions))
 	for _, f := range p.Functions {
 		ew := f.Effective()
-		w.funcs[f.ID] = f
-		w.eff[f.ID] = ew
+		w.funcs.set(f.ID, f)
+		w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
 		if f.Fam.IsLinear() {
 			fitems = append(fitems, rtree.Item{ID: f.ID, Point: ew})
 		} else {
@@ -353,7 +365,7 @@ func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.T
 		vstore:    store.(*pagestore.VersionedStore),
 		pool:      pool,
 		tree:      tree,
-		objs:      make(map[uint64]Object, n),
+		objs:      newCowTable[Object](n),
 		caps:      &capTable{remaining: make(map[uint64]int, n)},
 		byObj:     make(map[uint64][]wsPair),
 		pageDirty: true,
@@ -364,7 +376,7 @@ func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.T
 // its capacity table.
 func (pt *objPart) buildFrontier(dims int) {
 	var items []rtree.Item
-	for id, o := range pt.objs {
+	for id, o := range pt.objs.all() {
 		if pt.caps.remaining[id] > 0 {
 			items = append(items, rtree.Item{ID: id, Point: o.Point})
 		}
@@ -374,7 +386,7 @@ func (pt *objPart) buildFrontier(dims int) {
 	// and its ID may even be reused for a different point); the oracle
 	// drops them the moment they resurface, so no tombstones accumulate.
 	pt.avail.SetLiveCheck(func(id uint64, p geom.Point) bool {
-		o, ok := pt.objs[id]
+		o, ok := pt.objs.get(id)
 		return ok && pt.caps.remaining[id] > 0 && o.Point.Equal(p)
 	})
 }
@@ -395,7 +407,8 @@ func (pt *objPart) restoreUnit(oid uint64) error {
 		return nil
 	}
 	pt.dropPub()
-	if err := pt.avail.Insert(rtree.Item{ID: oid, Point: pt.objs[oid].Point}); err != nil {
+	o, _ := pt.objs.get(oid)
+	if err := pt.avail.Insert(rtree.Item{ID: oid, Point: o.Point}); err != nil {
 		// Insert only errors on a live duplicate, which consistent
 		// availability bookkeeping rules out.
 		return fmt.Errorf("assign: availability frontier out of sync: %w", err)
@@ -421,7 +434,8 @@ func (pt *objPart) displaceable(fid uint64, fsc score.Scorer, oid uint64) bool {
 		return false
 	}
 	worst := worstOfObj(pt.byObj[oid])
-	s := fsc.Score(pt.objs[oid].Point)
+	o, _ := pt.objs.get(oid)
+	s := fsc.Score(o.Point)
 	return s > worst.score || (s == worst.score && fid < worst.fid)
 }
 
@@ -432,7 +446,7 @@ func (w *Workspace) partOf(oid uint64) *objPart { return w.parts[w.owner[oid]] }
 
 // objLive reports whether an object is live. Caller holds w.mu.
 func (w *Workspace) objLive(id uint64) bool {
-	_, ok := w.partOf(id).objs[id]
+	_, ok := w.partOf(id).objs.get(id)
 	return ok
 }
 
@@ -508,10 +522,11 @@ func (w *Workspace) Snapshot() (*View, error) {
 
 // captureLocked freezes the logical state of the current epoch. Every
 // partition contributes its cached capture, re-captured only if its
-// objects, tree or frontier changed since; the function table is shared
-// until a function arrives or departs; the pairs are a flat copy. Per
-// entity points and weights alias the immutable originals; derived forms
-// (sort order, indexes) are materialized lazily by the views. Holds w.mu.
+// objects, tree or frontier changed since; the function and pair tables
+// are frozen copy-on-write copies, costing a chunk-pointer array each.
+// Per entity points, weights and pair slices alias the immutable
+// originals; flat forms (the sorted matching, the Problem) are built
+// lazily by the views. Holds w.mu.
 func (w *Workspace) captureLocked() *pubState {
 	p := &pubState{
 		epoch:     w.epoch,
@@ -528,30 +543,21 @@ func (w *Workspace) captureLocked() *pubState {
 		pt.pub.retain()
 		p.parts[i] = pt.pub
 	}
-	if w.funcsSnap == nil {
-		w.funcsSnap = make([]Function, 0, len(w.funcs))
-		for _, f := range w.funcs {
-			w.funcsSnap = append(w.funcsSnap, f)
-		}
-	}
-	p.funcs = w.funcsSnap
-	p.pairs = w.pairsLocked()
+	p.funcs = w.funcs.freeze()
+	p.byFunc = w.byFunc.freeze()
 	return p
 }
 
 // capture freezes the partition: a pinned page snapshot, the tree
-// metadata, and flat copies of the object table and frontier.
+// metadata, a flat copy of the frontier and a frozen object table.
 func (pt *objPart) capture() *partPub {
 	p := &partPub{
 		snap:  pt.vstore.Acquire(),
 		meta:  pt.tree.Meta(),
 		avail: pt.avail.Skyline(),
-		objs:  make([]Object, 0, len(pt.objs)),
+		objs:  pt.objs.freeze(),
 	}
 	p.refs.Store(1) // the partition's own cache reference
-	for _, o := range pt.objs {
-		p.objs = append(p.objs, o)
-	}
 	return p
 }
 
@@ -598,12 +604,17 @@ func (w *Workspace) Close() {
 	}
 }
 
-// link records one assigned unit on both sides.
+// link records one assigned unit on both sides. Pair slices are values:
+// link and unlink build new ones and never edit one in place, so frozen
+// pair tables can share byFunc's, and a removal can range over a slice
+// while unlinking its pairs.
 func (w *Workspace) link(p wsPair) {
 	pt := w.partOf(p.oid)
-	pt.byObj[p.oid] = append(pt.byObj[p.oid], p)
+	ps := pt.byObj[p.oid]
+	pt.byObj[p.oid] = append(ps[:len(ps):len(ps)], p)
 	pt.units++
-	w.byFunc[p.fid] = append(w.byFunc[p.fid], p)
+	ps, _ = w.byFunc.get(p.fid)
+	w.byFunc.set(p.fid, append(ps[:len(ps):len(ps)], p))
 }
 
 // unlink removes one instance of the pair from both sides.
@@ -615,21 +626,27 @@ func (w *Workspace) unlink(p wsPair) error {
 	}
 	pt.byObj[p.oid] = ps
 	pt.units--
-	if ps, err = cutPair(w.byFunc[p.fid], p); err != nil {
+	ps, _ = w.byFunc.get(p.fid)
+	if ps, err = cutPair(ps, p); err != nil {
 		return err
 	}
-	w.byFunc[p.fid] = ps
+	if len(ps) == 0 {
+		w.byFunc.del(p.fid)
+	} else {
+		w.byFunc.set(p.fid, ps)
+	}
 	return nil
 }
 
-// cutPair removes one instance of p from ps. A missing pair means the
-// two halves of the matching disagree — a broken invariant the caller
-// escalates to corruption.
+// cutPair returns a new slice holding ps without one instance of p; ps
+// itself is left as it is. A missing pair means the two halves of the
+// matching disagree — a broken invariant the caller escalates to
+// corruption.
 func cutPair(ps []wsPair, p wsPair) ([]wsPair, error) {
 	for i := range ps {
 		if ps[i] == p {
-			ps[i] = ps[len(ps)-1]
-			return ps[:len(ps)-1], nil
+			out := make([]wsPair, 0, len(ps)-1)
+			return append(append(out, ps[:i]...), ps[i+1:]...), nil
 		}
 	}
 	return ps, fmt.Errorf("assign: workspace pair index out of sync: pair (function %d, object %d) missing", p.fid, p.oid)
@@ -735,7 +752,7 @@ func (w *Workspace) repair() error {
 
 // placeFunction runs proposal chains for every free unit of a function.
 func (w *Workspace) placeFunction(fid uint64) error {
-	if _, ok := w.funcs[fid]; !ok {
+	if _, ok := w.eff[fid]; !ok {
 		return nil // departed while queued
 	}
 	for w.funcCaps.remaining[fid] > 0 {
@@ -764,11 +781,9 @@ func (w *Workspace) placeFunction(fid uint64) error {
 }
 
 // scorerOf returns a live function's effective scorer: its scoring
-// family over the γ-folded weights. Struct-by-value over existing
-// slices — no allocation on the repair hot paths.
-func (w *Workspace) scorerOf(fid uint64) score.Scorer {
-	return score.Scorer{Fam: w.funcs[fid].Fam, W: w.eff[fid]}
-}
+// family over the γ-folded weights, read from the writer-only eff map —
+// one plain map lookup on the repair hot paths, no allocation.
+func (w *Workspace) scorerOf(fid uint64) score.Scorer { return w.eff[fid] }
 
 // candidate is one object (or function) a repair step could take, with
 // its score. Candidates are ordered by score descending, ties to the
@@ -833,7 +848,7 @@ func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok 
 // fillObject runs vacancy chains for every free unit of an object.
 func (w *Workspace) fillObject(oid uint64) error {
 	pt := w.partOf(oid)
-	o, ok := pt.objs[oid]
+	o, ok := pt.objs.get(oid)
 	if !ok {
 		return nil // departed while queued
 	}
@@ -849,7 +864,8 @@ func (w *Workspace) fillObject(oid uint64) error {
 			w.funcCaps.consume(gid)
 		} else {
 			// The mover abandons its worst unit, cascading the vacancy.
-			left := worstOfFunc(w.byFunc[gid])
+			ps, _ := w.byFunc.get(gid)
+			left := worstOfFunc(ps)
 			if err := w.unlink(left); err != nil {
 				return err
 			}
@@ -879,8 +895,9 @@ func (w *Workspace) bestTaker(oid uint64, point geom.Point) (gid uint64, sc floa
 		// Some function has spare capacity and wants anything: no bound.
 		bound = math.Inf(-1)
 	} else {
-		for fid := range w.funcs {
-			if worst := worstOfFunc(w.byFunc[fid]); worst.score < bound {
+		// Every live function is fully assigned, so each has an entry.
+		for _, ps := range w.byFunc.all() {
+			if worst := worstOfFunc(ps); worst.score < bound {
 				bound = worst.score
 			}
 		}
@@ -926,7 +943,8 @@ func (w *Workspace) wantsAt(fid, oid uint64, s float64) bool {
 	if w.funcCaps.remaining[fid] > 0 {
 		return true
 	}
-	worst := worstOfFunc(w.byFunc[fid])
+	ps, _ := w.byFunc.get(fid)
+	worst := worstOfFunc(ps)
 	return s > worst.score || (s == worst.score && oid < worst.oid)
 }
 
@@ -945,16 +963,31 @@ func sortPairsDefinitional(out []Pair) {
 	})
 }
 
+// flattenPairs copies a pair table holding n pairs into a fresh
+// unordered slice.
+func flattenPairs(t *frozenTable[[]wsPair], n int) []Pair {
+	out := make([]Pair, 0, n)
+	for _, ps := range t.all() {
+		out = appendPairs(out, ps)
+	}
+	return out
+}
+
+func appendPairs(out []Pair, ps []wsPair) []Pair {
+	for _, p := range ps {
+		out = append(out, Pair{FuncID: p.fid, ObjectID: p.oid, Score: p.score})
+	}
+	return out
+}
+
 // pairsLocked flattens the matching into a fresh unordered slice.
 // Caller holds w.mu.
 func (w *Workspace) pairsLocked() []Pair {
-	out := make([]Pair, 0, len(w.byFunc))
-	for _, ps := range w.byFunc {
-		for _, p := range ps {
-			out = append(out, Pair{FuncID: p.fid, ObjectID: p.oid, Score: p.score})
-		}
+	n := 0
+	for _, pt := range w.parts {
+		n += pt.units
 	}
-	return out
+	return flattenPairs(&w.byFunc.frozenTable, n)
 }
 
 // Pairs returns the current matching in the definitional greedy order:
@@ -971,7 +1004,7 @@ func (w *Workspace) Pairs() []Pair {
 func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	o, ok := w.partOf(id).objs[id]
+	o, ok := w.partOf(id).objs.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -982,12 +1015,8 @@ func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
 func (w *Workspace) PairsOf(fid uint64) []Pair {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ps := w.byFunc[fid]
-	out := make([]Pair, len(ps))
-	for i, p := range ps {
-		out[i] = Pair{FuncID: p.fid, ObjectID: p.oid, Score: p.score}
-	}
-	return out
+	ps, _ := w.byFunc.get(fid)
+	return appendPairs(make([]Pair, 0, len(ps)), ps)
 }
 
 // ProblemSnapshot materializes the current instance as a Problem
@@ -1003,12 +1032,12 @@ func (w *Workspace) ProblemSnapshot() *Problem {
 func (w *Workspace) problemLocked() *Problem {
 	p := &Problem{Dims: w.dims}
 	for _, pt := range w.parts {
-		for _, o := range pt.objs {
+		for _, o := range pt.objs.all() {
 			p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
 		}
 	}
 	sort.Slice(p.Objects, func(i, j int) bool { return p.Objects[i].ID < p.Objects[j].ID })
-	for _, f := range w.funcs {
+	for _, f := range w.funcs.all() {
 		weights := make([]float64, len(f.Weights))
 		copy(weights, f.Weights)
 		p.Functions = append(p.Functions, Function{ID: f.ID, Weights: weights, Gamma: f.Gamma, Capacity: f.Capacity, Fam: f.Fam})
@@ -1044,7 +1073,7 @@ func (w *Workspace) Stats() WorkspaceStats {
 
 func (w *Workspace) statsLocked() WorkspaceStats {
 	s := WorkspaceStats{
-		Functions:  len(w.funcs),
+		Functions:  w.funcs.len(),
 		Mutations:  w.mutations,
 		Commits:    w.commits,
 		ChainSteps: w.chainLen,
@@ -1052,7 +1081,7 @@ func (w *Workspace) statsLocked() WorkspaceStats {
 		Resolves:   w.resolves,
 	}
 	for _, pt := range w.parts {
-		s.Objects += len(pt.objs)
+		s.Objects += pt.objs.len()
 		s.AssignedUnits += pt.units
 		s.SkylineSize += pt.avail.Size()
 		if !w.closed {
@@ -1076,7 +1105,7 @@ func (w *Workspace) PartitionedStats() PartitionedStats {
 func (w *Workspace) partStatsLocked() []PartitionStats {
 	out := make([]PartitionStats, len(w.parts))
 	for i, pt := range w.parts {
-		out[i] = PartitionStats{Objects: len(pt.objs), AssignedUnits: pt.units, Frontier: pt.avail.Size(), Epoch: pt.epoch}
+		out[i] = PartitionStats{Objects: pt.objs.len(), AssignedUnits: pt.units, Frontier: pt.avail.Size(), Epoch: pt.epoch}
 	}
 	return out
 }

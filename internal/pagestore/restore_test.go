@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-func TestSetBaseEpoch(t *testing.T) {
-	vs := newVersionedMem(t, 128)
-	id, _ := vs.Allocate()
-	writeByte(t, vs, id, 1)
-	vs.SetBaseEpoch(41) // rebase before the first publish
-	if got := vs.Publish(); got != 42 {
-		t.Fatalf("publish after rebase = %d, want 42", got)
-	}
-	snap := vs.Acquire()
-	defer snap.Release()
-	if e := snap.Epoch(); e != 42 {
-		t.Fatalf("snapshot epoch = %d", e)
-	}
-	if b := readByte(t, snap.ReadPage, vs.PageSize(), id); b != 1 {
-		t.Fatalf("page byte = %d", b)
-	}
-}
-
-func TestSetBaseEpochPanicsAfterPublish(t *testing.T) {
-	vs := newVersionedMem(t, 128)
-	vs.Publish()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetBaseEpoch after Publish did not panic")
-		}
-	}()
-	vs.SetBaseEpoch(7)
-}
-
 func TestCurrentPages(t *testing.T) {
 	vs := newVersionedMem(t, 128)
 	var ids []PageID

@@ -270,31 +270,6 @@ func (s *VersionedStore) Close() error {
 	return s.inner.Close()
 }
 
-// SetBaseEpoch rebases a freshly created store onto a recovered epoch
-// lineage: the store behaves as if `published` epochs had already been
-// sealed, so the writer builds epoch published+1 and the next Publish
-// returns it. Restore uses this so a reopened workspace continues the
-// exact epoch sequence of the one that saved the snapshot — WAL record
-// epochs line up across the crash. Only valid on a store with no
-// published history and no live snapshots (i.e. right after
-// NewVersioned); panics otherwise, since rebasing live history would
-// corrupt every version chain.
-func (s *VersionedStore) SetBaseEpoch(published uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.current != 0 || len(s.readers) != 0 {
-		panic("pagestore: SetBaseEpoch on a store with history")
-	}
-	base := published + 1
-	for _, ch := range s.chains {
-		for _, v := range ch.versions {
-			v.epoch = base
-		}
-	}
-	s.current = published
-	s.writer = base
-}
-
 // CurrentPages visits the current bytes of every live page in ascending
 // page ID order. The bytes come from the in-memory version chains (the
 // last version of a chain always mirrors the inner store), so the walk
