@@ -41,7 +41,7 @@ func main() {
 	preflight := flag.Int("preflight", 1, "conformance seeds per grid cell (0 skips the sweep)")
 	quick := flag.Bool("quick", false, "CI smoke preset: tiny sizes, short budget")
 	prodSize := flag.Int("prodsize", 1_000_000, "object count for the production-scale section (0 skips it)")
-	baseline := flag.String("baseline", "", "prior report (e.g. BENCH_main.json) to compute before/after deltas against")
+	baseline := flag.String("baseline", "", "prior report (e.g. BENCH_hotpath.json) to compute before/after deltas against")
 	maxRegress := flag.Float64("maxregress", 0, "fail if any warm case regresses vs the baseline by more than this percent (0 disables)")
 	flag.Parse()
 
@@ -100,7 +100,7 @@ func main() {
 	if rep.GOAMD64 != "" {
 		host += " " + rep.GOAMD64
 	}
-	fmt.Printf("%s  simd=%s\n", host, rep.SIMDLevel)
+	fmt.Printf("%s  simd=%s  cpu=%q num_cpu=%d gomaxprocs=%d\n", host, rep.SIMDLevel, rep.CPUModel, rep.NumCPU, rep.GOMAXPROCS)
 
 	if *baseline != "" {
 		data, err := os.ReadFile(*baseline)

@@ -23,10 +23,10 @@
 //	        [-crash] [-preflight 0] [-quick]
 //
 // -shards N (> 1) makes the trace multi-tenant: every mutation is
-// tagged with the shard routing key the sharded tier assigns it, and
-// an additional run drives a ShardedWorkspace through per-shard
-// group-commit lanes, reporting per-shard mutation percentiles next to
-// the global classes. -closed adds a closed-loop run: the arrival
+// tagged with the object partition a Workspace built with
+// Options{Shards: N} routes it to, and an additional run drives such a
+// workspace through a ShardedQueue's per-partition group-commit lanes,
+// reporting per-shard mutation percentiles next to the global classes. -closed adds a closed-loop run: the arrival
 // schedule is ignored and C read clients (plus one writer client per
 // mutation lane) each issue their next operation only on completion —
 // sweeping -clients across runs traces the throughput/latency knee.
@@ -81,7 +81,7 @@ func main() {
 	maxCap := flag.Int("maxcap", 3, "max random capacity for arriving entities (<=1 unit caps)")
 	batch := flag.Int("batch", 128, "group-commit max batch size")
 	mode := flag.String("mode", "both", "driver mode: both, seq, or batch")
-	shards := flag.Int("shards", 0, "multi-tenant mode: tag mutations with shard routing keys and add a sharded-tier run with per-shard latency (>1 enables)")
+	shards := flag.Int("shards", 0, "multi-tenant mode: tag mutations with shard routing keys and add a run on a workspace with that many object partitions, with per-shard latency (>1 enables)")
 	closed := flag.Bool("closed", false, "add a closed-loop run: ignore the arrival schedule, drive with a fixed client population, and report saturation throughput (sweep -clients to find the knee)")
 	clients := flag.Int("clients", 8, "closed-loop read-client population (-closed)")
 	crash := flag.Bool("crash", false, "also run the crash-replay conformance mode: crash a durable workspace mid-trace, recover from snapshot+WAL, finish, and require the final matching to equal an uninterrupted run")
@@ -166,7 +166,7 @@ func main() {
 		collect(string(m), res, pairs, err)
 	}
 	if spec.Shards > 1 {
-		res, pairs, err := traffic.RunSharded(tr, *batch)
+		res, pairs, err := traffic.Run(tr, traffic.ModeSharded, *batch)
 		collect("sharded", res, pairs, err)
 	}
 	if *closed {

@@ -49,6 +49,9 @@
 // epoch-pinned observation of the matching, population, and object
 // index that stays consistent (byte-identical output) no matter how
 // the workspace mutates afterwards. See the Workspace and View types.
+// Options.Shards splits a workspace's objects into object partitions
+// that commit and snapshot independently under the identical matching;
+// NewShardedQueue gives each partition its own group-commit lane.
 package fairassign
 
 import (
@@ -166,11 +169,6 @@ type Options struct {
 	// I/O counts — at every setting, so it is purely a build wall-clock
 	// control.
 	BuildWorkers int
-	// DisableNodeCache turns off the decoded-node cache tier of the
-	// object index's buffer pool, re-parsing page bytes on every node
-	// access. Results and I/O counts are identical either way; the knob
-	// exists so the benchmark pipeline can measure the cache's effect.
-	DisableNodeCache bool
 	// Durable enables write-ahead logging on a Workspace: every Apply
 	// batch (and every single mutation) is encoded, checksummed, and
 	// fsynced into WALDir before it is acknowledged, and an initial
@@ -185,12 +183,17 @@ type Options struct {
 	// mutations between snapshots are not logged and a crash rewinds to
 	// the last snapshot.
 	WALDir string
-	// WALNoSync skips the per-commit fsync: records are still written
-	// and checksummed, but a crash may lose acknowledged batches
-	// (recovery still lands on a consistent earlier state). A
-	// benchmarking knob for isolating the fsync cost; leave false in
-	// production.
-	WALNoSync bool
+	// Shards splits a Workspace's objects into that many object
+	// partitions (<= 0 means 1), each with its own page store, R-tree,
+	// availability frontier and epoch, under one repair engine. The
+	// matching, Assignment and TopK answers are byte-identical at every
+	// count; a commit republishes, and the next Snapshot re-captures,
+	// only the partitions its mutations touched, and NewShardedQueue
+	// gives each partition its own group-commit lane. Partitioned
+	// workspaces are in-memory only: NewWorkspace and OpenWorkspace
+	// return ErrDurabilityUnsupported when Shards > 1 and Durable or
+	// WALDir is set. Ignored by Solver.
+	Shards int
 }
 
 // assignConfig maps public options to the internal engine configuration
@@ -198,15 +201,14 @@ type Options struct {
 // drift.
 func (o Options) assignConfig() assign.Config {
 	return assign.Config{
-		PageSize:         o.PageSize,
-		BufferFrac:       o.BufferFraction,
-		OmegaFrac:        o.OmegaFraction,
-		Workers:          o.Workers,
-		BuildWorkers:     o.BuildWorkers,
-		DisableNodeCache: o.DisableNodeCache,
-		Durable:          o.Durable,
-		WALDir:           o.WALDir,
-		WALNoSync:        o.WALNoSync,
+		PageSize:     o.PageSize,
+		BufferFrac:   o.BufferFraction,
+		OmegaFrac:    o.OmegaFraction,
+		Workers:      o.Workers,
+		BuildWorkers: o.BuildWorkers,
+		Durable:      o.Durable,
+		WALDir:       o.WALDir,
+		Shards:       o.Shards,
 	}
 }
 
@@ -276,7 +278,7 @@ func (s *Solver) Dims() int { return s.problem.Dims }
 func (s *Solver) Solve() (*Result, error) {
 	cfg := s.opts.assignConfig()
 	// Solvers are one-shot: durability is a Workspace concern.
-	cfg.Durable, cfg.WALDir, cfg.WALNoSync = false, "", false
+	cfg.Durable, cfg.WALDir = false, ""
 	r, err := s.run(s.problem, cfg)
 	if err != nil {
 		return nil, err

@@ -40,9 +40,10 @@ var (
 	// directory already holds a workspace — recover it with
 	// OpenWorkspace instead of clobbering it.
 	ErrDurableDirInUse = errors.New("assign: durability directory already holds a workspace")
-	// ErrDurabilityUnsupported is returned by NewWorkspace when the
-	// Config asks for durability and more than one object partition:
-	// snapshots and the WAL image a single partition.
+	// ErrDurabilityUnsupported is returned by NewWorkspace and
+	// OpenWorkspace when the Config asks for durability and more than
+	// one object partition: snapshots and the WAL image a single
+	// partition.
 	ErrDurabilityUnsupported = errors.New("assign: durable workspaces with more than one object partition are not supported")
 	// ErrWALDiverged is returned by OpenWorkspace when the log cannot be
 	// reconciled with the snapshot lineage: an epoch gap after a
@@ -89,6 +90,13 @@ type RecoveryInfo struct {
 // Recovery returns how this workspace was recovered, or nil if it was
 // built fresh by NewWorkspace.
 func (w *Workspace) Recovery() *RecoveryInfo { return w.recovery }
+
+// durablePartitions reports a configuration the durability layer
+// cannot serve: a WAL or snapshot directory over more than one object
+// partition (ErrDurabilityUnsupported).
+func (c Config) durablePartitions() bool {
+	return c.Shards > 1 && (c.Durable || c.WALDir != "")
+}
 
 func (c Config) fsOrOS() vfs.FS {
 	if c.FS != nil {
@@ -379,6 +387,9 @@ func recMutations(recs []snapshot.MutationRec) []Mutation {
 // continues logging. The recovered workspace continues the exact epoch
 // lineage of the one that crashed.
 func OpenWorkspace(cfg Config) (*Workspace, error) {
+	if cfg.durablePartitions() {
+		return nil, ErrDurabilityUnsupported
+	}
 	if cfg.WALDir == "" {
 		return nil, ErrNotDurable
 	}

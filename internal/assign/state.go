@@ -121,7 +121,7 @@ func buildObjectIndex(cfg Config, dims int, objs []Object) (pagestore.Store, *pa
 		store.Close()
 		return nil, nil, nil, err
 	}
-	tree, err := rtree.BulkLoadWorkers(pool, dims, items, cfg.treeFill(), cfg.buildWorkers())
+	tree, err := rtree.BulkLoadWorkers(pool, dims, items, treeFill, cfg.buildWorkers())
 	if err != nil {
 		return fail(err)
 	}

@@ -206,8 +206,6 @@ type Config struct {
 	// OmegaFrac is ω: the TA candidate queue holds Ω = ω·|F| entries
 	// (default 0.025, the paper's tuned 2.5 %).
 	OmegaFrac float64
-	// TreeFill is the STR bulk-load occupancy (default 0.9).
-	TreeFill float64
 	// FuncBufferFrac sizes the buffer over disk-resident function lists
 	// for SBAlt (default = BufferFrac).
 	FuncBufferFrac float64
@@ -293,12 +291,8 @@ func (c Config) omegaFrac() float64 {
 	return c.OmegaFrac
 }
 
-func (c Config) treeFill() float64 {
-	if c.TreeFill <= 0 || c.TreeFill > 1 {
-		return 0.9
-	}
-	return c.TreeFill
-}
+// treeFill is the STR bulk-load occupancy of every index.
+const treeFill = 0.9
 
 // buildWorkers is passed straight to rtree.BulkLoadWorkers, which maps
 // <= 0 to all cores and 1 to the sequential build.

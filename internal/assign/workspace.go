@@ -258,10 +258,10 @@ type PartitionStats struct {
 // the workspace adopts the SB solve's object tree; with more, the solve
 // tree is released and every partition bulk-loads its own.
 func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
-	n := max(cfg.Shards, 1)
-	if n > 1 && (cfg.Durable || cfg.WALDir != "") {
+	if cfg.durablePartitions() {
 		return nil, ErrDurabilityUnsupported
 	}
+	n := max(cfg.Shards, 1)
 	vcfg := cfg.versioned()
 	st, err := newSolveState(p, vcfg)
 	if err != nil {
@@ -327,7 +327,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 			w.nonlin.Add(f.ID, f.Fam, ew)
 		}
 	}
-	w.ftree, err = rtree.BulkLoadWorkers(w.fpool, p.Dims, fitems, cfg.treeFill(), cfg.buildWorkers())
+	w.ftree, err = rtree.BulkLoadWorkers(w.fpool, p.Dims, fitems, treeFill, cfg.buildWorkers())
 	if err != nil {
 		w.Close()
 		return nil, err
@@ -566,9 +566,6 @@ func (w *Workspace) Dims() int { return w.dims }
 
 // Partitions returns the number of object partitions.
 func (w *Workspace) Partitions() int { return len(w.parts) }
-
-// PartitionKind returns the resolved partitioning, "spatial" or "hash".
-func (w *Workspace) PartitionKind() string { return w.part.Kind() }
 
 // RouteObject returns the partition a (possibly not yet live) object
 // with the given point and ID lands on.

@@ -11,8 +11,10 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"fairassign/internal/assign"
@@ -34,6 +36,21 @@ func goamd64Level() string {
 			if s.Key == "GOAMD64" {
 				return s.Value
 			}
+		}
+	}
+	return ""
+}
+
+// cpuModel returns the first "model name" entry of /proc/cpuinfo, or ""
+// when the file is missing or has no such entry.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
 		}
 	}
 	return ""
@@ -116,7 +133,13 @@ type Report struct {
 	GOAMD64 string `json:"goamd64,omitempty"`
 	// SIMDLevel is the kernel set dispatched while the report was
 	// generated: "avx2", "neon", or "portable".
-	SIMDLevel   string    `json:"simd_level"`
+	SIMDLevel string `json:"simd_level"`
+	// NumCPU, GOMAXPROCS and CPUModel record the host the numbers were
+	// measured on. CPUModel is the first "model name" in /proc/cpuinfo,
+	// empty where the file or the field does not exist.
+	NumCPU      int       `json:"num_cpu"`
+	GOMAXPROCS  int       `json:"gomaxprocs"`
+	CPUModel    string    `json:"cpu_model"`
 	Seed        int64     `json:"seed"`
 	GeneratedAt time.Time `json:"generated_at"`
 	// Conformance summarizes the pre-flight differential run ("skipped"
@@ -304,6 +327,9 @@ func Run(opts Options) (*Report, error) {
 		GOARCH:      runtime.GOARCH,
 		GOAMD64:     goamd64Level(),
 		SIMDLevel:   score.SIMDLevel(),
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CPUModel:    cpuModel(),
 		Seed:        opts.Seed,
 		GeneratedAt: time.Now().UTC(),
 	}

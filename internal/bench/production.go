@@ -199,6 +199,9 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 
 	// EvalBlock duels: the columnar kernel vs a row-wise Eval loop over
 	// the full n-point dataset, one family per row, outputs bit-compared.
+	// Only families with a columnar kernel race (OWA and the other Lp
+	// exponents run the row-wise loop inside EvalBlock); Lp is pinned to
+	// p = 2, the exponent its kernel covers.
 	cols := make([][]float64, dims)
 	for d := range cols {
 		cols[d] = make([]float64, n)
@@ -210,12 +213,10 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	}
 	blockOut := make([]float64, n)
 	rowOut := make([]float64, n)
-	for _, fam := range scorerBenchFamilies {
-		ffuncs := funcs[:1]
-		if fam != "linear" {
-			ffuncs = datagen.WithScorerFamilies(funcs[:1], fam, opts.Seed+7)
-		}
-		sc := ffuncs[0].Scorer()
+	for _, fam := range []score.Family{{Kind: score.Linear}, {Kind: score.Chebyshev}, {Kind: score.Lp, P: 2}} {
+		f := funcs[0]
+		f.Fam = fam
+		sc := f.Scorer()
 		rowwise := func() error {
 			for i, o := range objs {
 				rowOut[i] = score.Eval(sc.Fam, sc.W, o.Point)
@@ -241,7 +242,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 		if err != nil {
 			return nil, err
 		}
-		row("evalblock_"+fam, ProductionCase{
+		row("evalblock_"+fam.Kind.String(), ProductionCase{
 			NsPerOp: mc.NsPerOp, Iterations: mc.Iterations,
 			RowwiseNsPerOp: mr.NsPerOp,
 			SpeedupX:       speedup(mr.NsPerOp, mc.NsPerOp),

@@ -28,28 +28,16 @@ import (
 // of object i. The scores of objects 0..len(out)-1 are written to out.
 // Every cols[d] must have at least len(out) entries.
 //
-// out[i] is bit-identical to Eval(fam, w, objectRow(i)).
+// out[i] is bit-identical to Eval(fam, w, objectRow(i)). Linear,
+// Chebyshev, and Lp at p = 1 and p = 2 run columnar kernels; OWA and
+// other Lp exponents gather each row and call Eval, because their
+// per-row sort or math.Pow dominates and columns do not speed it up.
 func EvalBlock(fam Family, w []float64, cols [][]float64, out []float64) {
 	n := len(out)
-	switch fam.Kind {
-	case OWA:
-		// Order statistics are per-object, so each row is gathered and
-		// sorted exactly as Eval does; the batching still amortizes the
-		// family dispatch and keeps the gather loops branch-free.
-		var buf [maxStackDims]float64
-		var row [maxStackDims]float64
-		rowS, bufS := row[:], buf[:]
-		if len(w) > maxStackDims {
-			rowS = make([]float64, len(w))
-			bufS = make([]float64, len(w))
-		}
-		for i := 0; i < n; i++ {
-			for d := range w {
-				rowS[d] = cols[d][i]
-			}
-			out[i] = geom.Dot(w, sortedDesc(rowS[:len(w)], bufS))
-		}
-	case Chebyshev:
+	switch {
+	case fam.Kind == Linear, fam.Kind == Lp && fam.P == 1:
+		linearBlock(w, cols, out)
+	case fam.Kind == Chebyshev:
 		if len(w) == 0 {
 			for i := range out[:n] {
 				out[i] = 0
@@ -60,38 +48,30 @@ func EvalBlock(fam Family, w []float64, cols [][]float64, out []float64) {
 		for d := 1; d < len(w); d++ {
 			simd.ScaleMax(out[:n], cols[d][:n], w[d])
 		}
-	case Lp:
-		if fam.P == 1 {
-			linearBlock(w, cols, out)
-			return
+	case fam.Kind == Lp && fam.P == 2 && len(w) > 0:
+		// powNonNeg at p == 2 is the clamped square — a pure multiply
+		// the SIMD kernel performs inline, keeping the whole
+		// power-column accumulation off the math.Pow path.
+		simd.AxpySqClampZ(out[:n], cols[0][:n], w[0])
+		for d := 1; d < len(w); d++ {
+			simd.AxpySqClamp(out[:n], cols[d][:n], w[d])
 		}
-		if fam.P == 2 && len(w) > 0 {
-			// powNonNeg at p == 2 is the clamped square — a pure
-			// multiply the SIMD kernel performs inline, keeping the
-			// whole power-column accumulation off the math.Pow path.
-			simd.AxpySqClampZ(out[:n], cols[0][:n], w[0])
-			for d := 1; d < len(w); d++ {
-				simd.AxpySqClamp(out[:n], cols[d][:n], w[d])
-			}
-		} else {
-			for i := range out[:n] {
-				out[i] = 0
-			}
-			for d, wd := range w {
-				col := cols[d][:n]
-				p := fam.P
-				for i, v := range col {
-					pv := wd * powNonNeg(v, p)
-					out[i] += pv
-				}
-			}
-		}
-		inv := 1 / fam.P
 		for i := range out[:n] {
-			out[i] = math.Pow(out[i], inv)
+			out[i] = math.Pow(out[i], 0.5)
 		}
-	default: // Linear
-		linearBlock(w, cols, out)
+	default:
+		var buf [maxStackDims]float64
+		row := buf[:]
+		if len(w) > maxStackDims {
+			row = make([]float64, len(w))
+		}
+		row = row[:len(w)]
+		for i := range out[:n] {
+			for d := range row {
+				row[d] = cols[d][i]
+			}
+			out[i] = Eval(fam, w, row)
+		}
 	}
 }
 

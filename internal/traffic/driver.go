@@ -19,10 +19,11 @@ const (
 	// ModeBatch routes mutations through the group-commit
 	// MutationQueue, coalescing concurrent arrivals into shared epochs.
 	ModeBatch Mode = "batch"
-	// ModeSharded routes mutations through a ShardedQueue into a
-	// ShardedWorkspace — one group-commit lane per shard, so writes to
-	// different shards commit concurrently. Reads are global
-	// cross-shard snapshots.
+	// ModeSharded splits the workspace into Spec.Shards object
+	// partitions (Options.Shards) and routes mutations through a
+	// ShardedQueue — one group-commit lane per partition, so writes to
+	// different partitions coalesce into partition-coherent commits.
+	// Reads are global snapshots over every partition.
 	ModeSharded Mode = "sharded"
 	// ModeClosed is the closed-loop driver: the open-loop schedule is
 	// ignored and a fixed client population issues the next operation
@@ -141,12 +142,22 @@ func summarize(lat []time.Duration) ClassStats {
 	}
 }
 
-// Run drives one trace against a fresh Workspace in the given mode and
-// returns the latency report plus the final assignment (for cross-mode
-// identity checks). maxBatch caps the group-commit batch in ModeBatch
-// (<= 0 uses the queue default); it is ignored in ModeSequential.
+// Run drives one trace open-loop against a fresh Workspace in the given
+// mode and returns the latency report plus the final assignment (for
+// cross-mode identity checks). ModeSharded builds the workspace with
+// Options{Shards: Spec.Shards}, which must exceed 1, and also reports
+// per-shard mutation latency. maxBatch caps the group-commit batch in
+// ModeBatch and ModeSharded (<= 0 uses the queue default); it is
+// ignored in ModeSequential.
 func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error) {
-	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, fairassign.Options{})
+	var opts fairassign.Options
+	if mode == ModeSharded {
+		if tr.Spec.Shards < 2 {
+			return nil, nil, fmt.Errorf("traffic: sharded run needs Spec.Shards > 1, got %d", tr.Spec.Shards)
+		}
+		opts.Shards = tr.Spec.Shards
+	}
+	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("traffic: build workspace: %w", err)
 	}
@@ -155,9 +166,9 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 	rec := &recorder{}
 	var readers sync.WaitGroup
 
-	// The mutation lane: a sequential writer goroutine, or the
-	// group-commit queue. Both preserve the trace's FIFO mutation
-	// order, so the final matching is identical across modes.
+	// The mutation lane: a sequential writer goroutine, or a
+	// group-commit queue. All preserve the trace's FIFO mutation order
+	// per object, so the final matching is identical across modes.
 	type timedMut struct {
 		m     fairassign.Mutation
 		sched time.Time
@@ -165,11 +176,14 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 	var (
 		seqCh   chan timedMut
 		writerD chan struct{}
-		queue   *fairassign.MutationQueue
+		q       queue // nil in ModeSequential
 	)
-	if mode == ModeBatch {
-		queue = fairassign.NewMutationQueue(ws, maxBatch)
-	} else {
+	switch mode {
+	case ModeBatch:
+		q = fairassign.NewMutationQueue(ws, maxBatch)
+	case ModeSharded:
+		q = fairassign.NewShardedQueue(ws, maxBatch)
+	default:
 		seqCh = make(chan timedMut, len(tr.Ops))
 		writerD = make(chan struct{})
 		go func() {
@@ -192,42 +206,34 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 		}
 		switch op.Class {
 		case ClassMutation:
-			if mode == ModeBatch {
-				ch := queue.Enqueue(op.Mut)
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					if err := <-ch; err != nil {
-						rec.fail()
-					}
-					rec.record(ClassMutation, time.Since(sched))
-				}()
-			} else {
+			if q == nil {
 				seqCh <- timedMut{m: op.Mut, sched: sched}
+				break
 			}
+			ch := q.Enqueue(op.Mut)
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				if err := <-ch; err != nil {
+					rec.fail()
+				}
+				rec.recordShard(op.Shard, time.Since(sched))
+			}()
 		case ClassSnapshot:
 			readers.Add(1)
 			go func() {
 				defer readers.Done()
-				v, err := ws.Snapshot()
+				err := acquire(ws)
 				rec.record(ClassSnapshot, time.Since(sched))
 				if err != nil {
 					rec.fail()
-					return
 				}
-				v.Close()
 			}()
 		default: // ClassQuery
 			readers.Add(1)
 			go func() {
 				defer readers.Done()
-				v, err := ws.Snapshot()
-				if err != nil {
-					rec.fail()
-					return
-				}
-				defer v.Close()
-				if _, err := v.TopK(op.Query, op.K); err != nil {
+				if err := query(ws, op); err != nil {
 					rec.fail()
 					return
 				}
@@ -235,19 +241,179 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 			}()
 		}
 	}
-	if mode == ModeBatch {
+	if q != nil {
 		readers.Wait() // all enqueue completions observed
-		queue.Close()
+		q.Close()
 	} else {
 		close(seqCh)
 		<-writerD
 		readers.Wait()
 	}
-	wall := time.Since(start)
+	res, pairs := finish(tr, mode, time.Since(start), ws, rec)
+	if mode == ModeSharded {
+		res.Shards = tr.Spec.Shards
+		res.PerShard = perShardStats(rec, res.Shards)
+	}
+	return res, pairs, nil
+}
 
+// RunClosed drives the trace closed-loop: the arrival schedule is
+// ignored, and a fixed client population issues each next operation
+// only after the previous one completes. Latencies are therefore pure
+// service times, and AchievedRate is the saturation throughput at this
+// concurrency — sweeping the client count locates the knee where
+// throughput stops scaling.
+//
+// The workspace is built with Options{Shards: Spec.Shards}. Mutations
+// keep their required ordering by draining in per-lane FIFO: one
+// writer client per mutation lane. Unsharded traces have a single lane
+// behind a MutationQueue; sharded traces (Spec.Shards > 1) go through a
+// ShardedQueue and have one lane per shard plus a global lane for
+// function mutations — lanes touch disjoint entities, so any
+// interleaving of in-order lanes is valid and the final matching is
+// score-identical regardless of schedule. The remaining `clients`
+// clients drain the read operations.
+func RunClosed(tr *Trace, clients, maxBatch int) (*Result, []fairassign.Pair, error) {
+	if clients < 1 {
+		clients = 1
+	}
+	shards := tr.Spec.Shards
+	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, fairassign.Options{Shards: shards})
+	if err != nil {
+		return nil, nil, fmt.Errorf("traffic: build workspace: %w", err)
+	}
+	defer ws.Close()
+
+	var (
+		q          queue
+		writeLanes = 1
+		laneOf     = func(*Op) int { return 0 }
+	)
+	if shards > 1 {
+		q = fairassign.NewShardedQueue(ws, maxBatch)
+		// Lane = routing key; global function mutations get the extra
+		// last lane (mirrors ShardedQueue's internal routing).
+		writeLanes = shards + 1
+		laneOf = func(op *Op) int {
+			if op.Shard < 0 {
+				return shards
+			}
+			return op.Shard
+		}
+	} else {
+		q = fairassign.NewMutationQueue(ws, maxBatch)
+	}
+
+	// Split the trace: per-lane mutation streams (order within a lane
+	// preserved) and the read stream.
+	lanes := make([][]*Op, writeLanes)
+	var reads []*Op
+	for i := range tr.Ops {
+		op := &tr.Ops[i]
+		if op.Class == ClassMutation {
+			l := laneOf(op)
+			lanes[l] = append(lanes[l], op)
+		} else {
+			reads = append(reads, op)
+		}
+	}
+
+	rec := &recorder{}
+	var wg sync.WaitGroup
+	start := time.Now()
+
+	// One closed-loop writer client per lane.
+	for _, lane := range lanes {
+		if len(lane) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(lane []*Op) {
+			defer wg.Done()
+			for _, op := range lane {
+				t0 := time.Now()
+				if err := <-q.Enqueue(op.Mut); err != nil {
+					rec.fail()
+				}
+				rec.recordShard(op.Shard, time.Since(t0))
+			}
+		}(lane)
+	}
+
+	// The read clients share one work queue.
+	readCh := make(chan *Op)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for op := range readCh {
+				t0 := time.Now()
+				var err error
+				if op.Class == ClassSnapshot {
+					err = acquire(ws)
+				} else {
+					err = query(ws, op)
+				}
+				if err != nil {
+					rec.fail()
+					continue
+				}
+				rec.record(op.Class, time.Since(t0))
+			}
+		}()
+	}
+	for _, op := range reads {
+		readCh <- op
+	}
+	close(readCh)
+	wg.Wait()
+
+	res, pairs := finish(tr, ModeClosed, time.Since(start), ws, rec)
+	q.Close()
+	res.Clients = clients
+	if shards > 1 {
+		res.Shards = shards
+		res.PerShard = perShardStats(rec, shards)
+	}
+	return res, pairs, nil
+}
+
+// queue is the group-commit front end a run enqueues its mutations
+// through: a MutationQueue, or a ShardedQueue on a partitioned
+// workspace.
+type queue interface {
+	Enqueue(fairassign.Mutation) <-chan error
+	Close()
+}
+
+// acquire takes one snapshot of ws and releases it.
+func acquire(ws *fairassign.Workspace) error {
+	v, err := ws.Snapshot()
+	if err != nil {
+		return err
+	}
+	v.Close()
+	return nil
+}
+
+// query runs op's top-K view query on a fresh snapshot of ws.
+func query(ws *fairassign.Workspace, op *Op) error {
+	v, err := ws.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer v.Close()
+	_, err = v.TopK(op.Query, op.K)
+	return err
+}
+
+// finish assembles the report of a completed run from the workspace's
+// final state and the recorded latencies, and returns the final
+// matching with it.
+func finish(tr *Trace, mode Mode, wall time.Duration, ws *fairassign.Workspace, rec *recorder) (*Result, []fairassign.Pair) {
 	st := ws.Stats()
 	pairs := ws.Assignment()
-	res := &Result{
+	return &Result{
 		Mode:           mode,
 		WallNS:         int64(wall),
 		Ops:            len(tr.Ops),
@@ -261,6 +427,13 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 			ClassQuery.String():    summarize(rec.lat[ClassQuery]),
 		},
 		FinalPairs: len(pairs),
+	}, pairs
+}
+
+func perShardStats(rec *recorder, shards int) []ClassStats {
+	out := make([]ClassStats, shards)
+	for s := 0; s < shards; s++ {
+		out[s] = summarize(rec.shard[s])
 	}
-	return res, pairs, nil
+	return out
 }

@@ -66,10 +66,11 @@ func TestShardedTraceRoutingKeys(t *testing.T) {
 	}
 }
 
-// TestRunShardedMatchesSequential drives the same trace through the
-// baseline sequential writer and the sharded tier and requires the
-// identical final matching — the loadgen-level shard invariance check.
-func TestRunShardedMatchesSequential(t *testing.T) {
+// TestShardedModeMatchesSequential drives the same trace through the
+// baseline sequential writer and a partitioned workspace (ModeSharded)
+// and requires the identical final matching — the loadgen-level shard
+// invariance check.
+func TestShardedModeMatchesSequential(t *testing.T) {
 	tr, err := NewTrace(shardedSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, pairs, err := RunSharded(tr, 32)
+	res, pairs, err := Run(tr, ModeSharded, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

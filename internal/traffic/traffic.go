@@ -55,13 +55,14 @@ type Spec struct {
 	// objects and functions.
 	MaxCap int `json:"max_cap,omitempty"`
 
-	// Shards > 1 makes this a multi-tenant trace for the sharded tier:
-	// every mutation is tagged with the shard routing key the
-	// ShardedWorkspace would assign it (the generator derives the same
-	// spatial partitioner from the initial population), and the driver
-	// runs the trace against a ShardedWorkspace, reporting per-shard
-	// mutation latency alongside the global percentiles. Reads are
-	// global (cross-shard merges) and carry no routing key.
+	// Shards > 1 makes this a multi-tenant trace for a partitioned
+	// workspace: every mutation is tagged with the object partition a
+	// Workspace built with Options{Shards: Shards} would route it to
+	// (the generator derives the same spatial partitioner from the
+	// initial population), and ModeSharded and RunClosed drive the
+	// trace against such a workspace, reporting per-shard mutation
+	// latency alongside the global percentiles. Reads are global
+	// (cross-partition merges) and carry no routing key.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -214,8 +215,8 @@ func NewTrace(spec Spec) (*Trace, error) {
 	qpool := fairassign.GenerateFunctions(32, spec.Dims, spec.Seed+3)
 	zipf := newZipfPicker(rng, spec.Zipf)
 
-	// Sharded traces tag mutations with the routing key the sharded
-	// tier will assign them. The generator builds the identical spatial
+	// Sharded traces tag mutations with the routing key a partitioned
+	// workspace will assign them. The generator builds the identical spatial
 	// partitioner from the identical initial population, and routing is
 	// a pure function of (point, ID), so generation-time tags agree
 	// with drive-time ownership.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fairassign/internal/assign"
 	"fairassign/internal/geom"
@@ -153,9 +152,9 @@ type queued struct {
 
 // Applier is the commit target of a MutationQueue: anything that lands
 // a batch of mutations as one group commit with Workspace.Apply's
-// atomicity contract. Both *Workspace and *ShardedWorkspace satisfy it,
-// so the same queue front end serves the single-writer and the sharded
-// tiers.
+// atomicity contract. *Workspace satisfies it at every partition count;
+// ShardedQueue puts one MutationQueue per partition lane in front of the
+// same Workspace.
 type Applier interface {
 	Apply(muts []Mutation) error
 }
@@ -169,23 +168,20 @@ type Applier interface {
 // size grows toward MaxBatch and the per-mutation commit cost is
 // amortized away.
 //
-// Failure semantics: if a batch fails validation, the queue retries the
-// mutations one at a time so one bad mutation cannot reject its
-// innocent batch-mates — each waiter receives its own verdict. If the
-// workspace poisons (ErrWorkspaceCorrupt), every in-flight and
-// subsequent mutation fails with that error.
+// Failure semantics: if a batch fails validation, the queue applies its
+// mutations again one at a time, once each, so one bad mutation cannot
+// reject its innocent batch-mates — each waiter receives its own
+// verdict. If the workspace poisons (ErrWorkspaceCorrupt), every
+// in-flight and subsequent mutation fails with that error.
 type MutationQueue struct {
 	ws        Applier
 	maxBatch  int
-	retries   int
-	backoff   time.Duration
 	ch        chan queued
 	pumpDone  chan struct{}
 	closing   sync.RWMutex
 	closed    bool
 	mutations atomic.Int64
 	batches   atomic.Int64
-	retried   atomic.Int64
 	dropped   atomic.Int64
 }
 
@@ -193,56 +189,26 @@ type MutationQueue struct {
 // NewMutationQueue is given maxBatch <= 0.
 const DefaultMaxBatch = 128
 
-// QueueOptions configures a MutationQueue. The zero value means
-// DefaultMaxBatch, one individual attempt per mutation after a failed
-// batch, and no backoff — the same behavior as NewMutationQueue.
-type QueueOptions struct {
-	// MaxBatch caps the number of mutations coalesced into one commit
-	// (<= 0 means DefaultMaxBatch).
-	MaxBatch int
-	// MaxRetries bounds the individual Apply attempts per mutation when
-	// its group commit fails (<= 0 means 1: each batch-mate is tried
-	// once on its own, never re-tried). Attempts past the first only
-	// help when failures are transient; deterministic validation errors
-	// fail every attempt and are simply delayed by the backoff.
-	MaxRetries int
-	// RetryBackoff is the sleep between successive attempts of the same
-	// mutation. The pump sleeps, so backoff delays everything queued
-	// behind the failing mutation — keep it small.
-	RetryBackoff time.Duration
-}
-
 // NewMutationQueue starts the pump over the given workspace. maxBatch
 // caps the number of mutations coalesced into one commit (<= 0 means
 // DefaultMaxBatch). The queue does not own the workspace: Close stops
 // the pump but leaves the workspace open.
 func NewMutationQueue(ws Applier, maxBatch int) *MutationQueue {
-	return NewMutationQueueOpts(ws, QueueOptions{MaxBatch: maxBatch})
-}
-
-// NewMutationQueueOpts starts the pump with explicit retry and backoff
-// policy; see QueueOptions.
-func NewMutationQueueOpts(ws Applier, qo QueueOptions) *MutationQueue {
-	mq := newMutationQueue(ws, qo)
+	mq := newMutationQueue(ws, maxBatch)
 	go mq.pump()
 	return mq
 }
 
 // newMutationQueue builds the queue without starting the pump; tests
 // use it to pre-load the channel and observe deterministic coalescing.
-func newMutationQueue(ws Applier, qo QueueOptions) *MutationQueue {
-	if qo.MaxBatch <= 0 {
-		qo.MaxBatch = DefaultMaxBatch
-	}
-	if qo.MaxRetries <= 0 {
-		qo.MaxRetries = 1
+func newMutationQueue(ws Applier, maxBatch int) *MutationQueue {
+	if maxBatch <= 0 {
+		maxBatch = DefaultMaxBatch
 	}
 	return &MutationQueue{
 		ws:       ws,
-		maxBatch: qo.MaxBatch,
-		retries:  qo.MaxRetries,
-		backoff:  qo.RetryBackoff,
-		ch:       make(chan queued, 4*qo.MaxBatch),
+		maxBatch: maxBatch,
+		ch:       make(chan queued, 4*maxBatch),
 		pumpDone: make(chan struct{}),
 	}
 }
@@ -320,10 +286,8 @@ type QueueStats struct {
 	// factor.
 	Mutations int64
 	Batches   int64
-	// Retries counts individual Apply attempts beyond each mutation's
-	// first (only possible with QueueOptions.MaxRetries > 1); Dropped
-	// counts mutations abandoned by EnqueueCtx before queue admission.
-	Retries int64
+	// Dropped counts mutations abandoned by EnqueueCtx before queue
+	// admission.
 	Dropped int64
 }
 
@@ -332,7 +296,6 @@ func (mq *MutationQueue) Stats() QueueStats {
 	return QueueStats{
 		Mutations: mq.mutations.Load(),
 		Batches:   mq.batches.Load(),
-		Retries:   mq.retried.Load(),
 		Dropped:   mq.dropped.Load(),
 	}
 }
@@ -380,26 +343,12 @@ func (mq *MutationQueue) commit(batch []queued) {
 			q.errc <- err
 		}
 	default:
-		// A validation error rejected the whole batch atomically; retry
-		// individually so only the offending mutations fail. Each
-		// mutation gets up to maxRetries attempts with backoff between
-		// them; corruption is fatal and never re-tried.
+		// A validation error rejected the whole batch atomically; apply
+		// each mutation on its own, once, so only the offending ones
+		// fail.
 		for _, q := range batch {
-			var err error
-			for attempt := 0; attempt < mq.retries; attempt++ {
-				if attempt > 0 {
-					mq.retried.Add(1)
-					if mq.backoff > 0 {
-						time.Sleep(mq.backoff)
-					}
-				}
-				mq.batches.Add(1)
-				err = mq.ws.Apply([]Mutation{q.m})
-				if err == nil || errors.Is(err, ErrWorkspaceCorrupt) {
-					break
-				}
-			}
-			q.errc <- err
+			mq.batches.Add(1)
+			q.errc <- mq.ws.Apply([]Mutation{q.m})
 		}
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-func shardedTwin(t *testing.T, shards int) (*ShardedWorkspace, *Workspace) {
+func shardedTwin(t *testing.T, shards int) (*Workspace, *Workspace) {
 	t.Helper()
 	objects := GenerateObjects(Independent, 150, 3, 21)
 	functions := GenerateFunctions(12, 3, 22)
-	sw, err := NewShardedWorkspace(objects, functions, ShardedOptions{Shards: shards})
+	sw, err := NewWorkspace(objects, functions, Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,19 +23,13 @@ func shardedTwin(t *testing.T, shards int) (*ShardedWorkspace, *Workspace) {
 	return sw, ws
 }
 
-// TestShardedWorkspaceMatchesWorkspace drives identical mutations into
-// a 4-shard workspace and its single-workspace twin and requires
-// byte-identical assignments, invariant stats, and identical TopK
-// output — the public-API face of the shard-count invariance the
+// TestPartitionedWorkspaceMatchesWorkspace drives identical mutations
+// into a 4-partition workspace and its single-partition twin and
+// requires byte-identical assignments, invariant stats, and identical
+// TopK output — the public-API face of the shard-count invariance the
 // conformance sweep asserts exhaustively.
-func TestShardedWorkspaceMatchesWorkspace(t *testing.T) {
+func TestPartitionedWorkspaceMatchesWorkspace(t *testing.T) {
 	sw, ws := shardedTwin(t, 4)
-	if sw.Shards() != 4 {
-		t.Fatalf("Shards() = %d", sw.Shards())
-	}
-	if p := sw.Partition(); p != "spatial" {
-		t.Fatalf("Partition() = %q, want spatial for a continuous population", p)
-	}
 
 	muts := []Mutation{
 		AddObjectOp(Object{ID: 5000, Attributes: []float64{0.9, 0.2, 0.4}}),
@@ -68,9 +62,6 @@ func TestShardedWorkspaceMatchesWorkspace(t *testing.T) {
 	ss, ts := sw.Stats(), ws.Stats()
 	if ss.Objects != ts.Objects || ss.Functions != ts.Functions || ss.AssignedUnits != ts.AssignedUnits {
 		t.Fatalf("invariant stats differ: sharded %+v vs %+v", ss, ts)
-	}
-	if len(ss.PerShard) != 4 {
-		t.Fatalf("PerShard has %d entries", len(ss.PerShard))
 	}
 
 	// TopK through the ceiling merge equals the single-tree search.
@@ -108,16 +99,16 @@ func TestShardedWorkspaceMatchesWorkspace(t *testing.T) {
 // matches a direct Apply twin.
 func TestShardedQueueRouting(t *testing.T) {
 	sw, ws := shardedTwin(t, 3)
+	q := NewShardedQueue(sw, 16)
 	// Routing is observable before enqueueing.
 	add := AddObjectOp(Object{ID: 9000, Attributes: []float64{0.5, 0.5, 0.5}})
-	if sh := sw.RouteMutation(add); sh < 0 || sh >= 3 {
-		t.Fatalf("RouteMutation(add) = %d", sh)
+	if sh := q.partitionOf(add); sh < 0 || sh >= 3 {
+		t.Fatalf("partitionOf(add) = %d", sh)
 	}
-	if sh := sw.RouteMutation(AddFunctionOp(Function{ID: 9000, Weights: []float64{1, 1, 1}})); sh != -1 {
-		t.Fatalf("function op routed to shard %d, want -1 (global lane)", sh)
+	if lane := q.route(AddFunctionOp(Function{ID: 9000, Weights: []float64{1, 1, 1}})); lane != q.queues[3] {
+		t.Fatal("function op not routed to the global lane")
 	}
 
-	q := NewShardedQueue(sw, 16)
 	muts := []Mutation{
 		add,
 		AddObjectOp(Object{ID: 9001, Attributes: []float64{0.9, 0.1, 0.2}}),
@@ -130,7 +121,7 @@ func TestShardedQueueRouting(t *testing.T) {
 	// add commits, so the queue must send it down the add's lane.
 	for i := 0; i < 8; i++ {
 		o := Object{ID: uint64(9100 + i), Attributes: []float64{0.95 - 0.1*float64(i), 0.5, 0.5}}
-		if sw.RouteMutation(AddObjectOp(o)) == 0 {
+		if q.partitionOf(AddObjectOp(o)) == 0 {
 			continue
 		}
 		muts = append(muts, AddObjectOp(o), RemoveObjectOp(o.ID))
@@ -157,24 +148,44 @@ func TestShardedQueueRouting(t *testing.T) {
 		t.Fatalf("queue stats: %+v, want %d mutations", qs, len(muts))
 	}
 	// RemoveObject of a routed object reports its actual owner.
-	if sh, want := sw.RouteMutation(RemoveObjectOp(9001)), sw.RouteMutation(AddObjectOp(Object{ID: 9001, Attributes: []float64{0.9, 0.1, 0.2}})); sh != want {
+	if sh, want := q.partitionOf(RemoveObjectOp(9001)), q.partitionOf(AddObjectOp(Object{ID: 9001, Attributes: []float64{0.9, 0.1, 0.2}})); sh != want {
 		t.Fatalf("remove routed to %d, owner is %d", sh, want)
 	}
 }
 
-// TestShardedWorkspaceRejectsDurability pins the public error for the
-// unsupported durable configuration.
-func TestShardedWorkspaceRejectsDurability(t *testing.T) {
+// TestPartitionedWorkspaceRejectsDurability pins the public error for
+// the unsupported durable configuration.
+func TestPartitionedWorkspaceRejectsDurability(t *testing.T) {
 	objects := GenerateObjects(Independent, 40, 2, 31)
 	functions := GenerateFunctions(6, 2, 32)
-	opts := ShardedOptions{Shards: 2}
-	opts.Durable = true
-	if _, err := NewShardedWorkspace(objects, functions, opts); !errors.Is(err, ErrDurabilityUnsupported) {
+	if _, err := NewWorkspace(objects, functions, Options{Shards: 2, Durable: true}); !errors.Is(err, ErrDurabilityUnsupported) {
 		t.Fatalf("Durable: err = %v, want ErrDurabilityUnsupported", err)
 	}
-	opts = ShardedOptions{Shards: 2}
-	opts.WALDir = t.TempDir()
-	if _, err := NewShardedWorkspace(objects, functions, opts); !errors.Is(err, ErrDurabilityUnsupported) {
+	if _, err := NewWorkspace(objects, functions, Options{Shards: 2, WALDir: t.TempDir()}); !errors.Is(err, ErrDurabilityUnsupported) {
 		t.Fatalf("WALDir: err = %v, want ErrDurabilityUnsupported", err)
 	}
+}
+
+// TestOpenWorkspaceRejectsShards asserts recovery refuses more than one
+// object partition instead of silently restoring a single one: the
+// directory holds a valid durable workspace, which opens with the
+// default partition count.
+func TestOpenWorkspaceRejectsShards(t *testing.T) {
+	dir := t.TempDir()
+	ws, err := NewWorkspace(GenerateObjects(Independent, 40, 2, 33), GenerateFunctions(6, 2, 34), Options{Durable: true, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.RemoveObject(3); err != nil {
+		t.Fatal(err)
+	}
+	ws.Close()
+	if _, err := OpenWorkspace(Options{Shards: 2, WALDir: dir}); !errors.Is(err, ErrDurabilityUnsupported) {
+		t.Fatalf("Shards 2: err = %v, want ErrDurabilityUnsupported", err)
+	}
+	rw, err := OpenWorkspace(Options{WALDir: dir})
+	if err != nil {
+		t.Fatalf("default partitions: %v", err)
+	}
+	rw.Close()
 }
