@@ -19,17 +19,13 @@
 //	loadgen [-out traffic.json] [-seed 20090824] [-n 2000] [-funcs 64]
 //	        [-dims 3] [-ops 20000] [-rate 5000] [-burst 4] [-zipf 1.2]
 //	        [-write 0.2] [-batch 128] [-mode both|seq|batch]
-//	        [-shards N] [-closed] [-clients C]
+//	        [-closed] [-clients C]
 //	        [-crash] [-preflight 0] [-quick]
 //
-// -shards N (> 1) makes the trace multi-tenant: every mutation is
-// tagged with the object partition a Workspace built with
-// Options{Shards: N} routes it to, and an additional run drives such a
-// workspace through a ShardedQueue's per-partition group-commit lanes,
-// reporting per-shard mutation percentiles next to the global classes. -closed adds a closed-loop run: the arrival
-// schedule is ignored and C read clients (plus one writer client per
-// mutation lane) each issue their next operation only on completion —
-// sweeping -clients across runs traces the throughput/latency knee.
+// -closed adds a closed-loop run: the arrival schedule is ignored and C
+// read clients (plus one in-order writer client) each issue their next
+// operation only on completion — sweeping -clients across runs traces
+// the throughput/latency knee.
 // All runs must end in the same final matching; the process exits
 // non-zero otherwise.
 //
@@ -81,7 +77,6 @@ func main() {
 	maxCap := flag.Int("maxcap", 3, "max random capacity for arriving entities (<=1 unit caps)")
 	batch := flag.Int("batch", 128, "group-commit max batch size")
 	mode := flag.String("mode", "both", "driver mode: both, seq, or batch")
-	shards := flag.Int("shards", 0, "multi-tenant mode: tag mutations with shard routing keys and add a run on a workspace with that many object partitions, with per-shard latency (>1 enables)")
 	closed := flag.Bool("closed", false, "add a closed-loop run: ignore the arrival schedule, drive with a fixed client population, and report saturation throughput (sweep -clients to find the knee)")
 	clients := flag.Int("clients", 8, "closed-loop read-client population (-closed)")
 	crash := flag.Bool("crash", false, "also run the crash-replay conformance mode: crash a durable workspace mid-trace, recover from snapshot+WAL, finish, and require the final matching to equal an uninterrupted run")
@@ -113,7 +108,6 @@ func main() {
 		Zipf:      *zipf,
 		WriteFrac: *write,
 		MaxCap:    *maxCap,
-		Shards:    *shards,
 	}
 	if *quick {
 		spec.Objects = 400
@@ -165,16 +159,12 @@ func main() {
 		res, pairs, err := traffic.Run(tr, m, *batch)
 		collect(string(m), res, pairs, err)
 	}
-	if spec.Shards > 1 {
-		res, pairs, err := traffic.Run(tr, traffic.ModeSharded, *batch)
-		collect("sharded", res, pairs, err)
-	}
 	if *closed {
 		res, pairs, err := traffic.RunClosed(tr, *clients, *batch)
 		collect("closed", res, pairs, err)
 	}
-	// Every driver lands the same mutation stream (FIFO per dependency
-	// lane), so all modes must end in the same matching.
+	// Every driver lands the same mutation stream in FIFO order, so all
+	// modes must end in the same matching.
 	for i := 1; i < len(pairSets); i++ {
 		if !sameMultiset(pairSets[0], pairSets[i]) {
 			fmt.Fprintf(os.Stderr, "loadgen: CONFORMANCE FAILURE: %s and %s runs produced different final matchings\n",
@@ -221,11 +211,8 @@ func main() {
 
 func printRun(r *traffic.Result) {
 	tag := ""
-	if r.Shards > 0 {
-		tag = fmt.Sprintf(" [%d shards]", r.Shards)
-	}
 	if r.Clients > 0 {
-		tag += fmt.Sprintf(" [%d clients, closed loop]", r.Clients)
+		tag = fmt.Sprintf(" [%d clients, closed loop]", r.Clients)
 	}
 	fmt.Printf("%-10s %6d ops in %8v (%.0f ops/s achieved) | mutations %d, commits %d%s\n",
 		r.Mode, r.Ops, time.Duration(r.WallNS).Round(time.Millisecond), r.AchievedRate, r.Mutations, r.Commits, tag)
@@ -236,17 +223,6 @@ func printRun(r *traffic.Result) {
 		}
 		fmt.Printf("  %-16s n=%-6d p50 %9v  p95 %9v  p99 %9v  max %9v\n",
 			class, cs.Count,
-			time.Duration(cs.P50NS).Round(time.Microsecond),
-			time.Duration(cs.P95NS).Round(time.Microsecond),
-			time.Duration(cs.P99NS).Round(time.Microsecond),
-			time.Duration(cs.MaxNS).Round(time.Microsecond))
-	}
-	for s, cs := range r.PerShard {
-		if cs.Count == 0 {
-			continue
-		}
-		fmt.Printf("  shard %-10d n=%-6d p50 %9v  p95 %9v  p99 %9v  max %9v\n",
-			s, cs.Count,
 			time.Duration(cs.P50NS).Round(time.Microsecond),
 			time.Duration(cs.P95NS).Round(time.Microsecond),
 			time.Duration(cs.P99NS).Round(time.Microsecond),

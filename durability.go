@@ -29,10 +29,6 @@ var (
 	// ErrDurableDirInUse is returned by NewWorkspace when WALDir already
 	// holds a workspace; recover it with OpenWorkspace instead.
 	ErrDurableDirInUse = assign.ErrDurableDirInUse
-	// ErrDurabilityUnsupported is returned by NewWorkspace and
-	// OpenWorkspace when Options.Shards > 1 and Durable or WALDir is
-	// set: snapshots and the log image a single object partition.
-	ErrDurabilityUnsupported = assign.ErrDurabilityUnsupported
 )
 
 // RecoveryInfo describes how OpenWorkspace reconstructed a workspace.
@@ -70,9 +66,7 @@ type RecoveryInfo struct {
 // state; opts supplies only the runtime configuration (page size,
 // buffering, workers, durability), which is why it must match the
 // PageSize the workspace was built with only in so far as the page
-// stores are rebuilt from the snapshot's own page size. A recovered
-// workspace has one object partition: opts.Shards > 1 fails with
-// ErrDurabilityUnsupported.
+// stores are rebuilt from the snapshot's own page size.
 func OpenWorkspace(opts Options) (*Workspace, error) {
 	ws, err := assign.OpenWorkspace(opts.assignConfig())
 	if err != nil {

@@ -49,9 +49,6 @@
 // epoch-pinned observation of the matching, population, and object
 // index that stays consistent (byte-identical output) no matter how
 // the workspace mutates afterwards. See the Workspace and View types.
-// Options.Shards splits a workspace's objects into object partitions
-// that commit and snapshot independently under the identical matching;
-// NewShardedQueue gives each partition its own group-commit lane.
 package fairassign
 
 import (
@@ -183,17 +180,6 @@ type Options struct {
 	// mutations between snapshots are not logged and a crash rewinds to
 	// the last snapshot.
 	WALDir string
-	// Shards splits a Workspace's objects into that many object
-	// partitions (<= 0 means 1), each with its own page store, R-tree,
-	// availability frontier and epoch, under one repair engine. The
-	// matching, Assignment and TopK answers are byte-identical at every
-	// count; a commit republishes, and the next Snapshot re-captures,
-	// only the partitions its mutations touched, and NewShardedQueue
-	// gives each partition its own group-commit lane. Partitioned
-	// workspaces are in-memory only: NewWorkspace and OpenWorkspace
-	// return ErrDurabilityUnsupported when Shards > 1 and Durable or
-	// WALDir is set. Ignored by Solver.
-	Shards int
 }
 
 // assignConfig maps public options to the internal engine configuration
@@ -208,7 +194,6 @@ func (o Options) assignConfig() assign.Config {
 		BuildWorkers: o.BuildWorkers,
 		Durable:      o.Durable,
 		WALDir:       o.WALDir,
-		Shards:       o.Shards,
 	}
 }
 

@@ -1,7 +1,6 @@
 package assign_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -32,18 +31,12 @@ func unshared(prev, cur []uintptr) int {
 // and all but at most one function chunk. Pair chunks are re-copied
 // for at most the functions whose assignments changed.
 func TestCaptureSharesUnwrittenChunks(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) { captureSharesUnwrittenChunks(t, shards) })
-	}
-}
-
-func captureSharesUnwrittenChunks(t *testing.T, shards int) {
 	p := &assign.Problem{
 		Dims:      2,
 		Objects:   datagen.Objects(datagen.Independent, 5000, 2, 42),
 		Functions: datagen.Functions(300, 2, 43),
 	}
-	ws, err := assign.NewWorkspace(p, assign.Config{PageSize: 512, Shards: shards})
+	ws, err := assign.NewWorkspace(p, assign.Config{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,6 @@ var (
 	// directory already holds a workspace — recover it with
 	// OpenWorkspace instead of clobbering it.
 	ErrDurableDirInUse = errors.New("assign: durability directory already holds a workspace")
-	// ErrDurabilityUnsupported is returned by NewWorkspace and
-	// OpenWorkspace when the Config asks for durability and more than
-	// one object partition: snapshots and the WAL image a single
-	// partition.
-	ErrDurabilityUnsupported = errors.New("assign: durable workspaces with more than one object partition are not supported")
 	// ErrWALDiverged is returned by OpenWorkspace when the log cannot be
 	// reconciled with the snapshot lineage: an epoch gap after a
 	// mid-log corruption, a record batch that fails validation against
@@ -90,13 +85,6 @@ type RecoveryInfo struct {
 // Recovery returns how this workspace was recovered, or nil if it was
 // built fresh by NewWorkspace.
 func (w *Workspace) Recovery() *RecoveryInfo { return w.recovery }
-
-// durablePartitions reports a configuration the durability layer
-// cannot serve: a WAL or snapshot directory over more than one object
-// partition (ErrDurabilityUnsupported).
-func (c Config) durablePartitions() bool {
-	return c.Shards > 1 && (c.Durable || c.WALDir != "")
-}
 
 func (c Config) fsOrOS() vfs.FS {
 	if c.FS != nil {
@@ -222,7 +210,7 @@ func (w *Workspace) pruneDurableFiles() {
 // so its chains hold the final bytes; that flush is the only I/O the
 // capture performs. Caller holds w.mu.
 func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
-	pt := w.parts[0] // durable workspaces have one partition
+	pt := w.obj
 	if err := pt.pool.Flush(); err != nil {
 		return nil, err
 	}
@@ -387,9 +375,6 @@ func recMutations(recs []snapshot.MutationRec) []Mutation {
 // continues logging. The recovered workspace continues the exact epoch
 // lineage of the one that crashed.
 func OpenWorkspace(cfg Config) (*Workspace, error) {
-	if cfg.durablePartitions() {
-		return nil, ErrDurabilityUnsupported
-	}
 	if cfg.WALDir == "" {
 		return nil, ErrNotDurable
 	}
@@ -542,8 +527,7 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	w := &Workspace{
 		cfg:      cfg,
 		dims:     d.Dims,
-		parts:    []*objPart{pt},
-		part:     NewPartitioner(d.Dims, 1, nil),
+		obj:      pt,
 		epoch:    d.Epoch - 1, // the commit sealing the restored state publishes d.Epoch
 		funcs:    newCowTable[Function](len(p.Functions)),
 		eff:      make(map[uint64]score.Scorer, len(p.Functions)),

@@ -320,11 +320,7 @@ func (w *Workspace) mutateLocked(m *Mutation) error {
 
 func (w *Workspace) addObjectLocked(o Object) error {
 	point := o.Point.Clone()
-	i := w.part.Route(point, o.ID)
-	if w.owner != nil {
-		w.owner[o.ID] = i
-	}
-	pt := w.parts[i]
+	pt := w.obj
 	pt.objs.set(o.ID, Object{ID: o.ID, Point: point, Capacity: o.Capacity})
 	pt.dropPub()
 	pt.pageDirty = true
@@ -340,13 +336,14 @@ func (w *Workspace) addObjectLocked(o Object) error {
 }
 
 func (w *Workspace) removeObjectLocked(id uint64) error {
-	pt := w.partOf(id)
+	pt := w.obj
 	o, _ := pt.objs.get(id)
 	pt.dropPub()
 	pt.pageDirty = true
-	// Invalidate the availability frontier first: an exhausted object
-	// already left it (Discarded on exhaustion), so a second Discard
-	// would only grow the tombstone set.
+	// Take the object off the availability frontier first. An exhausted
+	// object already left it (Discarded on exhaustion); a parked one
+	// stays where it is until it resurfaces, and the frontier's live
+	// check drops it then, since the tables below no longer hold it.
 	if pt.caps.remaining[id] > 0 {
 		if err := pt.avail.Discard(id); err != nil {
 			return err
@@ -365,7 +362,6 @@ func (w *Workspace) removeObjectLocked(id uint64) error {
 	}
 	pt.caps.drop(id)
 	pt.objs.del(id)
-	delete(w.owner, id)
 	return nil
 }
 
@@ -395,7 +391,7 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 		if err := w.unlink(p); err != nil {
 			return err
 		}
-		if err := w.partOf(p.oid).restoreUnit(p.oid); err != nil {
+		if err := w.obj.restoreUnit(p.oid); err != nil {
 			return err
 		}
 		w.pushObj(p.oid)

@@ -90,38 +90,29 @@ func (c Config) versioned() Config {
 	return c
 }
 
-// newSolveState validates the problem and builds the object index.
+// newSolveState validates the problem and bulk-loads the object R-tree
+// into a fresh store. The buffer is then shrunk to the experiment's
+// fraction, cleared, and the I/O counters reset so that runs start cold
+// and index construction is not charged to the algorithm — matching the
+// paper's setup where O is a persistent indexed dataset.
 func newSolveState(p *Problem, cfg Config) (*solveState, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	store, pool, tree, err := buildObjectIndex(cfg, p.Dims, p.Objects)
+	store, err := cfg.newStore()
 	if err != nil {
 		return nil, err
 	}
-	return &solveState{p: p, cfg: cfg, store: store, pool: pool, tree: tree}, nil
-}
-
-// buildObjectIndex bulk-loads an object R-tree into a fresh store. The
-// buffer is then shrunk to the experiment's fraction, cleared, and the
-// I/O counters reset so that runs start cold and index construction is
-// not charged to the algorithm — matching the paper's setup where O is
-// a persistent indexed dataset.
-func buildObjectIndex(cfg Config, dims int, objs []Object) (pagestore.Store, *pagestore.BufferPool, *rtree.Tree, error) {
-	store, err := cfg.newStore()
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	pool := cfg.newBuildPool(store)
-	items := make([]rtree.Item, len(objs))
-	for i, o := range objs {
+	items := make([]rtree.Item, len(p.Objects))
+	for i, o := range p.Objects {
 		items[i] = rtree.Item{ID: o.ID, Point: o.Point}
 	}
-	fail := func(err error) (pagestore.Store, *pagestore.BufferPool, *rtree.Tree, error) {
+	fail := func(err error) (*solveState, error) {
 		store.Close()
-		return nil, nil, nil, err
+		return nil, err
 	}
-	tree, err := rtree.BulkLoadWorkers(pool, dims, items, treeFill, cfg.buildWorkers())
+	tree, err := rtree.BulkLoadWorkers(pool, p.Dims, items, treeFill, cfg.buildWorkers())
 	if err != nil {
 		return fail(err)
 	}
@@ -135,7 +126,7 @@ func buildObjectIndex(cfg Config, dims int, objs []Object) (pagestore.Store, *pa
 		return fail(err)
 	}
 	store.IO().Reset()
-	return store, pool, tree, nil
+	return &solveState{p: p, cfg: cfg, store: store, pool: pool, tree: tree}, nil
 }
 
 // buildCaps initializes the two capacity tables.

@@ -316,7 +316,7 @@ func TestWorkspaceSnapshotStress(t *testing.T) {
 	// closed, only one version per live page may remain. The workspace
 	// itself may cache one snapshot of the *current* epoch (the lazily
 	// captured published state), which pins no history.
-	if st := ws.parts[0].vstore.DebugStats(); st.LiveSnapshots > 1 || st.RetiredQueue != 0 || st.TotalVersions != st.LivePages {
+	if st := ws.obj.vstore.DebugStats(); st.LiveSnapshots > 1 || st.RetiredQueue != 0 || st.TotalVersions != st.LivePages {
 		t.Fatalf("history leaked after stress: %+v", st)
 	}
 	if err := ws.VerifyStable(); err != nil {

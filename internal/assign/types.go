@@ -250,13 +250,6 @@ type Config struct {
 	// nil means the real OS filesystem. The crash-injection harness
 	// substitutes its fault-injecting in-memory implementation.
 	FS vfs.FS
-	// Shards is the number of object partitions of a Workspace (<= 0
-	// means 1). Each partition has its own page store, R-tree,
-	// availability frontier and epoch, so a commit republishes and the
-	// next snapshot re-captures only the partitions a batch touched. The
-	// matching is identical at every count. A durable workspace has one
-	// partition.
-	Shards int
 	// StoreFactory builds the physical page stores behind every index
 	// the solvers create (the object R-tree plus any function-side
 	// structure). Nil means in-memory simulated disks

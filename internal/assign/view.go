@@ -1,7 +1,6 @@
 package assign
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +11,13 @@ import (
 	"fairassign/internal/topk"
 )
 
-// partPub is one object partition's capture: a pagestore snapshot
-// pinning the partition's index pages, a flat copy of its availability
-// frontier, and a frozen copy of its object table, which shares every
-// chunk the writer has not written since. It is refcounted by the
-// partition (which caches it until its objects, tree or frontier next
-// change) and by every pubState composing it, so a partition untouched
-// by a commit joins the next epoch's capture for the cost of a refcount
-// increment.
+// partPub is the object side's capture: a pagestore snapshot pinning
+// the object index pages, a flat copy of the availability frontier, and
+// a frozen copy of the object table, which shares every chunk the
+// writer has not written since. It is refcounted by the object side
+// (which caches it until the objects, tree or frontier next change) and
+// by every pubState composing it, so an epoch that left the object side
+// untouched joins the capture for the cost of a refcount increment.
 type partPub struct {
 	refs atomic.Int64
 
@@ -38,11 +36,11 @@ func (p *partPub) release() {
 }
 
 // pubState is one published epoch of a Workspace: the logical matching
-// state captured under the writer lock, plus one partition capture per
-// object partition. It is shared — refcounted — between the workspace
-// (which caches the state of its latest epoch until the next mutation)
-// and every View handed out for that epoch; the partition captures are
-// released when the last reference drops.
+// state captured under the writer lock, plus the object side's capture.
+// It is shared — refcounted — between the workspace (which caches the
+// state of its latest epoch until the next mutation) and every View
+// handed out for that epoch; the object capture is released when the
+// last reference drops.
 //
 // The function, pair and object tables are frozen copy-on-write copies
 // of the writer's own tables: a capture copies their chunk-pointer
@@ -55,18 +53,17 @@ func (p *partPub) release() {
 type pubState struct {
 	refs atomic.Int64
 
-	epoch     uint64
-	dims      int
-	stats     WorkspaceStats
-	partStats []PartitionStats
-	parts     []*partPub
-	funcs     frozenTable[Function]
-	byFunc    frozenTable[[]wsPair]
+	epoch  uint64
+	dims   int
+	stats  WorkspaceStats
+	obj    *partPub
+	funcs  frozenTable[Function]
+	byFunc frozenTable[[]wsPair]
 
 	pairs     []Pair // flattened in definitional order by pairsOnce
 	pairsOnce sync.Once
 
-	objs        []Object // every partition's objects, flattened by problemOnce
+	objs        []Object // the objects, flattened by problemOnce
 	funcList    []Function
 	problemOnce sync.Once
 }
@@ -91,9 +88,7 @@ func (p *pubState) tryRetain() bool {
 
 func (p *pubState) release() {
 	if p.refs.Add(-1) == 0 {
-		for _, pp := range p.parts {
-			pp.release()
-		}
+		p.obj.release()
 	}
 }
 
@@ -109,10 +104,8 @@ func (p *pubState) sortedPairs() []Pair {
 func (p *pubState) problem() ([]Object, []Function) {
 	p.problemOnce.Do(func() {
 		p.objs = make([]Object, 0, p.stats.Objects)
-		for _, pp := range p.parts {
-			for _, o := range pp.objs.all() {
-				p.objs = append(p.objs, o)
-			}
+		for _, o := range p.obj.objs.all() {
+			p.objs = append(p.objs, o)
 		}
 		p.funcList = make([]Function, 0, p.funcs.len())
 		for _, f := range p.funcs.all() {
@@ -127,7 +120,7 @@ func (p *pubState) problem() ([]Object, []Function) {
 // called, no matter how many mutations the workspace absorbs
 // afterwards. Logical reads (Pairs, Stats, Problem) are served from the
 // captured state; index-backed queries (TopK, Skyline) traverse the
-// object R-trees through the pinned page epochs. A View is safe for
+// object R-tree through the pinned page epoch. A View is safe for
 // concurrent use by multiple goroutines, stays valid after the
 // workspace is closed, and must be Closed to release the epoch's page
 // versions for reclamation.
@@ -190,28 +183,13 @@ func (v *View) Stats() WorkspaceStats {
 	return v.pub.stats
 }
 
-// PartitionedStats returns the workspace summary with its
-// per-partition breakdown as of the view's epoch (the zero value once
-// the view is closed).
-func (v *View) PartitionedStats() PartitionedStats {
-	if v.closed.Load() {
-		return PartitionedStats{}
-	}
-	return PartitionedStats{WorkspaceStats: v.pub.stats, Epoch: v.pub.epoch, Partitions: v.pub.partStats}
-}
-
-// Object returns a frozen object by ID, looked up in the partitions'
-// frozen object tables.
+// Object returns a frozen object by ID, looked up in the frozen object
+// table.
 func (v *View) Object(id uint64) (Object, bool) {
 	if v.closed.Load() {
 		return Object{}, false
 	}
-	for _, pp := range v.pub.parts {
-		if o, ok := pp.objs.get(id); ok {
-			return o, true
-		}
-	}
-	return Object{}, false
+	return v.pub.obj.objs.get(id)
 }
 
 // Problem materializes the frozen population as a Problem, flattening
@@ -235,12 +213,11 @@ func (v *View) VerifyStable() error {
 	return IsStable(v.Problem(), v.Pairs())
 }
 
-// tree returns partition i's object index frozen at the view's epoch.
-// Searches over it read the pinned page versions and never touch the
-// writer's buffer pool or I/O counters.
-func (v *View) tree(i int) *rtree.View {
-	pp := v.pub.parts[i]
-	return rtree.NewView(pp.snap, v.pub.dims, pp.meta)
+// tree returns the object index frozen at the view's epoch. Searches
+// over it read the pinned page versions and never touch the writer's
+// buffer pool or I/O counters.
+func (v *View) tree() *rtree.View {
+	return rtree.NewView(v.pub.obj.snap, v.pub.dims, v.pub.obj.meta)
 }
 
 // TopK runs a BRS ranked search with the given effective weights over
@@ -251,126 +228,33 @@ func (v *View) TopK(weights []float64, k int) ([]rtree.Item, []float64, error) {
 
 // TopKScorer is TopK under an arbitrary monotone scorer (effective
 // weights folded in), evaluated with BRS over the pinned index epoch.
-// With several partitions it lazily merges one BRS stream per
-// partition, TA-style: a stream only advances while its score ceiling
-// (the maxscore bound at the head of its frontier heap) could still
-// beat the best buffered candidate, so cold partitions stop after their
-// root node. Emission order — score descending, ties to the lower ID —
-// is identical to one BRS search over the union of the partitions.
+// Emission order is score descending, ties to the lower ID.
 func (v *View) TopKScorer(sc score.Scorer, k int) ([]rtree.Item, []float64, error) {
 	if v.closed.Load() {
 		return nil, nil, ErrViewClosed
 	}
-	if len(v.pub.parts) == 1 {
-		return topk.TopKScorer(v.tree(0), sc, k, nil)
-	}
-	type stream struct {
-		sr   *topk.Searcher
-		it   rtree.Item
-		s    float64
-		have bool
-		done bool
-	}
-	streams := make([]stream, len(v.pub.parts))
-	for i := range streams {
-		streams[i].sr = topk.NewScorerSearcher(v.tree(i), sc, nil)
-	}
-	var items []rtree.Item
-	var scores []float64
-	for len(items) < k {
-		// Best buffered candidate across streams.
-		best := -1
-		for i := range streams {
-			st := &streams[i]
-			if !st.have {
-				continue
-			}
-			if best < 0 || st.s > streams[best].s || (st.s == streams[best].s && st.it.ID < streams[best].it.ID) {
-				best = i
-			}
-		}
-		bestScore := math.Inf(-1)
-		if best >= 0 {
-			bestScore = streams[best].s
-		}
-		// Advance every unbuffered stream whose ceiling could still
-		// matter. >= (not >) keeps equal-score candidates in play so the
-		// ID tiebreak across partitions sees them all before anything
-		// emits.
-		advanced := false
-		for i := range streams {
-			st := &streams[i]
-			if st.have || st.done || st.sr.Ceiling() < bestScore {
-				continue
-			}
-			it, s, ok, err := st.sr.Next()
-			if err != nil {
-				return nil, nil, err
-			}
-			st.it, st.s, st.have, st.done = it, s, ok, !ok
-			advanced = true
-		}
-		if advanced {
-			continue
-		}
-		if best < 0 {
-			break // every partition drained
-		}
-		items = append(items, streams[best].it)
-		scores = append(scores, streams[best].s)
-		streams[best].have = false
-	}
-	return items, scores, nil
+	return topk.TopKScorer(v.tree(), sc, k, nil)
 }
 
-// Skyline computes the skyline of the frozen object set: BBS over each
-// partition's pinned index, then — with several partitions — one BNL
-// pass over their concatenated skylines (the skyline of a union is the
-// skyline of the parts' skylines).
+// Skyline computes the skyline of the frozen object set: BBS over the
+// pinned index.
 func (v *View) Skyline() ([]rtree.Item, error) {
 	if v.closed.Load() {
 		return nil, ErrViewClosed
 	}
-	var all []rtree.Item
-	for i := range v.pub.parts {
-		sky, err := skyline.Compute(v.tree(i), nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(v.pub.parts) == 1 {
-			return sky, nil
-		}
-		all = append(all, sky...)
-	}
-	return skyline.BNL(all), nil
+	return skyline.Compute(v.tree(), nil)
 }
 
 // AvailableFrontier returns the frozen availability skyline (objects
 // with spare capacity, as maintained incrementally by the workspace).
-// With several partitions it is the union of the per-partition
-// skylines, which may contain points dominated across partition
-// boundaries; the set of available objects it covers is the same.
 // Shared and immutable.
 func (v *View) AvailableFrontier() []rtree.Item {
 	if v.closed.Load() {
 		return nil
 	}
-	if len(v.pub.parts) == 1 {
-		return v.pub.parts[0].avail
-	}
-	var out []rtree.Item
-	for _, pp := range v.pub.parts {
-		out = append(out, pp.avail...)
-	}
-	return out
+	return v.pub.obj.avail
 }
 
 // IOReads reports how many page resolutions this view's epoch snapshots
 // have served so far (reader-side I/O; never charged to the writer).
-func (v *View) IOReads() int64 {
-	var n int64
-	for _, pp := range v.pub.parts {
-		n += pp.snap.Reads()
-	}
-	return n
-}
+func (v *View) IOReads() int64 { return v.pub.obj.snap.Reads() }

@@ -272,7 +272,7 @@ func TestWorkspaceTypedErrors(t *testing.T) {
 func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	ws := viewTestWorkspace(t, 200, 12, 3, 99)
 	defer ws.Close()
-	pool := ws.parts[0].pool
+	pool := ws.obj.pool
 	poolCap := pool.Capacity()
 
 	var views []*View
@@ -290,7 +290,7 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 		mutateBatch(t, ws, 300+i)
 	}
 
-	grown := ws.parts[0].vstore.DebugStats()
+	grown := ws.obj.vstore.DebugStats()
 	if grown.TotalVersions <= grown.LivePages {
 		t.Fatalf("expected retained history while views are open: %+v", grown)
 	}
@@ -300,7 +300,7 @@ func TestSnapshotEpochReclamationBaseline(t *testing.T) {
 	// One more mutation publishes past the last pinned epoch, after
 	// which nothing may remain but the live pages.
 	mutateBatch(t, ws, 400)
-	st := ws.parts[0].vstore.DebugStats()
+	st := ws.obj.vstore.DebugStats()
 	if st.LiveSnapshots != 0 || st.RetiredQueue != 0 || st.TotalVersions != st.LivePages {
 		t.Fatalf("epoch reclamation leaked: %+v", st)
 	}

@@ -72,24 +72,6 @@ var (
 // ceiling for the displacement search, which then expands only the
 // index region that could beat taking a free object outright.
 //
-// The object side is split into one or more object partitions
-// (Config.Shards), each with its own page store, R-tree, availability
-// frontier and store epoch; the function side and the repair loop are
-// shared. A proposal takes the best frontier object and the best
-// displacement candidate across all partitions, each by (score desc,
-// ID asc) — the order one BRS search over their union enumerates — so
-// the matching is byte-identical at every partition count. What the
-// partitions buy is commit cost: a batch flushes and republishes only
-// the partitions whose pages it changed, and the next Snapshot
-// re-captures only the partitions whose objects or frontier it changed.
-// (One theoretical exception to the identity: a scorer family that is
-// not strictly monotone can tie a dominated point with its dominator;
-// if partition boundaries separate them, the per-partition frontiers
-// may surface the dominated lower-ID point a single global skyline
-// pruned. Both resolutions are stable; the case needs exactly tied
-// scores across a dominance pair, which is measure-zero for continuous
-// data.)
-//
 // Snapshot capture is O(Δ), not O(population): the object tables, the
 // function table and the function half of the matching live in
 // copy-on-write chunked tables (cowTable). A capture freezes them —
@@ -109,12 +91,7 @@ type Workspace struct {
 	cfg  Config
 	dims int
 
-	// parts are the object partitions; part routes objects to them.
-	// owner records the partition of every live object, and is nil with
-	// a single partition.
-	parts []*objPart
-	part  *Partitioner
-	owner map[uint64]int
+	obj *objPart // the object side: index, frontier, tables, capture
 
 	epoch uint64 // latest published epoch: one per commit
 
@@ -160,10 +137,10 @@ type Workspace struct {
 	funcCaps *capTable
 
 	// byFunc is the function half of the matching; the object half is
-	// each partition's byObj. One wsPair per assigned unit, present in
-	// exactly one slice of each side. Pair slices are immutable values —
-	// link and unlink build new ones — so frozen copies of byFunc share
-	// them with the writer; a function with no pairs has no entry.
+	// obj.byObj. One wsPair per assigned unit, present in exactly one
+	// slice of each side. Pair slices are immutable values — link and
+	// unlink build new ones — so frozen copies of byFunc share them with
+	// the writer; a function with no pairs has no entry.
 	byFunc *cowTable[[]wsPair]
 
 	queue []repairItem // free units awaiting chain repair
@@ -178,30 +155,30 @@ type Workspace struct {
 	resolves  int64 // full solves (the initial build)
 }
 
-// objPart is one object partition: a slice of the object space with its
-// own versioned page store, R-tree, availability frontier, object and
-// capacity tables, the object half of the matching, and store epoch.
+// objPart is the object side of a workspace: its versioned page store,
+// R-tree, availability frontier, object and capacity tables, and the
+// object half of the matching.
 type objPart struct {
 	vstore *pagestore.VersionedStore
 	pool   *pagestore.BufferPool
 	tree   *rtree.Tree
 
 	// avail is the availability frontier: a materialized skyline
-	// maintainer over the partition's objects with remaining capacity.
-	// It holds no R-tree references (the workspace physically mutates
-	// its trees), so arbitrary Insert/Discard traffic stays correct.
+	// maintainer over the objects with remaining capacity. It holds no
+	// R-tree references (the workspace physically mutates its tree), so
+	// arbitrary Insert/Discard traffic stays correct.
 	avail *skyline.Maintainer
 
 	objs  *cowTable[Object] // views read frozen copies of it
 	caps  *capTable
 	byObj map[uint64][]wsPair
-	units int // assigned units held by this partition's objects
+	units int // assigned units: the number of pairs in the matching
 
-	epoch     uint64 // latest published store epoch
-	pageDirty bool   // tree pages written since the last publish
-	// pub caches the capture of the partition's current objects, tree
-	// and frontier. Any change to them drops it; otherwise every epoch's
-	// capture reuses it for the cost of a refcount increment.
+	pageDirty bool // tree pages written since the last publish
+	// pub caches the capture of the current objects, tree and frontier.
+	// Any change to them drops it; otherwise every epoch's capture
+	// reuses it for the cost of a refcount increment (a function
+	// mutation that exhausts or revives no object leaves it alone).
 	pub *partPub
 }
 
@@ -224,7 +201,7 @@ type WorkspaceStats struct {
 	Objects       int   // live objects
 	Functions     int   // live functions
 	AssignedUnits int   // pairs in the current matching
-	SkylineSize   int   // availability frontier (objects with spare capacity), summed over partitions
+	SkylineSize   int   // availability frontier: skyline of the objects with spare capacity
 	Mutations     int64 // mutations applied since construction
 	Commits       int64 // epochs published (Apply groups many mutations into one)
 	ChainSteps    int64 // reassignments performed by repair chains
@@ -233,35 +210,12 @@ type WorkspaceStats struct {
 	IO            metrics.IOCounter
 }
 
-// PartitionedStats is the workspace summary together with the latest
-// published epoch and the per-partition breakdown.
-type PartitionedStats struct {
-	WorkspaceStats
-	Epoch      uint64
-	Partitions []PartitionStats
-}
-
-// PartitionStats is one object partition's slice of the summary.
-type PartitionStats struct {
-	Objects       int
-	AssignedUnits int
-	Frontier      int
-	// Epoch is the partition's own store epoch: it advances only on
-	// commits that changed the partition's pages.
-	Epoch uint64
-}
-
 // NewWorkspace builds the shared state, solves the initial instance with
 // SB, and returns a workspace ready for mutations. Object and function
 // stores are built through a versioned wrapper around the configured
-// store factory, so snapshots can pin page epochs. With one partition
-// the workspace adopts the SB solve's object tree; with more, the solve
-// tree is released and every partition bulk-loads its own.
+// store factory, so snapshots can pin page epochs. The workspace adopts
+// the SB solve's object tree.
 func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
-	if cfg.durablePartitions() {
-		return nil, ErrDurabilityUnsupported
-	}
-	n := max(cfg.Shards, 1)
 	vcfg := cfg.versioned()
 	st, err := newSolveState(p, vcfg)
 	if err != nil {
@@ -275,7 +229,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	w := &Workspace{
 		cfg:      cfg,
 		dims:     p.Dims,
-		part:     NewPartitioner(p.Dims, n, p.Objects),
+		obj:      newObjPart(st.store, st.pool, st.tree, len(p.Objects)),
 		funcs:    newCowTable[Function](len(p.Functions)),
 		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
 		nonlin:   score.NewFuncBlocks(p.Dims),
@@ -283,30 +237,9 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
 		resolves: 1,
 	}
-	if n == 1 {
-		w.parts = []*objPart{newObjPart(st.store, st.pool, st.tree, len(p.Objects))}
-	} else {
-		st.release()
-		groups := make([][]Object, n)
-		w.owner = make(map[uint64]int, len(p.Objects))
-		for _, o := range p.Objects {
-			i := w.part.Route(o.Point, o.ID)
-			groups[i] = append(groups[i], o)
-			w.owner[o.ID] = i
-		}
-		for _, g := range groups {
-			store, pool, tree, err := buildObjectIndex(vcfg, p.Dims, g)
-			if err != nil {
-				w.Close()
-				return nil, err
-			}
-			w.parts = append(w.parts, newObjPart(store, pool, tree, len(g)))
-		}
-	}
 	for _, o := range p.Objects {
-		pt := w.partOf(o.ID)
-		pt.objs.set(o.ID, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
-		pt.caps.add(o.ID, st.objCaps.remaining[o.ID])
+		w.obj.objs.set(o.ID, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+		w.obj.caps.add(o.ID, st.objCaps.remaining[o.ID])
 	}
 
 	fstore, err := vcfg.newStore()
@@ -335,13 +268,11 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	for _, pr := range res.Pairs {
 		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjectID, score: pr.Score})
 	}
-	// Materialize the availability frontiers from the post-solve
-	// capacity tables. The solve's own maintainer ends in the same
+	// Materialize the availability frontier from the post-solve
+	// capacity table. The solve's own maintainer ends in the same
 	// logical state but parks pruned subtrees by page reference, which
 	// would go stale under the physical tree mutations ahead.
-	for _, pt := range w.parts {
-		pt.buildFrontier(p.Dims)
-	}
+	w.obj.buildFrontier(p.Dims)
 	// Publish the initial epoch so snapshots taken before any mutation
 	// have a sealed page state to pin.
 	if err := w.commitLocked(); err != nil {
@@ -358,8 +289,8 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 }
 
 // newObjPart wraps a freshly built object index (store from a versioned
-// config) over n objects as a partition with empty tables, whose pages
-// await their first publish.
+// config) over n objects as an object side with empty tables, whose
+// pages await their first publish.
 func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.Tree, n int) *objPart {
 	return &objPart{
 		vstore:    store.(*pagestore.VersionedStore),
@@ -372,8 +303,8 @@ func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.T
 	}
 }
 
-// buildFrontier materializes the partition's availability frontier from
-// its capacity table.
+// buildFrontier materializes the availability frontier from the
+// capacity table.
 func (pt *objPart) buildFrontier(dims int) {
 	var items []rtree.Item
 	for id, o := range pt.objs.all() {
@@ -381,18 +312,17 @@ func (pt *objPart) buildFrontier(dims int) {
 			items = append(items, rtree.Item{ID: id, Point: o.Point})
 		}
 	}
-	pt.avail = skyline.NewMaintainerFromItems(dims, items, nil)
 	// Parked entries can go stale (their object departed or exhausted —
-	// and its ID may even be reused for a different point); the oracle
-	// drops them the moment they resurface, so no tombstones accumulate.
-	pt.avail.SetLiveCheck(func(id uint64, p geom.Point) bool {
+	// and its ID may even be reused for a different point); the live
+	// check drops them the moment they resurface.
+	pt.avail = skyline.NewMaintainerFromItems(dims, items, func(id uint64, p geom.Point) bool {
 		o, ok := pt.objs.get(id)
 		return ok && pt.caps.remaining[id] > 0 && o.Point.Equal(p)
-	})
+	}, nil)
 }
 
-// dropPub releases the partition's cached capture after a change to its
-// objects, tree or frontier, so the next Snapshot re-captures it.
+// dropPub releases the cached capture after a change to the objects,
+// tree or frontier, so the next Snapshot re-captures them.
 func (pt *objPart) dropPub() {
 	if pt.pub != nil {
 		pt.pub.release()
@@ -439,34 +369,26 @@ func (pt *objPart) displaceable(fid uint64, fsc score.Scorer, oid uint64) bool {
 	return s > worst.score || (s == worst.score && fid < worst.fid)
 }
 
-// partOf returns the partition owning an object. An unknown ID (or any
-// ID, with a single partition and so a nil owner map) maps to partition
-// 0, whose tables hold the object if it is live.
-func (w *Workspace) partOf(oid uint64) *objPart { return w.parts[w.owner[oid]] }
-
 // objLive reports whether an object is live. Caller holds w.mu.
 func (w *Workspace) objLive(id uint64) bool {
-	_, ok := w.partOf(id).objs.get(id)
+	_, ok := w.obj.objs.get(id)
 	return ok
 }
 
 // commitLocked seals the current epoch: the workspace's cached
-// published state is dropped (open views keep theirs alive), and every
-// partition whose pages changed flushes its buffer pool, so the version
+// published state is dropped (open views keep theirs alive), and if the
+// object pages changed, the object buffer pool flushes, so the version
 // layer holds the epoch's final bytes, and publishes — after which every
-// page the epoch retired and no snapshot still pins is reclaimed.
-// Partitions the epoch left untouched publish nothing. Caller holds w.mu
+// page the epoch retired and no snapshot still pins is reclaimed. An
+// epoch that wrote no object page publishes nothing. Caller holds w.mu
 // (or is constructing the workspace).
 func (w *Workspace) commitLocked() error {
 	w.dropPubLocked()
-	for _, pt := range w.parts {
-		if !pt.pageDirty {
-			continue
-		}
+	if pt := w.obj; pt.pageDirty {
 		if err := pt.pool.Flush(); err != nil {
 			return err
 		}
-		pt.epoch = pt.vstore.Publish()
+		pt.vstore.Publish()
 		pt.pageDirty = false
 	}
 	w.epoch++
@@ -520,35 +442,31 @@ func (w *Workspace) Snapshot() (*View, error) {
 	return &View{pub: w.pub}, nil
 }
 
-// captureLocked freezes the logical state of the current epoch. Every
-// partition contributes its cached capture, re-captured only if its
+// captureLocked freezes the logical state of the current epoch. The
+// object side contributes its cached capture, re-captured only if the
 // objects, tree or frontier changed since; the function and pair tables
 // are frozen copy-on-write copies, costing a chunk-pointer array each.
 // Per entity points, weights and pair slices alias the immutable
 // originals; flat forms (the sorted matching, the Problem) are built
 // lazily by the views. Holds w.mu.
 func (w *Workspace) captureLocked() *pubState {
+	if w.obj.pub == nil {
+		w.obj.pub = w.obj.capture()
+	}
+	w.obj.pub.retain()
 	p := &pubState{
-		epoch:     w.epoch,
-		dims:      w.dims,
-		stats:     w.statsLocked(),
-		partStats: w.partStatsLocked(),
-		parts:     make([]*partPub, len(w.parts)),
+		epoch: w.epoch,
+		dims:  w.dims,
+		stats: w.statsLocked(),
+		obj:   w.obj.pub,
 	}
 	p.refs.Store(1) // the workspace's own cache reference
-	for i, pt := range w.parts {
-		if pt.pub == nil {
-			pt.pub = pt.capture()
-		}
-		pt.pub.retain()
-		p.parts[i] = pt.pub
-	}
 	p.funcs = w.funcs.freeze()
 	p.byFunc = w.byFunc.freeze()
 	return p
 }
 
-// capture freezes the partition: a pinned page snapshot, the tree
+// capture freezes the object side: a pinned page snapshot, the tree
 // metadata, a flat copy of the frontier and a frozen object table.
 func (pt *objPart) capture() *partPub {
 	p := &partPub{
@@ -557,26 +475,12 @@ func (pt *objPart) capture() *partPub {
 		avail: pt.avail.Skyline(),
 		objs:  pt.objs.freeze(),
 	}
-	p.refs.Store(1) // the partition's own cache reference
+	p.refs.Store(1) // the object side's own cache reference
 	return p
 }
 
 // Dims returns the workspace dimensionality.
 func (w *Workspace) Dims() int { return w.dims }
-
-// Partitions returns the number of object partitions.
-func (w *Workspace) Partitions() int { return len(w.parts) }
-
-// RouteObject returns the partition a (possibly not yet live) object
-// with the given point and ID lands on.
-func (w *Workspace) RouteObject(pt geom.Point, id uint64) int { return w.part.Route(pt, id) }
-
-// PartitionOf returns the partition owning a live object.
-func (w *Workspace) PartitionOf(id uint64) (int, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.owner[id], w.objLive(id)
-}
 
 // Close releases the page stores behind both indexes. The workspace
 // must not be used afterwards.
@@ -589,10 +493,8 @@ func (w *Workspace) Close() {
 	w.closed = true
 	w.closedA.Store(true)
 	w.dropPubLocked()
-	for _, pt := range w.parts {
-		pt.dropPub()
-		pt.vstore.Close()
-	}
+	w.obj.dropPub()
+	w.obj.vstore.Close()
 	if w.fvstore != nil {
 		w.fvstore.Close()
 	}
@@ -606,7 +508,7 @@ func (w *Workspace) Close() {
 // pair tables can share byFunc's, and a removal can range over a slice
 // while unlinking its pairs.
 func (w *Workspace) link(p wsPair) {
-	pt := w.partOf(p.oid)
+	pt := w.obj
 	ps := pt.byObj[p.oid]
 	pt.byObj[p.oid] = append(ps[:len(ps):len(ps)], p)
 	pt.units++
@@ -616,7 +518,7 @@ func (w *Workspace) link(p wsPair) {
 
 // unlink removes one instance of the pair from both sides.
 func (w *Workspace) unlink(p wsPair) error {
-	pt := w.partOf(p.oid)
+	pt := w.obj
 	ps, err := cutPair(pt.byObj[p.oid], p)
 	if err != nil {
 		return err
@@ -674,9 +576,9 @@ func worstOfFunc(ps []wsPair) wsPair {
 	return worst
 }
 
-// AddObject introduces a new object: it joins its partition's R-tree
-// and availability frontier, then pulls takers for its capacity via
-// chain repair.
+// AddObject introduces a new object: it joins the object R-tree and the
+// availability frontier, then pulls takers for its capacity via chain
+// repair.
 func (w *Workspace) AddObject(o Object) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -684,9 +586,9 @@ func (w *Workspace) AddObject(o Object) error {
 }
 
 // RemoveObject withdraws an object. Its assigned functions are freed
-// and re-chained; the availability skyline is invalidated through
-// Discard (delta maintenance: tombstoned if the object is parked inside
-// a pruned list).
+// and re-chained; the object leaves the availability skyline through
+// Discard (delta maintenance: if it is parked inside a pruned list, the
+// frontier's live check drops it when it resurfaces).
 func (w *Workspace) RemoveObject(id uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -761,13 +663,13 @@ func (w *Workspace) placeFunction(fid uint64) error {
 			return nil // no object accepts: the unit stays free
 		}
 		if displace {
-			evicted := worstOfObj(w.partOf(oid).byObj[oid])
+			evicted := worstOfObj(w.obj.byObj[oid])
 			if err := w.unlink(evicted); err != nil {
 				return err
 			}
 			w.funcCaps.restore(evicted.fid)
 			w.pushFunc(evicted.fid)
-		} else if err := w.partOf(oid).consumeUnit(oid); err != nil {
+		} else if err := w.obj.consumeUnit(oid); err != nil {
 			return err
 		}
 		w.funcCaps.consume(fid)
@@ -782,69 +684,42 @@ func (w *Workspace) placeFunction(fid uint64) error {
 // one plain map lookup on the repair hot paths, no allocation.
 func (w *Workspace) scorerOf(fid uint64) score.Scorer { return w.eff[fid] }
 
-// candidate is one object (or function) a repair step could take, with
-// its score. Candidates are ordered by score descending, ties to the
-// lower ID — the order BRS enumerates inside one tree — so combining the
-// winners of several partitions lands on the entry a single search over
-// their union would find.
-type candidate struct {
-	id    uint64
-	score float64
-	ok    bool
-}
-
-func (c candidate) beats(o candidate) bool {
-	return c.ok && (!o.ok || c.score > o.score || (c.score == o.score && c.id < o.id))
-}
-
 // bestEntry finds the best object a function unit can enter: the best
-// available object (scanned off the availability frontiers, no I/O), or
+// available object (scanned off the availability frontier, no I/O), or
 // a full object holding a strictly worse assignment. The availability
-// score is the ceiling of the displacement searches, one per partition.
-// Both the frontier scans and the BRS displacement searches run under
-// the function's scorer, which is what keeps repair correct for every
-// monotone family.
+// score is the ceiling of the displacement search. Both the frontier
+// scan and the BRS displacement search run under the function's scorer,
+// which is what keeps repair correct for every monotone family; both
+// order candidates by (score desc, ID asc).
 func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok bool, err error) {
 	fsc := w.scorerOf(fid)
-	// One batched kernel pass over each frontier's columnar mirror, with
+	pt := w.obj
+	// One batched kernel pass over the frontier's columnar mirror, with
 	// the same (score, lowest-ID) selection as a scan of the skyline.
-	var avail candidate
-	for _, pt := range w.parts {
-		if it, s, ok := pt.avail.Best(fsc); ok {
-			if c := (candidate{id: it.ID, score: s, ok: true}); c.beats(avail) {
-				avail = c
-			}
-		}
-	}
+	avail, availScore, availOK := pt.avail.Best(fsc)
 	bound := math.Inf(-1)
-	if avail.ok {
-		bound = avail.score
+	if availOK {
+		bound = availScore
 	}
-	var best candidate
-	for _, pt := range w.parts {
-		w.searches++
-		it, s, found, err := topk.BestAtLeast(pt.tree, fsc, bound, func(cand uint64) bool {
-			return !pt.displaceable(fid, fsc, cand)
-		})
-		if err != nil {
-			return 0, 0, false, false, err
-		}
-		if c := (candidate{id: it.ID, score: s, ok: found}); c.beats(best) {
-			best = c
-		}
+	w.searches++
+	it, s, found, err := topk.BestAtLeast(pt.tree, fsc, bound, func(cand uint64) bool {
+		return !pt.displaceable(fid, fsc, cand)
+	})
+	if err != nil {
+		return 0, 0, false, false, err
 	}
-	if best.beats(avail) {
-		return best.id, best.score, true, true, nil
+	if found && (!availOK || s > availScore || (s == availScore && it.ID < avail.ID)) {
+		return it.ID, s, true, true, nil
 	}
-	if avail.ok {
-		return avail.id, avail.score, false, true, nil
+	if availOK {
+		return avail.ID, availScore, false, true, nil
 	}
 	return 0, 0, false, false, nil
 }
 
 // fillObject runs vacancy chains for every free unit of an object.
 func (w *Workspace) fillObject(oid uint64) error {
-	pt := w.partOf(oid)
+	pt := w.obj
 	o, ok := pt.objs.get(oid)
 	if !ok {
 		return nil // departed while queued
@@ -866,7 +741,7 @@ func (w *Workspace) fillObject(oid uint64) error {
 			if err := w.unlink(left); err != nil {
 				return err
 			}
-			if err := w.partOf(left.oid).restoreUnit(left.oid); err != nil {
+			if err := pt.restoreUnit(left.oid); err != nil {
 				return err
 			}
 			w.pushObj(left.oid)
@@ -980,11 +855,7 @@ func appendPairs(out []Pair, ps []wsPair) []Pair {
 // pairsLocked flattens the matching into a fresh unordered slice.
 // Caller holds w.mu.
 func (w *Workspace) pairsLocked() []Pair {
-	n := 0
-	for _, pt := range w.parts {
-		n += pt.units
-	}
-	return flattenPairs(&w.byFunc.frozenTable, n)
+	return flattenPairs(&w.byFunc.frozenTable, w.obj.units)
 }
 
 // Pairs returns the current matching in the definitional greedy order:
@@ -1001,7 +872,7 @@ func (w *Workspace) Pairs() []Pair {
 func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	o, ok := w.partOf(id).objs.get(id)
+	o, ok := w.obj.objs.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -1028,10 +899,8 @@ func (w *Workspace) ProblemSnapshot() *Problem {
 
 func (w *Workspace) problemLocked() *Problem {
 	p := &Problem{Dims: w.dims}
-	for _, pt := range w.parts {
-		for _, o := range pt.objs.all() {
-			p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
-		}
+	for _, o := range w.obj.objs.all() {
+		p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
 	}
 	sort.Slice(p.Objects, func(i, j int) bool { return p.Objects[i].ID < p.Objects[j].ID })
 	for _, f := range w.funcs.all() {
@@ -1070,39 +939,19 @@ func (w *Workspace) Stats() WorkspaceStats {
 
 func (w *Workspace) statsLocked() WorkspaceStats {
 	s := WorkspaceStats{
-		Functions:  w.funcs.len(),
-		Mutations:  w.mutations,
-		Commits:    w.commits,
-		ChainSteps: w.chainLen,
-		Searches:   w.searches,
-		Resolves:   w.resolves,
-	}
-	for _, pt := range w.parts {
-		s.Objects += pt.objs.len()
-		s.AssignedUnits += pt.units
-		s.SkylineSize += pt.avail.Size()
-		if !w.closed {
-			s.IO.Add(pt.vstore.IO().Snapshot())
-		}
+		Objects:       w.obj.objs.len(),
+		Functions:     w.funcs.len(),
+		AssignedUnits: w.obj.units,
+		SkylineSize:   w.obj.avail.Size(),
+		Mutations:     w.mutations,
+		Commits:       w.commits,
+		ChainSteps:    w.chainLen,
+		Searches:      w.searches,
+		Resolves:      w.resolves,
 	}
 	if !w.closed {
+		s.IO.Add(w.obj.vstore.IO().Snapshot())
 		s.IO.Add(w.fvstore.IO().Snapshot())
 	}
 	return s
-}
-
-// PartitionedStats summarizes the workspace with its per-partition
-// breakdown, atomically with respect to mutations.
-func (w *Workspace) PartitionedStats() PartitionedStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return PartitionedStats{WorkspaceStats: w.statsLocked(), Epoch: w.epoch, Partitions: w.partStatsLocked()}
-}
-
-func (w *Workspace) partStatsLocked() []PartitionStats {
-	out := make([]PartitionStats, len(w.parts))
-	for i, pt := range w.parts {
-		out[i] = PartitionStats{Objects: pt.objs.len(), AssignedUnits: pt.units, Frontier: pt.avail.Size(), Epoch: pt.epoch}
-	}
-	return out
 }

@@ -199,7 +199,7 @@ func TestWorkspaceObjectIDReuseNewPoint(t *testing.T) {
 		// else, repeatedly — stale parked entries for reused IDs pile up
 		// and must never resurface with old coordinates.
 		id := snap.Objects[rng.Intn(len(snap.Objects))].ID
-		if _, ok := w.parts[0].objs.get(id); !ok {
+		if _, ok := w.obj.objs.get(id); !ok {
 			continue
 		}
 		if err := w.RemoveObject(id); err != nil {
@@ -214,7 +214,7 @@ func TestWorkspaceObjectIDReuseNewPoint(t *testing.T) {
 		pairs := w.Pairs()
 		if len(pairs) > 0 {
 			oid := pairs[rng.Intn(len(pairs))].ObjectID
-			if _, ok := w.parts[0].objs.get(oid); ok {
+			if _, ok := w.obj.objs.get(oid); ok {
 				opt, _ := w.ObjectPoint(oid)
 				keep := opt.Clone()
 				if err := w.RemoveObject(oid); err != nil {
@@ -227,7 +227,7 @@ func TestWorkspaceObjectIDReuseNewPoint(t *testing.T) {
 		}
 		checkAgainstResolve(t, w, "after ID reuse")
 		// The frontier must only report current coordinates.
-		for _, it := range w.parts[0].avail.Skyline() {
+		for _, it := range w.obj.avail.Skyline() {
 			cur, ok := w.ObjectPoint(it.ID)
 			if !ok {
 				t.Fatalf("frontier holds departed object %d", it.ID)

@@ -167,11 +167,10 @@ type Report struct {
 	// the cold bulk-load duel, a full SB solve, per-family top-k, and
 	// the batched kernels racing their row-wise twins.
 	Production []ProductionCase `json:"production_scale,omitempty"`
-	// ShardedScale sweeps the sharded serving tier at 1/2/4/8 shards on
-	// the production-scale instance: sustained mutation throughput of
-	// the mutate→snapshot→top-k serving loop, with every count's output
-	// byte-compared against the 1-shard run.
-	ShardedScale []ShardedScaleCase `json:"sharded_scale,omitempty"`
+	// ServingScale is the mutate→snapshot→top-k serving loop on the
+	// production-scale instance, with its final matching compared
+	// against a cold solve.
+	ServingScale []ServingScaleCase `json:"serving_scale,omitempty"`
 }
 
 // Options tunes a pipeline run.
@@ -401,13 +400,12 @@ func Run(opts Options) (*Report, error) {
 			return nil, err
 		}
 		rep.Production = prod
-		// Sharded serving tier at the same production cardinality —
-		// the scaling story the shard package exists to tell.
-		ss, err := runShardedScale(opts)
+		// The serving loop at the same production cardinality.
+		ss, err := runServingScale(opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.ShardedScale = ss
+		rep.ServingScale = []ServingScaleCase{ss}
 	}
 	return rep, nil
 }

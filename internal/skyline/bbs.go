@@ -37,6 +37,10 @@ type entry struct {
 	child pagestore.PageID // InvalidPage for data points
 	id    uint64           // object ID for data points
 	key   float64          // sum of top-corner coordinates
+	// sub is set on the point entry of a skyline object a Maintainer
+	// arrival demoted: the object stays parked with its own pruned list
+	// attached (see Maintainer.Insert).
+	sub *skyObj
 }
 
 func (e entry) isPoint() bool { return e.child == pagestore.InvalidPage }

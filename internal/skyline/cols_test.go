@@ -146,7 +146,7 @@ func TestMaintainerBestMatchesBestUnder(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		items = append(items, rtree.Item{ID: uint64(i + 1), Point: randPoint(rng, dims)})
 	}
-	m := NewMaintainerFromItems(dims, items, nil)
+	m, live := liveMaintainer(dims, items)
 	w := []float64{0.2, 0.5, 0.3}
 	check := func(step string) {
 		t.Helper()
@@ -169,17 +169,23 @@ func TestMaintainerBestMatchesBestUnder(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			next++
-			if err := m.Insert(rtree.Item{ID: next, Point: randPoint(rng, dims)}); err != nil {
+			it := rtree.Item{ID: next, Point: randPoint(rng, dims)}
+			live[it.ID] = it
+			if err := m.Insert(it); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
 			if sky := m.Skyline(); len(sky) > 0 {
-				if err := m.Remove(sky[rng.Intn(len(sky))].ID); err != nil {
+				id := sky[rng.Intn(len(sky))].ID
+				delete(live, id)
+				if err := m.Remove(id); err != nil {
 					t.Fatal(err)
 				}
 			}
 		case 2:
-			if err := m.Discard(uint64(rng.Intn(300) + 1)); err != nil {
+			id := uint64(rng.Intn(300) + 1)
+			delete(live, id)
+			if err := m.Discard(id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -188,7 +194,7 @@ func TestMaintainerBestMatchesBestUnder(t *testing.T) {
 	_, _, ok := m.Best(score.Scorer{W: w})
 	_ = ok
 	// Empty-skyline contract.
-	empty := NewMaintainerFromItems(dims, nil, nil)
+	empty := NewMaintainerFromItems(dims, nil, nil, nil)
 	if _, _, ok := empty.Best(score.Scorer{W: w}); ok {
 		t.Fatal("Best on empty maintainer reported ok")
 	}

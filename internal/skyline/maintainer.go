@@ -24,6 +24,11 @@ import (
 // for its lifetime; when the index itself absorbs inserts and deletes,
 // use NewMaintainerFromItems, which materializes every entry as a point
 // and never touches the tree again.
+//
+// Invariant: every entry in a skyline object's pruned list is strictly
+// dominated by that object, including the lists of demoted objects
+// parked by Insert. So the skyline, as an ID set, is always the skyline
+// of the live entries, whatever list each entry happens to sit in.
 type Maintainer struct {
 	tree *rtree.Tree // nil for materialized maintainers (no node entries)
 	dims int
@@ -43,6 +48,7 @@ type Maintainer struct {
 	// lastDom caches the most recent successful dominator: consecutive
 	// heap entries are spatially close, so the same skyline object
 	// usually prunes runs of them, turning the O(|sky|) scan into O(D).
+	// It is always on the skyline (delSky clears it).
 	lastDom *skyObj
 
 	// free recycles skyObj slots of removed skyline objects (keeping
@@ -52,17 +58,11 @@ type Maintainer struct {
 	free    []*skyObj
 	orphans []entry
 
-	// dead tombstones objects discarded while parked in a pruned list
-	// (Discard): their stale entries cannot be deleted in place, so they
-	// are dropped lazily if a dominator removal ever resurfaces them.
-	// With a live-check installed (SetLiveCheck) stale entries are
-	// detected directly and no tombstones accumulate.
-	dead map[uint64]bool
-
-	// liveCheck, when set, is consulted for every resurfacing point
-	// entry: an entry whose (id, point) the oracle rejects is dropped.
-	// This subsumes tombstoning — and unlike tombstones it stays correct
-	// when an ID is reused for a different point.
+	// liveCheck, when set (NewMaintainerFromItems), is consulted for
+	// every resurfacing point entry: an entry whose (id, point) it
+	// rejects is stale — its object departed, exhausted, or its ID now
+	// names a different point — and is dropped. It is what lets Discard
+	// leave parked objects in place.
 	liveCheck func(id uint64, pt geom.Point) bool
 
 	// NodeReads counts R-tree node visits performed by this maintainer
@@ -81,14 +81,11 @@ func (m *Maintainer) newSkyObj(it rtree.Item) *skyObj {
 	return &skyObj{item: it}
 }
 
-// recycle returns a removed skyline slot to the free list. The caller
-// must already have copied (or migrated) the plist contents; the slots
-// are scrubbed so no R-tree node memory is retained through the free
-// list.
+// recycle returns a slot that left the skyline for good to the free
+// list. The caller must already have copied (or migrated) the plist
+// contents; the slots are scrubbed so no R-tree node memory is retained
+// through the free list.
 func (m *Maintainer) recycle(s *skyObj) {
-	if m.lastDom == s {
-		m.lastDom = nil
-	}
 	s.item = rtree.Item{}
 	clear(s.plist)
 	s.plist = s.plist[:0]
@@ -112,6 +109,9 @@ func (m *Maintainer) addSky(s *skyObj) {
 // delSky unregisters a skyline object (swap-delete in the mirror). The
 // caller still owns s and its plist.
 func (m *Maintainer) delSky(s *skyObj) {
+	if m.lastDom == s {
+		m.lastDom = nil
+	}
 	i, last := s.slot, len(m.order)-1
 	if i != last {
 		moved := m.order[last]
@@ -128,7 +128,7 @@ func (m *Maintainer) delSky(s *skyObj) {
 // be nil; when set, plist and heap footprints are tracked for the paper's
 // memory metric.
 func NewMaintainer(t *rtree.Tree, mem *metrics.MemTracker) (*Maintainer, error) {
-	m := &Maintainer{tree: t, dims: t.Dims(), sky: make(map[uint64]*skyObj), dead: make(map[uint64]bool), mem: mem, cols: NewColSet(t.Dims())}
+	m := &Maintainer{tree: t, dims: t.Dims(), sky: make(map[uint64]*skyObj), mem: mem, cols: NewColSet(t.Dims())}
 	if t.Len() == 0 {
 		return m, nil
 	}
@@ -153,8 +153,13 @@ func NewMaintainer(t *rtree.Tree, mem *metrics.MemTracker) (*Maintainer, error) 
 // while the index absorbs physical inserts and deletes — the dynamic
 // Workspace regime. Item points are aliased, not copied: callers must
 // treat them as immutable for the maintainer's lifetime.
-func NewMaintainerFromItems(dims int, items []rtree.Item, mem *metrics.MemTracker) *Maintainer {
-	m := &Maintainer{dims: dims, sky: make(map[uint64]*skyObj), dead: make(map[uint64]bool), mem: mem, cols: NewColSet(dims)}
+//
+// live reports whether (id, point) is still a member of the maintained
+// set; Discard relies on it to drop objects parked in pruned lists
+// lazily, when they resurface. It may be nil for a maintainer that only
+// ever removes skyline objects.
+func NewMaintainerFromItems(dims int, items []rtree.Item, live func(id uint64, pt geom.Point) bool, mem *metrics.MemTracker) *Maintainer {
+	m := &Maintainer{dims: dims, sky: make(map[uint64]*skyObj), liveCheck: live, mem: mem, cols: NewColSet(dims)}
 	if len(items) == 0 {
 		return m
 	}
@@ -230,18 +235,17 @@ func (m *Maintainer) PlistLen(id uint64) int {
 // scenario sketched as future work in Section 8, using the insertion
 // rule of Section 2.2). If the object is dominated by a current skyline
 // object it is parked in that object's pruned list and will resurface if
-// its dominator is ever removed. Otherwise it joins the skyline, and any
-// skyline objects it dominates are demoted into its pruned list together
-// with their own pruned entries (everything they dominated is
-// transitively dominated by the new object). No R-tree access is needed.
+// its dominator is ever removed. Otherwise it joins the skyline, and
+// each skyline object it dominates is parked in its pruned list as one
+// entry that keeps the object's own pruned list attached (everything in
+// that list is dominated by the demoted object, hence by the arrival).
+// The cost is one entry per demoted object, not the size of their
+// lists, and a demoted object that resurfaces undominated rejoins the
+// skyline with its list intact. No R-tree access is needed.
 func (m *Maintainer) Insert(it rtree.Item) error {
 	if _, dup := m.sky[it.ID]; dup {
 		return fmt.Errorf("skyline: object %d already on the skyline", it.ID)
 	}
-	// A re-arrival revives a tombstoned object: any stale parked entry
-	// for the same ID now represents the same live point again, so the
-	// lazy-drop marker must go.
-	delete(m.dead, it.ID)
 	e := entry{
 		rect:  geom.RectFromPoint(it.Point),
 		child: pagestore.InvalidPage,
@@ -264,17 +268,15 @@ func (m *Maintainer) Insert(it rtree.Item) error {
 			i++
 			continue
 		}
-		demoted := entry{
+		m.delSky(s)
+		obj.plist = append(obj.plist, entry{
 			rect:  geom.RectFromPoint(s.item.Point),
 			child: pagestore.InvalidPage,
 			id:    s.item.ID,
 			key:   topCornerSum(geom.RectFromPoint(s.item.Point)),
-		}
-		obj.plist = append(obj.plist, demoted)
-		obj.plist = append(obj.plist, s.plist...)
+			sub:   s,
+		})
 		trackMem(m.mem, entryBytes(m.dims))
-		m.delSky(s)
-		m.recycle(s)
 	}
 	m.addSky(obj)
 	return nil
@@ -290,27 +292,18 @@ func (m *Maintainer) Remove(ids ...uint64) error {
 
 // Discard deletes objects from the maintained set wherever they
 // currently live — the general deletion the dynamic Workspace needs. An
-// object on the skyline is removed exactly as Remove would; an object
-// parked in a pruned list (or pruned away inside an unread subtree)
-// cannot be deleted in place, so it is tombstoned and dropped lazily if
-// a later dominator removal resurfaces it.
+// object on the skyline is removed exactly as Remove would. An object
+// parked in a pruned list cannot be deleted in place: it stays parked
+// until a later removal resurfaces it, and the live check must reject
+// it by then. Without a live check (a tree-backed maintainer)
+// discarding an object that is not on the skyline is an error.
 func (m *Maintainer) Discard(ids ...uint64) error {
-	return m.remove(ids, true)
-}
-
-// SetLiveCheck installs the validity oracle. Call it before any
-// Discard traffic; installing one later does not retroactively clear
-// tombstones already taken.
-func (m *Maintainer) SetLiveCheck(fn func(id uint64, pt geom.Point) bool) {
-	m.liveCheck = fn
+	return m.remove(ids, m.liveCheck != nil)
 }
 
 // stale reports whether a resurfacing point entry no longer represents
-// a live object: tombstoned, or rejected by the live-check oracle.
+// a live object, by the live check.
 func (m *Maintainer) stale(e entry) bool {
-	if m.dead[e.id] {
-		return true
-	}
 	return m.liveCheck != nil && !m.liveCheck(e.id, e.rect.Min)
 }
 
@@ -329,31 +322,33 @@ func (m *Maintainer) remove(ids []uint64, lenient bool) error {
 				m.orphans = orphans
 				return fmt.Errorf("skyline: object %d is not on the skyline", id)
 			}
-			if m.liveCheck == nil {
-				// Without an oracle the only way to drop the parked
-				// entry later is a tombstone.
-				m.dead[id] = true
-			}
-			continue
+			continue // parked: the live check drops it on resurfacing
 		}
 		orphans = append(orphans, s.plist...)
 		m.delSky(s)
 		m.recycle(s)
 		onSky = true
 	}
-	m.orphans = orphans
 	if !onSky {
-		return nil // only tombstones: the skyline is untouched
+		m.orphans = orphans
+		return nil // nothing left the skyline
 	}
 
 	// Line 1 of UpdateSkyline: entries dominated by a surviving skyline
 	// object migrate to that object's plist; the rest form Scand.
-	// Stale point entries evaporate here instead of re-parking.
+	// Stale point entries evaporate here instead of re-parking; a stale
+	// demoted object's own list joins the orphans, since what it
+	// dominated may still be live.
 	h := acquireEntryHeap()
 	defer releaseEntryHeap(h)
-	for _, e := range orphans {
+	for i := 0; i < len(orphans); i++ {
+		e := orphans[i]
 		if e.isPoint() && m.stale(e) {
 			trackMem(m.mem, -entryBytes(m.dims))
+			if e.sub != nil {
+				orphans = append(orphans, e.sub.plist...)
+				m.recycle(e.sub)
+			}
 			continue
 		}
 		if o := m.dominator(e); o != nil {
@@ -363,8 +358,8 @@ func (m *Maintainer) remove(ids []uint64, lenient bool) error {
 		h.push(e)
 	}
 	// Scrub the scratch so it does not retain node memory between calls.
-	clear(m.orphans)
-	m.orphans = m.orphans[:0]
+	clear(orphans)
+	m.orphans = orphans[:0]
 	// Memory neutral so far (entries moved between structures).
 	return m.resume(h)
 }
@@ -377,20 +372,27 @@ func (m *Maintainer) resume(h *entryHeap) error {
 		e := h.pop()
 		trackMem(m.mem, -entryBytes(m.dims))
 		if e.isPoint() {
-			// Stale entries (tombstoned or oracle-rejected) evaporate on
-			// resurfacing, and an ID already back on the skyline (a
-			// stale copy from a Discard/Insert cycle) must not clobber
-			// its live slot.
-			if m.stale(e) {
-				continue
-			}
-			if _, live := m.sky[e.id]; live {
+			// Stale entries evaporate on resurfacing, and an ID already
+			// back on the skyline (a stale copy from a Discard/Insert
+			// cycle) must not clobber its live slot. A demoted object
+			// dropped either way hands its own list back to the search.
+			if _, onSky := m.sky[e.id]; onSky || m.stale(e) {
+				if e.sub != nil {
+					for _, pe := range e.sub.plist {
+						h.push(pe)
+					}
+					m.recycle(e.sub)
+				}
 				continue
 			}
 		}
 		if o := m.dominator(e); o != nil {
 			o.plist = append(o.plist, e)
 			trackMem(m.mem, entryBytes(m.dims))
+			continue
+		}
+		if e.sub != nil {
+			m.addSky(e.sub) // a demoted object returns with its list
 			continue
 		}
 		if e.isPoint() {
@@ -415,10 +417,8 @@ func (m *Maintainer) resume(h *entryHeap) error {
 // so the columnar kernel's first-by-slot pick — like the map-order pick
 // before it — never changes skyline evolution or node reads.
 func (m *Maintainer) dominator(e entry) *skyObj {
-	if d := m.lastDom; d != nil {
-		if _, live := m.sky[d.item.ID]; live && d.item.Point.Dominates(e.rect.Max) {
-			return d
-		}
+	if d := m.lastDom; d != nil && d.item.Point.Dominates(e.rect.Max) {
+		return d
 	}
 	if i := m.cols.FirstDominator(e.rect.Max); i >= 0 {
 		s := m.order[i]

@@ -137,41 +137,6 @@ func (s *Searcher) NextAtLeast(bound float64) (item rtree.Item, score float64, o
 	return rtree.Item{}, 0, false, nil
 }
 
-// Ceiling returns an upper bound on the score of every object this
-// searcher can still emit: the maxscore key at the head of the frontier
-// heap. Before the first Next/NextAtLeast call it is +Inf (nothing has
-// been read, so nothing bounds the tree); once the frontier drains it
-// is -Inf. The bound is not tight — the head entry may be a node whose
-// children score lower, or a point the skip filter rejects — but it is
-// sound, which is what the sharded TA-style merge needs: a shard whose
-// ceiling cannot beat the current global k-th score cannot contribute
-// and is never popped.
-func (s *Searcher) Ceiling() float64 {
-	if !s.started {
-		return math.Inf(1)
-	}
-	if len(s.h) == 0 {
-		return math.Inf(-1)
-	}
-	return s.h[0].key
-}
-
-// Peek returns the next result without consuming it.
-func (s *Searcher) Peek() (rtree.Item, float64, bool, error) {
-	it, score, ok, err := s.Next()
-	if err != nil || !ok {
-		return rtree.Item{}, 0, false, err
-	}
-	// Push the point back; it will pop first again (max key, point first).
-	s.h.push(brsEntry{
-		rect:  geom.RectFromPoint(it.Point),
-		child: pagestore.InvalidPage,
-		id:    it.ID,
-		key:   score,
-	})
-	return it, score, true, nil
-}
-
 // Footprint approximates heap memory for the paper's memory metric.
 func (s *Searcher) Footprint() int64 {
 	return int64(len(s.h))*int64(2*8*s.tree.Dims()+32) + 64

@@ -178,32 +178,6 @@ func TestTop1WithGrowingSkipSetMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	items := randItems(rng, 100, 2)
-	tr := buildTree(t, items, 2)
-	w := randWeights(rng, 2)
-	s := NewSearcher(tr, w, nil)
-	p1, ps1, ok, err := s.Peek()
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	p2, ps2, ok, err := s.Peek()
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if p1.ID != p2.ID || ps1 != ps2 {
-		t.Fatal("Peek must be idempotent")
-	}
-	n1, ns1, ok, err := s.Next()
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if n1.ID != p1.ID || ns1 != ps1 {
-		t.Fatal("Next after Peek must return the peeked item")
-	}
-}
-
 func TestTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	items := randItems(rng, 300, 2)

@@ -19,12 +19,6 @@ const (
 	// ModeBatch routes mutations through the group-commit
 	// MutationQueue, coalescing concurrent arrivals into shared epochs.
 	ModeBatch Mode = "batch"
-	// ModeSharded splits the workspace into Spec.Shards object
-	// partitions (Options.Shards) and routes mutations through a
-	// ShardedQueue — one group-commit lane per partition, so writes to
-	// different partitions coalesce into partition-coherent commits.
-	// Reads are global snapshots over every partition.
-	ModeSharded Mode = "sharded"
 	// ModeClosed is the closed-loop driver: the open-loop schedule is
 	// ignored and a fixed client population issues the next operation
 	// only after the previous one completes, which finds the
@@ -64,44 +58,22 @@ type Result struct {
 	// full trace, used to assert mode-independence.
 	FinalPairs int `json:"final_pairs"`
 
-	// Shards is the shard count of a sharded run (0 otherwise), and
-	// PerShard the per-shard mutation latency breakdown, indexed by
-	// shard. Function mutations are global (they touch every shard's
-	// frontier), so they appear in the global mutation class only.
-	Shards   int          `json:"shards,omitempty"`
-	PerShard []ClassStats `json:"per_shard,omitempty"`
 	// Clients is the closed-loop client population (0 for open loop).
 	// In closed loop, latencies are pure service times and
 	// AchievedRate IS the saturation throughput at this concurrency.
 	Clients int `json:"clients,omitempty"`
 }
 
-// recorder accumulates per-class latencies thread-safely, plus the
-// per-shard mutation breakdown on sharded runs.
+// recorder accumulates per-class latencies thread-safely.
 type recorder struct {
-	mu    sync.Mutex
-	lat   [3][]time.Duration
-	shard map[int][]time.Duration
-	errs  int
+	mu   sync.Mutex
+	lat  [3][]time.Duration
+	errs int
 }
 
 func (r *recorder) record(c OpClass, d time.Duration) {
 	r.mu.Lock()
 	r.lat[c] = append(r.lat[c], d)
-	r.mu.Unlock()
-}
-
-// recordShard records a mutation latency under both the global class
-// and its routing key (ignored for key < 0: global function ops).
-func (r *recorder) recordShard(sh int, d time.Duration) {
-	r.mu.Lock()
-	r.lat[ClassMutation] = append(r.lat[ClassMutation], d)
-	if sh >= 0 {
-		if r.shard == nil {
-			r.shard = make(map[int][]time.Duration)
-		}
-		r.shard[sh] = append(r.shard[sh], d)
-	}
 	r.mu.Unlock()
 }
 
@@ -144,20 +116,11 @@ func summarize(lat []time.Duration) ClassStats {
 
 // Run drives one trace open-loop against a fresh Workspace in the given
 // mode and returns the latency report plus the final assignment (for
-// cross-mode identity checks). ModeSharded builds the workspace with
-// Options{Shards: Spec.Shards}, which must exceed 1, and also reports
-// per-shard mutation latency. maxBatch caps the group-commit batch in
-// ModeBatch and ModeSharded (<= 0 uses the queue default); it is
-// ignored in ModeSequential.
+// cross-mode identity checks). maxBatch caps the group-commit batch in
+// ModeBatch (<= 0 uses the queue default); it is ignored in
+// ModeSequential.
 func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error) {
-	var opts fairassign.Options
-	if mode == ModeSharded {
-		if tr.Spec.Shards < 2 {
-			return nil, nil, fmt.Errorf("traffic: sharded run needs Spec.Shards > 1, got %d", tr.Spec.Shards)
-		}
-		opts.Shards = tr.Spec.Shards
-	}
-	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, opts)
+	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, fairassign.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("traffic: build workspace: %w", err)
 	}
@@ -167,8 +130,8 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 	var readers sync.WaitGroup
 
 	// The mutation lane: a sequential writer goroutine, or a
-	// group-commit queue. All preserve the trace's FIFO mutation order
-	// per object, so the final matching is identical across modes.
+	// group-commit queue. Both preserve the trace's FIFO mutation
+	// order, so the final matching is identical across modes.
 	type timedMut struct {
 		m     fairassign.Mutation
 		sched time.Time
@@ -176,14 +139,11 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 	var (
 		seqCh   chan timedMut
 		writerD chan struct{}
-		q       queue // nil in ModeSequential
+		q       *fairassign.MutationQueue // nil in ModeSequential
 	)
-	switch mode {
-	case ModeBatch:
+	if mode == ModeBatch {
 		q = fairassign.NewMutationQueue(ws, maxBatch)
-	case ModeSharded:
-		q = fairassign.NewShardedQueue(ws, maxBatch)
-	default:
+	} else {
 		seqCh = make(chan timedMut, len(tr.Ops))
 		writerD = make(chan struct{})
 		go func() {
@@ -217,7 +177,7 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 				if err := <-ch; err != nil {
 					rec.fail()
 				}
-				rec.recordShard(op.Shard, time.Since(sched))
+				rec.record(ClassMutation, time.Since(sched))
 			}()
 		case ClassSnapshot:
 			readers.Add(1)
@@ -250,10 +210,6 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 		readers.Wait()
 	}
 	res, pairs := finish(tr, mode, time.Since(start), ws, rec)
-	if mode == ModeSharded {
-		res.Shards = tr.Spec.Shards
-		res.PerShard = perShardStats(rec, res.Shards)
-	}
 	return res, pairs, nil
 }
 
@@ -264,55 +220,28 @@ func Run(tr *Trace, mode Mode, maxBatch int) (*Result, []fairassign.Pair, error)
 // concurrency — sweeping the client count locates the knee where
 // throughput stops scaling.
 //
-// The workspace is built with Options{Shards: Spec.Shards}. Mutations
-// keep their required ordering by draining in per-lane FIFO: one
-// writer client per mutation lane. Unsharded traces have a single lane
-// behind a MutationQueue; sharded traces (Spec.Shards > 1) go through a
-// ShardedQueue and have one lane per shard plus a global lane for
-// function mutations — lanes touch disjoint entities, so any
-// interleaving of in-order lanes is valid and the final matching is
-// score-identical regardless of schedule. The remaining `clients`
-// clients drain the read operations.
+// Mutations keep their trace order: one writer client drains them in
+// FIFO through a MutationQueue, so the final matching is the same as
+// the open-loop modes'. The `clients` read clients drain the read
+// operations concurrently.
 func RunClosed(tr *Trace, clients, maxBatch int) (*Result, []fairassign.Pair, error) {
 	if clients < 1 {
 		clients = 1
 	}
-	shards := tr.Spec.Shards
-	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, fairassign.Options{Shards: shards})
+	ws, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, fairassign.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("traffic: build workspace: %w", err)
 	}
 	defer ws.Close()
+	q := fairassign.NewMutationQueue(ws, maxBatch)
 
-	var (
-		q          queue
-		writeLanes = 1
-		laneOf     = func(*Op) int { return 0 }
-	)
-	if shards > 1 {
-		q = fairassign.NewShardedQueue(ws, maxBatch)
-		// Lane = routing key; global function mutations get the extra
-		// last lane (mirrors ShardedQueue's internal routing).
-		writeLanes = shards + 1
-		laneOf = func(op *Op) int {
-			if op.Shard < 0 {
-				return shards
-			}
-			return op.Shard
-		}
-	} else {
-		q = fairassign.NewMutationQueue(ws, maxBatch)
-	}
-
-	// Split the trace: per-lane mutation streams (order within a lane
-	// preserved) and the read stream.
-	lanes := make([][]*Op, writeLanes)
-	var reads []*Op
+	// Split the trace into the mutation stream (order preserved) and
+	// the read stream.
+	var muts, reads []*Op
 	for i := range tr.Ops {
 		op := &tr.Ops[i]
 		if op.Class == ClassMutation {
-			l := laneOf(op)
-			lanes[l] = append(lanes[l], op)
+			muts = append(muts, op)
 		} else {
 			reads = append(reads, op)
 		}
@@ -322,23 +251,18 @@ func RunClosed(tr *Trace, clients, maxBatch int) (*Result, []fairassign.Pair, er
 	var wg sync.WaitGroup
 	start := time.Now()
 
-	// One closed-loop writer client per lane.
-	for _, lane := range lanes {
-		if len(lane) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(lane []*Op) {
-			defer wg.Done()
-			for _, op := range lane {
-				t0 := time.Now()
-				if err := <-q.Enqueue(op.Mut); err != nil {
-					rec.fail()
-				}
-				rec.recordShard(op.Shard, time.Since(t0))
+	// The closed-loop writer client.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, op := range muts {
+			t0 := time.Now()
+			if err := <-q.Enqueue(op.Mut); err != nil {
+				rec.fail()
 			}
-		}(lane)
-	}
+			rec.record(ClassMutation, time.Since(t0))
+		}
+	}()
 
 	// The read clients share one work queue.
 	readCh := make(chan *Op)
@@ -371,19 +295,7 @@ func RunClosed(tr *Trace, clients, maxBatch int) (*Result, []fairassign.Pair, er
 	res, pairs := finish(tr, ModeClosed, time.Since(start), ws, rec)
 	q.Close()
 	res.Clients = clients
-	if shards > 1 {
-		res.Shards = shards
-		res.PerShard = perShardStats(rec, shards)
-	}
 	return res, pairs, nil
-}
-
-// queue is the group-commit front end a run enqueues its mutations
-// through: a MutationQueue, or a ShardedQueue on a partitioned
-// workspace.
-type queue interface {
-	Enqueue(fairassign.Mutation) <-chan error
-	Close()
 }
 
 // acquire takes one snapshot of ws and releases it.
@@ -428,12 +340,4 @@ func finish(tr *Trace, mode Mode, wall time.Duration, ws *fairassign.Workspace, 
 		},
 		FinalPairs: len(pairs),
 	}, pairs
-}
-
-func perShardStats(rec *recorder, shards int) []ClassStats {
-	out := make([]ClassStats, shards)
-	for s := 0; s < shards; s++ {
-		out[s] = summarize(rec.shard[s])
-	}
-	return out
 }

@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"fairassign"
-	"fairassign/internal/assign"
-	"fairassign/internal/geom"
 )
 
 // Spec describes one reproducible workload trace. Everything the trace
@@ -54,16 +52,6 @@ type Spec struct {
 	// MaxCap > 1 draws random capacities in [1, MaxCap] for arriving
 	// objects and functions.
 	MaxCap int `json:"max_cap,omitempty"`
-
-	// Shards > 1 makes this a multi-tenant trace for a partitioned
-	// workspace: every mutation is tagged with the object partition a
-	// Workspace built with Options{Shards: Shards} would route it to
-	// (the generator derives the same spatial partitioner from the
-	// initial population), and ModeSharded and RunClosed drive the
-	// trace against such a workspace, reporting per-shard mutation
-	// latency alongside the global percentiles. Reads are global
-	// (cross-partition merges) and carry no routing key.
-	Shards int `json:"shards,omitempty"`
 }
 
 func (s Spec) String() string {
@@ -102,12 +90,6 @@ type Op struct {
 	Mut   fairassign.Mutation // ClassMutation
 	Query fairassign.Function // ClassQuery
 	K     int                 // ClassQuery
-
-	// Shard is the routing key of a mutation on a sharded trace
-	// (Spec.Shards > 1): the shard that owns the touched object. -1 for
-	// reads, for function mutations (which are global), and everywhere
-	// on unsharded traces.
-	Shard int
 }
 
 // Trace is a fully materialized workload: the initial population plus
@@ -215,26 +197,6 @@ func NewTrace(spec Spec) (*Trace, error) {
 	qpool := fairassign.GenerateFunctions(32, spec.Dims, spec.Seed+3)
 	zipf := newZipfPicker(rng, spec.Zipf)
 
-	// Sharded traces tag mutations with the routing key a partitioned
-	// workspace will assign them. The generator builds the identical spatial
-	// partitioner from the identical initial population, and routing is
-	// a pure function of (point, ID), so generation-time tags agree
-	// with drive-time ownership.
-	var rt *router
-	if spec.Shards > 1 {
-		seedObjs := make([]assign.Object, len(tr.Objects))
-		points := make(map[uint64]geom.Point, len(tr.Objects))
-		for i, o := range tr.Objects {
-			pt := geom.Point(o.Attributes)
-			seedObjs[i] = assign.Object{ID: o.ID, Point: pt}
-			points[o.ID] = pt
-		}
-		rt = &router{
-			part:   assign.NewPartitioner(spec.Dims, spec.Shards, seedObjs),
-			points: points,
-		}
-	}
-
 	// Two-state modulated Poisson arrivals.
 	burst := spec.Burst
 	if burst < 1 {
@@ -256,12 +218,12 @@ func NewTrace(spec Spec) (*Trace, error) {
 			}
 		}
 		at += time.Duration(rng.ExpFloat64() / lambda * float64(time.Second))
-		op := Op{At: at, Shard: -1}
+		op := Op{At: at}
 
 		switch u := rng.Float64(); {
 		case u < spec.writeFrac():
 			op.Class = ClassMutation
-			op.Mut, op.Shard = nextMutation(spec, rng, zipf, rt, &liveO, &liveF, &nextID)
+			op.Mut = nextMutation(spec, rng, zipf, &liveO, &liveF, &nextID)
 		case u < spec.writeFrac()+(1-spec.writeFrac())*spec.snapshotFrac():
 			op.Class = ClassSnapshot
 		default:
@@ -274,32 +236,11 @@ func NewTrace(spec Spec) (*Trace, error) {
 	return tr, nil
 }
 
-// router replicates the sharded tier's routing for the generator: the
-// same spatial partitioner plus a point registry, because routing a
-// departure needs the coordinates of the departing object.
-type router struct {
-	part   *assign.Partitioner
-	points map[uint64]geom.Point
-}
-
-func (r *router) add(id uint64, attrs []float64) int {
-	pt := geom.Point(attrs)
-	r.points[id] = pt
-	return r.part.Route(pt, id)
-}
-
-func (r *router) remove(id uint64) int {
-	pt := r.points[id]
-	delete(r.points, id)
-	return r.part.Route(pt, id)
-}
-
 // nextMutation draws one mutation against the generator's population
-// model and updates the model, returning the mutation and its shard
-// routing key (-1 when unsharded or for global function mutations).
-// Arrivals and departures are balanced so the population hovers around
-// its initial size; departures target Zipf-popular entities.
-func nextMutation(spec Spec, rng *rand.Rand, zipf *zipfPicker, rt *router, liveO, liveF *[]uint64, nextID *uint64) (fairassign.Mutation, int) {
+// model and updates the model. Arrivals and departures are balanced so
+// the population hovers around its initial size; departures target
+// Zipf-popular entities.
+func nextMutation(spec Spec, rng *rand.Rand, zipf *zipfPicker, liveO, liveF *[]uint64, nextID *uint64) fairassign.Mutation {
 	kind := rng.Float64()
 	// Population floors flip departures into arrivals.
 	if kind < 0.60 && kind >= 0.35 && len(*liveO) <= 4 {
@@ -320,20 +261,12 @@ func nextMutation(spec Spec, rng *rand.Rand, zipf *zipfPicker, rt *router, liveO
 			o.Capacity = 1 + rng.Intn(spec.MaxCap)
 		}
 		*liveO = append(*liveO, o.ID)
-		sh := -1
-		if rt != nil {
-			sh = rt.add(o.ID, attrs)
-		}
-		return fairassign.AddObjectOp(o), sh
+		return fairassign.AddObjectOp(o)
 	case kind < 0.60: // object departure (popularity-skewed)
 		i := zipf.pick(len(*liveO))
 		id := (*liveO)[i]
 		*liveO = append((*liveO)[:i], (*liveO)[i+1:]...)
-		sh := -1
-		if rt != nil {
-			sh = rt.remove(id)
-		}
-		return fairassign.RemoveObjectOp(id), sh
+		return fairassign.RemoveObjectOp(id)
 	case kind < 0.80: // function arrival
 		*nextID++
 		w := make([]float64, spec.Dims)
@@ -350,11 +283,11 @@ func nextMutation(spec Spec, rng *rand.Rand, zipf *zipfPicker, rt *router, liveO
 			f.Capacity = 1 + rng.Intn(spec.MaxCap)
 		}
 		*liveF = append(*liveF, f.ID)
-		return fairassign.AddFunctionOp(f), -1
+		return fairassign.AddFunctionOp(f)
 	default: // function departure (popularity-skewed)
 		i := zipf.pick(len(*liveF))
 		id := (*liveF)[i]
 		*liveF = append((*liveF)[:i], (*liveF)[i+1:]...)
-		return fairassign.RemoveFunctionOp(id), -1
+		return fairassign.RemoveFunctionOp(id)
 	}
 }

@@ -152,9 +152,8 @@ type queued struct {
 
 // Applier is the commit target of a MutationQueue: anything that lands
 // a batch of mutations as one group commit with Workspace.Apply's
-// atomicity contract. *Workspace satisfies it at every partition count;
-// ShardedQueue puts one MutationQueue per partition lane in front of the
-// same Workspace.
+// atomicity contract. *Workspace satisfies it; a wrapper can add work
+// around each commit (the benchmark times commits this way).
 type Applier interface {
 	Apply(muts []Mutation) error
 }

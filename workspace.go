@@ -38,18 +38,6 @@ import (
 // against whatever open views still observe), and a view keeps
 // answering from its epoch until it is Closed, at which point the page
 // versions and cached nodes only that epoch kept alive are reclaimed.
-//
-// Partitions. Options.Shards splits the object side into N object
-// partitions — spatial ranges of the bulk-load key order, or ID hashes
-// for degenerate distributions — each with its own page store, R-tree,
-// availability frontier and epoch. Functions, the repair loop,
-// validation, commit and Snapshot exist once. A mutation dirties only
-// its object's partition, so the commit republishes and the next
-// Snapshot re-captures only that partition; repair still runs under the
-// one writer lock and probes every partition. Matchings, Stats
-// population counts and TopK answers are byte-identical at every
-// partition count. NewShardedQueue gives each partition its own
-// group-commit lane.
 type Workspace struct {
 	ws   *assign.Workspace
 	opts Options
@@ -73,11 +61,7 @@ var (
 )
 
 // WorkspaceStats summarizes a workspace and the repair work it has
-// performed since construction. Objects, Functions and AssignedUnits
-// are the same at every partition count (Options.Shards);
-// AvailableFrontier and the work counters are not: AvailableFrontier
-// sums the per-partition frontiers, and every repair proposal probes
-// each partition.
+// performed since construction.
 type WorkspaceStats struct {
 	// Population and matching size.
 	Objects       int
@@ -105,9 +89,7 @@ type WorkspaceStats struct {
 // NewWorkspace validates the inputs, builds the shared solver state,
 // and computes the initial matching. Options are honored exactly as in
 // NewSolver; the Algorithm field is ignored (the initial solve is SB,
-// mutations use chain repair). With Options.Shards > 1 the objects are
-// split into that many object partitions; Durable or WALDir then fail
-// with ErrDurabilityUnsupported.
+// mutations use chain repair).
 func NewWorkspace(objects []Object, functions []Function, opts Options) (*Workspace, error) {
 	if len(objects) == 0 && len(functions) == 0 {
 		return nil, fmt.Errorf("fairassign: nothing to assign")
