@@ -2,8 +2,8 @@ package fairassign
 
 import (
 	"runtime"
-
-	"fairassign/internal/assign"
+	"sync"
+	"sync/atomic"
 )
 
 // BatchItem is one independent assignment problem inside a SolveBatch
@@ -19,9 +19,8 @@ type BatchItem struct {
 type BatchOptions struct {
 	// Parallelism bounds how many problems are solved concurrently.
 	// 0 (or negative) uses one worker per available CPU; 1 solves
-	// sequentially. Each solve may additionally use Options.Workers
-	// goroutines internally, so the total goroutine count is up to
-	// Parallelism × Workers.
+	// sequentially. Each solve searches on one goroutine; only its STR
+	// index build fans out over all cores.
 	Parallelism int
 	// Defaults are the solver options applied to items whose Options
 	// field is nil.
@@ -54,7 +53,7 @@ func SolveBatch(items []BatchItem, opts BatchOptions) []BatchResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	assign.ParallelFor(len(items), workers, func(i int) {
+	parallelFor(len(items), workers, func(i int) {
 		item := items[i]
 		o := opts.Defaults
 		if item.Options != nil {
@@ -73,4 +72,38 @@ func SolveBatch(items []BatchItem, opts BatchOptions) []BatchResult {
 		out[i] = BatchResult{Result: res}
 	})
 	return out
+}
+
+// parallelFor runs fn(0..n-1) over min(workers, n) goroutines. Work is
+// claimed by atomic index, so uneven items balance across workers. It
+// returns once every index has been processed.
+func parallelFor(n, workers int, fn func(i int)) {
+	if n == 0 {
+		return
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for k := 0; k < workers; k++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -78,7 +78,7 @@ func TestSolveBatchPerItemOptions(t *testing.T) {
 	items[1].Options = &Options{Algorithm: BruteForce}
 	got := SolveBatch(items, BatchOptions{
 		Parallelism: 2,
-		Defaults:    Options{Algorithm: SB, Workers: 2},
+		Defaults:    Options{Algorithm: SB},
 	})
 	for i, r := range got {
 		if r.Err != nil {
@@ -101,6 +101,20 @@ func TestSolveBatchEmptyAndSequential(t *testing.T) {
 	for i, r := range out {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
+		}
+	}
+}
+
+func TestParallelForCoversAllIndices(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{1, 3, 8, 200} {
+			hit := make([]int32, n)
+			parallelFor(n, workers, func(i int) { hit[i]++ })
+			for i, h := range hit {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d hit %d times", n, workers, i, h)
+				}
+			}
 		}
 	}
 }

@@ -80,27 +80,6 @@ func BenchmarkAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkSBWorkers compares the sequential engine against the worker
-// pool on the large anti-correlated configuration (big skylines, so the
-// per-object TA searches dominate). The parallel rows must beat
-// Workers=1 wall-clock on any machine with GOMAXPROCS >= 4.
-func BenchmarkSBWorkers(b *testing.B) {
-	p := benchProblem(2000, 10000, 4)
-	for _, workers := range []int{1, 2, 4, -1} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == -1 {
-			name = "workers=GOMAXPROCS"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := assign.SB(p, assign.Config{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSolveBatch measures multi-tenant throughput: many independent
 // problems solved sequentially vs concurrently.
 func BenchmarkSolveBatch(b *testing.B) {

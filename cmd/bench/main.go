@@ -1,8 +1,8 @@
 // Command bench is the reproducible hot-path benchmark pipeline: it
-// measures warm node reads, BBS, kNN, TA top-1, full SB solves, and a
-// SolveBatch workload with the decoded-node cache disabled ("cold": the
-// pre-cache behaviour) and enabled ("warm"), and writes the comparison as
-// machine-readable JSON so every future PR has a perf trajectory to beat.
+// measures warm node reads, BBS, kNN, TA top-1 and full SB solves with
+// the decoded-node cache disabled ("cold": the pre-cache behaviour) and
+// enabled ("warm"), and writes the comparison as machine-readable JSON
+// so every future PR has a perf trajectory to beat.
 //
 // Before measuring anything it runs the conformance harness as a
 // pre-flight check (the cached paths must produce the oracle matching on

@@ -46,8 +46,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  fairassign solve -objects o.csv -functions f.csv [-algorithm sb|bruteforce|chain|sbalt|twoskylines] [-workers 1] [-buildworkers 0] [-max 0]
-  fairassign demo  [-objects 2000] [-functions 200] [-dims 4] [-kind independent|correlated|anti] [-algorithm sb] [-workers 1] [-buildworkers 0]
+  fairassign solve -objects o.csv -functions f.csv [-algorithm sb|bruteforce|chain|sbalt|twoskylines] [-max 0]
+  fairassign demo  [-objects 2000] [-functions 200] [-dims 4] [-kind independent|correlated|anti] [-algorithm sb]
   fairassign gen   -out data.csv [-n 10000] [-dims 4] [-kind anti] [-seed 1]`)
 }
 
@@ -56,8 +56,6 @@ func cmdSolve(args []string) error {
 	objPath := fs.String("objects", "", "object CSV path (id,attr1..attrD[,capacity])")
 	funcPath := fs.String("functions", "", "function CSV path (id,w1..wD[,gamma[,capacity]])")
 	alg := fs.String("algorithm", "sb", "algorithm: sb, bruteforce, chain, sbalt, twoskylines")
-	workers := fs.Int("workers", 1, "worker goroutines for the search phases (-1 = all CPUs)")
-	buildWorkers := fs.Int("buildworkers", 0, "worker goroutines for the STR index build (0 = all CPUs, 1 = sequential)")
 	maxPrint := fs.Int("max", 20, "max pairs to print (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,11 +71,7 @@ func cmdSolve(args []string) error {
 	if err != nil {
 		return err
 	}
-	solver, err := fairassign.NewSolver(objects, functions, fairassign.Options{
-		Algorithm:    fairassign.Algorithm(*alg),
-		Workers:      *workers,
-		BuildWorkers: *buildWorkers,
-	})
+	solver, err := fairassign.NewSolver(objects, functions, fairassign.Options{Algorithm: fairassign.Algorithm(*alg)})
 	if err != nil {
 		return err
 	}
@@ -96,19 +90,13 @@ func cmdDemo(args []string) error {
 	dims := fs.Int("dims", 4, "dimensionality")
 	kind := fs.String("kind", "anti", "object distribution: independent, correlated, anti")
 	alg := fs.String("algorithm", "sb", "algorithm")
-	workers := fs.Int("workers", 1, "worker goroutines for the search phases (-1 = all CPUs)")
-	buildWorkers := fs.Int("buildworkers", 0, "worker goroutines for the STR index build (0 = all CPUs, 1 = sequential)")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	objects := fairassign.GenerateObjects(fairassign.Distribution(*kind), *nObj, *dims, *seed)
 	functions := fairassign.GenerateFunctions(*nFunc, *dims, *seed+1)
-	solver, err := fairassign.NewSolver(objects, functions, fairassign.Options{
-		Algorithm:    fairassign.Algorithm(*alg),
-		Workers:      *workers,
-		BuildWorkers: *buildWorkers,
-	})
+	solver, err := fairassign.NewSolver(objects, functions, fairassign.Options{Algorithm: fairassign.Algorithm(*alg)})
 	if err != nil {
 		return err
 	}

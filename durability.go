@@ -64,7 +64,7 @@ type RecoveryInfo struct {
 //
 // The population, weights, and capacities all come from the durable
 // state; opts supplies only the runtime configuration (page size,
-// buffering, workers, durability), which is why it must match the
+// buffering, durability), which is why it must match the
 // PageSize the workspace was built with only in so far as the page
 // stores are rebuilt from the snapshot's own page size.
 func OpenWorkspace(opts Options) (*Workspace, error) {

@@ -31,12 +31,10 @@
 // Options.Algorithm for comparison studies; all produce the identical
 // stable matching and differ only in cost.
 //
-// Concurrency. Options.Workers parallelizes the search phases inside a
-// single solve (byte-identical output to the sequential run — see the
-// Workers field), and SolveBatch runs many independent problems
-// concurrently for multi-tenant serving. The two compose: a batch of B
-// problems at Parallelism P with W workers each uses up to P·W
-// goroutines.
+// Concurrency. A solve searches on one goroutine; only its STR index
+// build fans out over all cores. SolveBatch runs many independent
+// problems concurrently for multi-tenant serving, up to Parallelism at
+// a time.
 //
 // Dynamic workloads. NewWorkspace is the long-lived incremental form of
 // the solver: it builds the index and search state once and then
@@ -148,24 +146,6 @@ type Options struct {
 	// NormalizeWeights rescales every function's weights to sum to 1
 	// (default true via zero value: set SkipNormalization to opt out).
 	SkipNormalization bool
-	// Workers sets the number of goroutines used inside each solve for
-	// the per-object search phases of the skyline-based algorithms (SB,
-	// TwoSkylines). 0 and 1 run sequentially; n > 1 uses n workers;
-	// negative uses one worker per available CPU. Determinism guarantee:
-	// the emitted matching — pair set, emission order, and every score
-	// bit — is identical for every Workers value; only wall-clock time
-	// changes. Algorithms that do not use the engine (BruteForce, Chain,
-	// SBAlt) ignore the setting.
-	Workers int
-	// BuildWorkers bounds the parallel STR bulk-load that constructs
-	// each index (the object R-tree and Chain's function weight tree).
-	// 0 (the default) and negative values use all cores; 1 restores the
-	// fully sequential build; n > 1 uses n workers. Unlike Workers, the
-	// knob affects index construction only, and the built tree is
-	// byte-identical — same page images, allocation order, and physical
-	// I/O counts — at every setting, so it is purely a build wall-clock
-	// control.
-	BuildWorkers int
 	// Durable enables write-ahead logging on a Workspace: every Apply
 	// batch (and every single mutation) is encoded, checksummed, and
 	// fsynced into WALDir before it is acknowledged, and an initial
@@ -182,18 +162,16 @@ type Options struct {
 	WALDir string
 }
 
-// assignConfig maps public options to the internal engine configuration
-// — the single site, so Solver, NewWorkspace, and OpenWorkspace cannot
-// drift.
+// assignConfig maps public options to the internal configuration — the
+// single site, so Solver, NewWorkspace, OpenWorkspace and
+// NewProgressiveMatcher cannot drift.
 func (o Options) assignConfig() assign.Config {
 	return assign.Config{
-		PageSize:     o.PageSize,
-		BufferFrac:   o.BufferFraction,
-		OmegaFrac:    o.OmegaFraction,
-		Workers:      o.Workers,
-		BuildWorkers: o.BuildWorkers,
-		Durable:      o.Durable,
-		WALDir:       o.WALDir,
+		PageSize:   o.PageSize,
+		BufferFrac: o.BufferFraction,
+		OmegaFrac:  o.OmegaFraction,
+		Durable:    o.Durable,
+		WALDir:     o.WALDir,
 	}
 }
 

@@ -83,7 +83,7 @@ func buildFuncIndex(p *Problem, fpool *pagestore.BufferPool, cfg Config) (*funcI
 			fx.nonlin.Add(f.ID, sc.Fam, sc.W)
 		}
 	}
-	ftree, err := rtree.BulkLoadWorkers(fpool, p.Dims, fitems, treeFill, cfg.buildWorkers())
+	ftree, err := rtree.BulkLoad(fpool, p.Dims, fitems, treeFill)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,9 @@
 package assign
 
 import (
-	"errors"
-	"slices"
-
 	"fairassign/internal/metrics"
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
-	"fairassign/internal/score"
-	"fairassign/internal/skyline"
 	"fairassign/internal/ta"
 )
 
@@ -66,26 +61,27 @@ func SBDiskFuncs(p *Problem, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	st.buildCaps()
-	funcCaps, objCaps := st.funcCaps, st.objCaps
 	omega := cfg.omegaFor(len(p.Functions))
 	searches := make(map[uint64]*ta.Search)
-	defer func() {
-		for _, s := range searches {
+	drop := func(oid uint64) {
+		if s := searches[oid]; s != nil {
 			s.Release()
 		}
+		delete(searches, oid)
+	}
+	defer func() {
+		for oid := range searches {
+			drop(oid)
+		}
 	}()
+	step := pairStep{lists: diskLists{dl}, sky: maint, funcCaps: st.funcCaps, objCaps: st.objCaps, drop: drop}
 
-	for funcCaps.units > 0 && objCaps.units > 0 && maint.Size() > 0 {
+	for st.funcCaps.units > 0 && st.objCaps.units > 0 && maint.Size() > 0 {
 		res.Stats.Loops++
 		sky := maint.Skyline()
 		sortItemsByID(sky)
 
-		type bestFunc struct {
-			fid   uint64
-			score float64
-		}
-		oBest := make(map[uint64]bestFunc, len(sky))
-		noFuncs := false
+		best := make([]bestFunc, 0, len(sky))
 		for _, o := range sky {
 			s := searches[o.ID]
 			if s == nil {
@@ -98,67 +94,15 @@ func SBDiskFuncs(p *Problem, cfg Config) (*Result, error) {
 				if err := s.Err(); err != nil {
 					return nil, err
 				}
-				noFuncs = true
 				break
 			}
-			oBest[o.ID] = bestFunc{fid: fid, score: score}
+			best = append(best, bestFunc{fid: fid, score: score, ok: true})
 		}
-		if noFuncs {
+		if len(best) < len(sky) {
 			break
 		}
-
-		type bestObj struct {
-			oid   uint64
-			score float64
-		}
-		fBest := make(map[uint64]bestObj)
-		fids := make([]uint64, 0, len(oBest))
-		for _, bf := range oBest {
-			if _, seen := fBest[bf.fid]; !seen {
-				fBest[bf.fid] = bestObj{}
-				fids = append(fids, bf.fid)
-			}
-		}
-		slices.Sort(fids)
-		for _, fid := range fids {
-			w, err := dl.WeightsOf(fid)
-			if err != nil {
-				return nil, err
-			}
-			sc := score.Scorer{Fam: dl.FamilyOf(fid), W: w}
-			it, s, _ := skyline.BestUnder(sc, sky)
-			fBest[fid] = bestObj{oid: it.ID, score: s}
-		}
-
-		var removedObjs []uint64
-		emitted := 0
-		for _, fid := range fids {
-			bo := fBest[fid]
-			if oBest[bo.oid].fid != fid {
-				continue
-			}
-			res.Pairs = append(res.Pairs, Pair{FuncID: fid, ObjectID: bo.oid, Score: bo.score})
-			emitted++
-			if funcCaps.consume(fid) {
-				if err := dl.Remove(fid); err != nil {
-					return nil, err
-				}
-			}
-			if objCaps.consume(bo.oid) {
-				removedObjs = append(removedObjs, bo.oid)
-				if s := searches[bo.oid]; s != nil {
-					s.Release()
-				}
-				delete(searches, bo.oid)
-			}
-		}
-		if emitted == 0 {
-			return nil, errors.New("assign: internal error: no stable pair emitted in a loop")
-		}
-		if len(removedObjs) > 0 {
-			if err := maint.Remove(removedObjs...); err != nil {
-				return nil, err
-			}
+		if res.Pairs, err = step.pair(res.Pairs, sky, best); err != nil {
+			return nil, err
 		}
 		var searchBytes int64
 		for _, s := range searches {

@@ -1,11 +1,8 @@
 package assign
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"fairassign/internal/geom"
 	"fairassign/internal/metrics"
@@ -41,8 +38,8 @@ type Progressive struct {
 	st       *solveState
 	maint    *skyline.Maintainer
 	lists    *ta.Lists
-	ctx      *engineCtx
-	eng      searchEngine
+	searches *taSearches
+	step     pairStep
 	funcCaps *capTable
 	objCaps  *capTable
 	objSeen  map[uint64]bool
@@ -85,8 +82,8 @@ func NewProgressive(p *Problem, cfg Config) (*Progressive, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.ctx = newEngineCtx(g.lists, modeOptimized, len(p.Functions), cfg.omegaFor(len(p.Functions)))
-	g.eng = g.ctx.engine(cfg)
+	g.searches = newTASearches(g.lists, modeOptimized, len(p.Functions), cfg.omegaFor(len(p.Functions)))
+	g.step = pairStep{lists: memLists{g.lists}, sky: g.maint, funcCaps: g.funcCaps, objCaps: g.objCaps, drop: g.searches.drop}
 	g.timer.Stop()
 	return g, nil
 }
@@ -144,14 +141,12 @@ func (g *Progressive) flushPending() {
 }
 
 // stepOne runs the per-object best-function phase over the current
-// skyline (Lines 9–11) through the engine.
+// skyline (Lines 9–11).
 func (g *Progressive) stepOne() ([]rtree.Item, []bestFunc) {
 	sky := g.maint.Skyline()
 	sortItemsByID(sky)
-	byObj := make([]bestFunc, len(sky))
-	g.eng.bestFunctions(sky, byObj)
 	g.stats.TopKRuns += int64(len(sky))
-	return sky, byObj
+	return sky, g.searches.bestFunctions(sky)
 }
 
 // Stats returns a snapshot of the work performed so far.
@@ -170,84 +165,29 @@ func (g *Progressive) Stats() metrics.Stats {
 
 // runLoop is one iteration of the optimized SB loop (Algorithm 3),
 // adding every discovered mutual pair to the pending buffer and
-// releasing the prefix that can no longer be outranked. The search
-// phases run through the same engine as the batch solver, so a Workers
-// setting in the config parallelizes them here too.
+// releasing the prefix that can no longer be outranked.
 func (g *Progressive) runLoop() error {
 	g.stats.Loops++
 	var sky []rtree.Item
-	var byObj []bestFunc
+	var best []bestFunc
 	if g.haveNext {
-		sky, byObj, g.haveNext = g.nextSky, g.nextBest, false
+		sky, best, g.haveNext = g.nextSky, g.nextBest, false
 	} else {
-		sky, byObj = g.stepOne()
+		sky, best = g.stepOne()
 	}
-	oBest := make(map[uint64]bestFunc, len(sky))
-	for i, o := range sky {
-		if !byObj[i].ok {
-			g.done = true
-			g.flushPending()
-			return nil
-		}
-		oBest[o.ID] = byObj[i]
+	if !allFound(best) {
+		g.done = true
+		g.flushPending()
+		return nil
 	}
-
-	fids := make([]uint64, 0, len(sky))
-	seen := make(map[uint64]bool, len(sky))
-	for _, bf := range byObj {
-		if !seen[bf.fid] {
-			seen[bf.fid] = true
-			fids = append(fids, bf.fid)
-		}
+	held := len(g.pending)
+	var err error
+	if g.pending, err = g.step.pair(g.pending, sky, best); err != nil {
+		return err
 	}
-	slices.Sort(fids)
-	byFunc := make([]bestObj, len(fids))
-	g.eng.bestObjects(fids, sky, byFunc)
-	fBest := make(map[uint64]bestObj, len(fids))
-	for i, fid := range fids {
-		fBest[fid] = byFunc[i]
-	}
-
-	var removedObjs []uint64
-	emitted := 0
-	for _, fid := range fids {
-		bo := fBest[fid]
-		if oBest[bo.oid].fid != fid {
-			continue
-		}
-		g.pending = append(g.pending, Pair{FuncID: fid, ObjectID: bo.oid, Score: bo.score})
-		g.stats.Pairs++
-		emitted++
-		if g.funcCaps.consume(fid) {
-			if err := g.lists.Remove(fid); err != nil {
-				return err
-			}
-		}
-		if g.objCaps.consume(bo.oid) {
-			removedObjs = append(removedObjs, bo.oid)
-			g.ctx.dropSearch(bo.oid)
-		}
-	}
-	if emitted == 0 {
-		return errors.New("assign: internal error: no stable pair emitted in a loop")
-	}
-	if len(removedObjs) > 0 {
-		if err := g.maint.Remove(removedObjs...); err != nil {
-			return err
-		}
-	}
-	// Keep the held pairs in the definitional greedy order: descending
-	// score, ties by ascending IDs.
-	sort.Slice(g.pending, func(i, j int) bool {
-		a, b := g.pending[i], g.pending[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.FuncID != b.FuncID {
-			return a.FuncID < b.FuncID
-		}
-		return a.ObjectID < b.ObjectID
-	})
+	g.stats.Pairs += int64(len(g.pending) - held)
+	// Keep the held pairs in the definitional greedy order.
+	sortPairsDefinitional(g.pending)
 
 	// Release gate: once a side is exhausted nothing more can be
 	// discovered, so everything held is final. Otherwise run the next
@@ -257,23 +197,16 @@ func (g *Progressive) runLoop() error {
 	if g.funcCaps.units == 0 || g.objCaps.units == 0 || g.maint.Size() == 0 {
 		g.flushPending()
 	} else {
-		sky2, byObj2 := g.stepOne()
-		ceiling := math.Inf(-1)
-		allOK := true
-		for _, bf := range byObj2 {
-			if !bf.ok {
-				allOK = false
-				break
-			}
-			if bf.score > ceiling {
-				ceiling = bf.score
-			}
-		}
-		if !allOK {
+		sky2, best2 := g.stepOne()
+		if !allFound(best2) {
 			g.done = true
 			g.flushPending()
 		} else {
-			g.nextSky, g.nextBest, g.haveNext = sky2, byObj2, true
+			ceiling := math.Inf(-1)
+			for _, bf := range best2 {
+				ceiling = max(ceiling, bf.score)
+			}
+			g.nextSky, g.nextBest, g.haveNext = sky2, best2, true
 			// Strictly above the ceiling: a pair tied with it could also
 			// tie with a future pair, and the tie must be broken by IDs
 			// once both sit in pending together.
@@ -286,7 +219,7 @@ func (g *Progressive) runLoop() error {
 		}
 	}
 
-	if cur := g.mem.Current + g.ctx.searchFootprint(); cur > g.stats.PeakMem {
+	if cur := g.mem.Current + g.searches.footprint(); cur > g.stats.PeakMem {
 		g.stats.PeakMem = cur
 	}
 	return nil

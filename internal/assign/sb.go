@@ -1,11 +1,9 @@
 package assign
 
 import (
-	"errors"
-	"slices"
-
 	"fairassign/internal/metrics"
 	"fairassign/internal/rtree"
+	"fairassign/internal/ta"
 )
 
 // skylineDriver abstracts the two maintenance strategies (UpdateSkyline
@@ -88,89 +86,29 @@ func (st *solveState) runSB(mode sbMode) (*Result, error) {
 	}
 
 	st.buildCaps()
-	funcCaps, objCaps := st.funcCaps, st.objCaps
-	omega := cfg.omegaFor(len(p.Functions))
-	ctx := newEngineCtx(lists, mode, len(p.Functions), omega)
-	defer ctx.releaseAll()
-	eng := ctx.engine(cfg)
+	searches := newTASearches(lists, mode, len(p.Functions), cfg.omegaFor(len(p.Functions)))
+	defer searches.releaseAll()
+	step := pairStep{lists: memLists{lists}, sky: driver, funcCaps: st.funcCaps, objCaps: st.objCaps,
+		onePair: mode != modeOptimized, drop: searches.drop}
 
-	for funcCaps.units > 0 && objCaps.units > 0 && driver.Size() > 0 {
+	for st.funcCaps.units > 0 && st.objCaps.units > 0 && driver.Size() > 0 {
 		res.Stats.Loops++
 		sky := driver.Skyline()
 		sortItemsByID(sky)
-
-		// Step 1 (Lines 9–11): for every skyline object, the best live
-		// function. The engine may fan the searches out over workers;
-		// results come back in skyline order either way.
-		byObj := make([]bestFunc, len(sky))
-		eng.bestFunctions(sky, byObj)
+		// Lines 9–11: the best live function of every skyline object.
+		best := searches.bestFunctions(sky)
 		res.Stats.TopKRuns += int64(len(sky))
-		oBest := make(map[uint64]bestFunc, len(sky))
-		noFuncs := false
-		for i, o := range sky {
-			if !byObj[i].ok {
-				noFuncs = true
-				break
-			}
-			oBest[o.ID] = byObj[i]
-		}
-		if noFuncs {
+		if !allFound(best) {
 			break
 		}
-
-		// Step 2 (Lines 12–13): for every function in Fbest, its best
-		// skyline object.
-		fids := make([]uint64, 0, len(sky))
-		seen := make(map[uint64]bool, len(sky))
-		for _, bf := range byObj {
-			if !seen[bf.fid] {
-				seen[bf.fid] = true
-				fids = append(fids, bf.fid)
-			}
-		}
-		slices.Sort(fids)
-		byFunc := make([]bestObj, len(fids))
-		eng.bestObjects(fids, sky, byFunc)
-		fBest := make(map[uint64]bestObj, len(fids))
-		for i, fid := range fids {
-			fBest[fid] = byFunc[i]
-		}
-
-		// Step 3 (Lines 14–17): emit every mutual best pair.
-		var removedObjs []uint64
-		emitted := 0
-		for _, fid := range fids {
-			bo := fBest[fid]
-			if oBest[bo.oid].fid != fid {
-				continue
-			}
-			res.Pairs = append(res.Pairs, Pair{FuncID: fid, ObjectID: bo.oid, Score: bo.score})
-			emitted++
-			if funcCaps.consume(fid) {
-				if err := lists.Remove(fid); err != nil {
-					return nil, err
-				}
-			}
-			if objCaps.consume(bo.oid) {
-				removedObjs = append(removedObjs, bo.oid)
-				ctx.dropSearch(bo.oid)
-			}
-			if mode != modeOptimized {
-				break // Algorithm 1 emits a single pair per loop
-			}
-		}
-		if emitted == 0 {
-			return nil, errors.New("assign: internal error: no stable pair emitted in a loop")
-		}
-		if len(removedObjs) > 0 {
-			if err := driver.Remove(removedObjs...); err != nil {
-				return nil, err
-			}
+		// Lines 12–17: emit the mutual best pairs.
+		var err error
+		if res.Pairs, err = step.pair(res.Pairs, sky, best); err != nil {
+			return nil, err
 		}
 
 		// Memory metric: maintainer structures plus live TA states.
-		searchBytes := ctx.searchFootprint()
-		if cur := st.mem.Current + searchBytes; cur > res.Stats.PeakMem {
+		if cur := st.mem.Current + searches.footprint(); cur > res.Stats.PeakMem {
 			res.Stats.PeakMem = cur
 		}
 	}
@@ -186,4 +124,77 @@ func (st *solveState) runSB(mode sbMode) (*Result, error) {
 		res.Stats.PeakMem = st.mem.Peak
 	}
 	return res, nil
+}
+
+// taSearches answers Lines 9–11 with in-memory TA for SB, SBBasic,
+// SBDeltaSky and Progressive. In optimized mode every skyline object
+// keeps a resumable Ω-bounded search across loops; otherwise each loop
+// runs a fresh unbounded search per object (Algorithm 1).
+type taSearches struct {
+	lists    *ta.Lists
+	searches map[uint64]*ta.Search
+	omega    int
+	numFuncs int
+	resume   bool
+}
+
+func newTASearches(lists *ta.Lists, mode sbMode, numFuncs, omega int) *taSearches {
+	return &taSearches{
+		lists:    lists,
+		searches: make(map[uint64]*ta.Search),
+		omega:    omega,
+		numFuncs: numFuncs,
+		resume:   mode == modeOptimized,
+	}
+}
+
+// bestFunctions returns the best live function of every skyline object,
+// in skyline order.
+func (c *taSearches) bestFunctions(sky []rtree.Item) []bestFunc {
+	out := make([]bestFunc, len(sky))
+	for i, o := range sky {
+		var fid uint64
+		var score float64
+		var ok bool
+		if c.resume {
+			s := c.searches[o.ID]
+			if s == nil {
+				s = ta.NewSearch(c.lists, o.Point, c.omega)
+				c.searches[o.ID] = s
+			}
+			fid, score, ok = s.Best()
+		} else {
+			// A fresh search whose buffers go straight back to the pool,
+			// so the per-loop cost is near allocation-free.
+			s := ta.NewSearch(c.lists, o.Point, c.numFuncs)
+			fid, score, ok = s.Best()
+			s.Release()
+		}
+		out[i] = bestFunc{fid: fid, score: score, ok: ok}
+	}
+	return out
+}
+
+// drop discards the resumable search of an exhausted object.
+func (c *taSearches) drop(oid uint64) {
+	if s := c.searches[oid]; s != nil {
+		s.Release()
+	}
+	delete(c.searches, oid)
+}
+
+// releaseAll recycles every remaining search at the end of a run.
+func (c *taSearches) releaseAll() {
+	for oid := range c.searches {
+		c.drop(oid)
+	}
+}
+
+// footprint sums the live resumable searches for the memory metric.
+func (c *taSearches) footprint() int64 {
+	var n int64
+	for _, s := range c.searches {
+		n += s.Footprint()
+	}
+	return n
 }

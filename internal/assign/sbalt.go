@@ -1,13 +1,8 @@
 package assign
 
 import (
-	"errors"
-	"slices"
-
 	"fairassign/internal/metrics"
 	"fairassign/internal/pagestore"
-	"fairassign/internal/score"
-	"fairassign/internal/skyline"
 	"fairassign/internal/ta"
 )
 
@@ -53,15 +48,16 @@ func SBAlt(p *Problem, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	st.buildCaps()
-	funcCaps, objCaps := st.funcCaps, st.objCaps
 
 	// An object's cached best function stays valid until that function is
 	// assigned away (only removals ever happen), so each loop batch-
 	// searches only the objects whose cache was invalidated — the paper's
 	// "skip this object in the following iterations".
 	bestCache := make(map[uint64]ta.BatchResult)
+	step := pairStep{lists: diskLists{dl}, sky: maint, funcCaps: st.funcCaps, objCaps: st.objCaps,
+		drop: func(oid uint64) { delete(bestCache, oid) }}
 
-	for funcCaps.units > 0 && objCaps.units > 0 && maint.Size() > 0 {
+	for st.funcCaps.units > 0 && st.objCaps.units > 0 && maint.Size() > 0 {
 		res.Stats.Loops++
 		sky := maint.Skyline()
 		sortItemsByID(sky)
@@ -84,73 +80,16 @@ func SBAlt(p *Problem, cfg Config) (*Result, error) {
 			}
 		}
 
-		type bestFunc struct {
-			fid   uint64
-			score float64
-		}
-		oBest := make(map[uint64]bestFunc, len(sky))
-		noFuncs := false
-		for _, o := range sky {
+		best := make([]bestFunc, len(sky))
+		for i, o := range sky {
 			r := bestCache[o.ID]
-			if !r.OK {
-				noFuncs = true
-				break
-			}
-			oBest[o.ID] = bestFunc{fid: r.FuncID, score: r.Score}
+			best[i] = bestFunc{fid: r.FuncID, score: r.Score, ok: r.OK}
 		}
-		if noFuncs {
+		if !allFound(best) {
 			break
 		}
-
-		type bestObj struct {
-			oid   uint64
-			score float64
-		}
-		fBest := make(map[uint64]bestObj)
-		fids := make([]uint64, 0, len(oBest))
-		for _, bf := range oBest {
-			if _, seen := fBest[bf.fid]; !seen {
-				fBest[bf.fid] = bestObj{}
-				fids = append(fids, bf.fid)
-			}
-		}
-		slices.Sort(fids)
-		for _, fid := range fids {
-			w, err := dl.WeightsOf(fid)
-			if err != nil {
-				return nil, err
-			}
-			sc := score.Scorer{Fam: dl.FamilyOf(fid), W: w}
-			it, s, _ := skyline.BestUnder(sc, sky)
-			fBest[fid] = bestObj{oid: it.ID, score: s}
-		}
-
-		var removedObjs []uint64
-		emitted := 0
-		for _, fid := range fids {
-			bo := fBest[fid]
-			if oBest[bo.oid].fid != fid {
-				continue
-			}
-			res.Pairs = append(res.Pairs, Pair{FuncID: fid, ObjectID: bo.oid, Score: bo.score})
-			emitted++
-			if funcCaps.consume(fid) {
-				if err := dl.Remove(fid); err != nil {
-					return nil, err
-				}
-			}
-			if objCaps.consume(bo.oid) {
-				removedObjs = append(removedObjs, bo.oid)
-				delete(bestCache, bo.oid)
-			}
-		}
-		if emitted == 0 {
-			return nil, errors.New("assign: internal error: no stable pair emitted in a loop")
-		}
-		if len(removedObjs) > 0 {
-			if err := maint.Remove(removedObjs...); err != nil {
-				return nil, err
-			}
+		if res.Pairs, err = step.pair(res.Pairs, sky, best); err != nil {
+			return nil, err
 		}
 		if cur := st.mem.Current + int64(len(sky))*48; cur > res.Stats.PeakMem {
 			res.Stats.PeakMem = cur

@@ -112,7 +112,7 @@ func newSolveState(p *Problem, cfg Config) (*solveState, error) {
 		store.Close()
 		return nil, err
 	}
-	tree, err := rtree.BulkLoadWorkers(pool, p.Dims, items, treeFill, cfg.buildWorkers())
+	tree, err := rtree.BulkLoad(pool, p.Dims, items, treeFill)
 	if err != nil {
 		return fail(err)
 	}

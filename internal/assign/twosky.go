@@ -55,15 +55,13 @@ func SBTwoSkylines(p *Problem, cfg Config) (*Result, error) {
 	}
 	fsky := functionSkylines(liveFuncs, fams)
 	fskyStale := false
-	workers := cfg.workerCount()
 
 	// Columnar mirrors of the two skylines, rebuilt only when their row
 	// sets change: fblocks holds Fsky in per-family weight columns for
 	// the batched reverse scan; skyCols holds Osky in per-dimension
 	// columns for the batched forward scan. Both Best kernels are
 	// bit-identical to the row-wise Eval/Score with the same (score,
-	// lowest-ID) selection, and both are safe for the concurrent readers
-	// of the worker fan-outs.
+	// lowest-ID) selection.
 	fblocks := funcBlocksOf(p.Dims, fsky, fams)
 	skyCols := skyline.NewColSet(p.Dims)
 
@@ -84,13 +82,11 @@ func SBTwoSkylines(p *Problem, cfg Config) (*Result, error) {
 
 		// Best function in Fsky for every skyline object, and the
 		// reverse, by batched kernel scans of the (small) cross product.
-		// Both scans fan out over the worker pool; each slot depends only
-		// on its own input, so the merge is deterministic.
 		byObj := make([]bestFunc, len(sky))
-		ParallelFor(len(sky), workers, func(i int) {
-			fid, s, ok := fblocks.Best(sky[i].Point, nil)
+		for i, o := range sky {
+			fid, s, ok := fblocks.Best(o.Point, nil)
 			byObj[i] = bestFunc{fid: fid, score: s, ok: ok}
-		})
+		}
 		oBest := make(map[uint64]bestFunc, len(sky))
 		for i, o := range sky {
 			if !byObj[i].ok {
@@ -108,12 +104,12 @@ func SBTwoSkylines(p *Problem, cfg Config) (*Result, error) {
 		}
 		slices.Sort(fids)
 		byFunc := make([]bestObj, len(fids))
-		ParallelFor(len(fids), workers, func(i int) {
-			sc := score.Scorer{Fam: fams[fids[i]], W: weights[fids[i]]}
+		for i, fid := range fids {
+			sc := score.Scorer{Fam: fams[fid], W: weights[fid]}
 			if j, s, ok := skyCols.Best(sc); ok {
 				byFunc[i] = bestObj{oid: skyCols.ID(j), score: s}
 			}
-		})
+		}
 		fBest := make(map[uint64]bestObj, len(fids))
 		for i, fid := range fids {
 			fBest[fid] = byFunc[i]

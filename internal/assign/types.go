@@ -209,20 +209,6 @@ type Config struct {
 	// FuncBufferFrac sizes the buffer over disk-resident function lists
 	// for SBAlt (default = BufferFrac).
 	FuncBufferFrac float64
-	// Workers sets the number of goroutines the skyline-based algorithms
-	// use for the per-object reverse top-1 searches and the per-function
-	// best-object scans inside each loop. 0 and 1 run sequentially; n > 1
-	// uses n workers; negative uses one worker per available CPU. The
-	// emitted matching is identical for every setting — only wall-clock
-	// changes.
-	Workers int
-	// BuildWorkers bounds the parallel STR bulk-load used when an index
-	// (object R-tree or function weight tree) is built: <= 0 uses all
-	// cores (GOMAXPROCS), 1 restores the fully sequential build, n > 1
-	// uses n workers. The built tree — page allocation order, page
-	// bytes, and physical I/O counters — is byte-identical at every
-	// setting; only build wall-clock changes.
-	BuildWorkers int
 	// DisableNodeCache turns off the buffer pool's decoded-node tier on
 	// every index store (object index and function-side structures),
 	// forcing every node access to re-parse its page bytes. The matching
@@ -286,10 +272,6 @@ func (c Config) omegaFrac() float64 {
 
 // treeFill is the STR bulk-load occupancy of every index.
 const treeFill = 0.9
-
-// buildWorkers is passed straight to rtree.BulkLoadWorkers, which maps
-// <= 0 to all cores and 1 to the sequential build.
-func (c Config) buildWorkers() int { return c.BuildWorkers }
 
 func (c Config) funcBufferFrac() float64 {
 	if c.FuncBufferFrac == 0 {

@@ -260,7 +260,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 			w.nonlin.Add(f.ID, f.Fam, ew)
 		}
 	}
-	w.ftree, err = rtree.BulkLoadWorkers(w.fpool, p.Dims, fitems, treeFill, cfg.buildWorkers())
+	w.ftree, err = rtree.BulkLoad(w.fpool, p.Dims, fitems, treeFill)
 	if err != nil {
 		w.Close()
 		return nil, err

@@ -1,8 +1,8 @@
 // Package bench is the reproducible performance pipeline behind
 // cmd/bench: it measures the hot paths of the SB family (warm node
-// reads, BBS skyline passes, kNN, TA reverse top-1, full SB solves, and
-// multi-tenant SolveBatch) with the decoded-node cache disabled ("cold",
-// the pre-cache behaviour) and enabled ("warm"), verifies that the two
+// reads, BBS skyline passes, kNN, TA reverse top-1 and full SB solves)
+// with the decoded-node cache disabled ("cold", the pre-cache
+// behaviour) and enabled ("warm"), verifies that the two
 // configurations produce byte-identical matchings with identical
 // physical I/O, and emits the numbers as machine-readable JSON
 // (BENCH_*.json) so future optimization work has a trajectory to beat.
@@ -551,36 +551,6 @@ func runAll(n, dims int, opts Options) ([]Case, error) {
 	}
 	if err := verifyIdentical(sbRes[0], sbRes[1]); err != nil {
 		return nil, fmt.Errorf("sb_solve(n=%d,dims=%d) cache on/off diverged: %w", n, dims, err)
-	}
-	out = append(out, c)
-
-	// SolveBatch: a small multi-tenant batch per op.
-	c, err = runCase("solve_batch", n, dims, opts, func(cache bool) (func() error, func() (int64, int64, error), error) {
-		batchN := n / 4
-		if batchN < 200 {
-			batchN = 200
-		}
-		problems := make([]*assign.Problem, 4)
-		for i := range problems {
-			problems[i] = &assign.Problem{
-				Dims:      dims,
-				Objects:   datagen.Objects(datagen.Independent, batchN, dims, opts.Seed+int64(i)),
-				Functions: datagen.Functions(opts.funcsFor(batchN), dims, opts.Seed+10+int64(i)),
-			}
-		}
-		cfg := assign.Config{DisableNodeCache: !cache, Workers: 2}
-		op := func() error {
-			for _, p := range problems {
-				if _, err := assign.SB(p, cfg); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return op, nil, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	out = append(out, c)
 

@@ -5,16 +5,11 @@
 // and checks that all of them produce the matching defined by the Oracle
 // definitional greedy (and, independently, by capacitated Gale–Shapley).
 //
-// The harness exists so that hot-path work — the parallel solver engine,
-// and any future optimization of the search structures — can be changed
-// with confidence: a behavioral regression in any algorithm, on any
+// The harness exists so that hot-path work — any optimization of the
+// search structures or of the shared SB loop — can be changed with
+// confidence: a behavioral regression in any algorithm, on any
 // supported problem shape, surfaces as a conformance failure with a seed
 // that reproduces it deterministically.
-//
-// Beyond matching-equivalence, the harness asserts a stronger property
-// for the parallel engine: SB with Workers > 1 must produce the
-// byte-identical result of sequential SB — same pairs, same emission
-// order, bit-equal scores — on every case.
 package conformance
 
 import (
@@ -50,8 +45,7 @@ type Algorithm struct {
 	Run  func(*assign.Problem, assign.Config) (*assign.Result, error)
 }
 
-// Algorithms returns every solver under test: the seven sequential
-// algorithms plus SB on the parallel engine.
+// Algorithms returns every solver under test.
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		{"SB", assign.SB},
@@ -61,10 +55,6 @@ func Algorithms() []Algorithm {
 		{"Chain", assign.Chain},
 		{"SBAlt", assign.SBAlt},
 		{"SBTwoSkylines", assign.SBTwoSkylines},
-		{"SBParallel", func(p *assign.Problem, cfg assign.Config) (*assign.Result, error) {
-			cfg.Workers = 4
-			return assign.SB(p, cfg)
-		}},
 	}
 }
 
@@ -138,8 +128,8 @@ func sameMatching(got, want []assign.Pair) error {
 	return nil
 }
 
-// identicalRun checks the parallel-engine determinism guarantee: pairs in
-// the same emission order with bit-equal scores.
+// identicalRun checks byte identity: pairs in the same emission order
+// with bit-equal scores.
 func identicalRun(got, want []assign.Pair) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d pairs, want %d", len(got), len(want))
@@ -178,7 +168,6 @@ func Verify(spec Spec) error {
 		return fmt.Errorf("[%s] oracle matching unstable: %w", spec, err)
 	}
 
-	var sbPairs []assign.Pair
 	for _, alg := range Algorithms() {
 		res, err := alg.Run(p, config())
 		if err != nil {
@@ -186,14 +175,6 @@ func Verify(spec Spec) error {
 		}
 		if err := sameMatching(res.Pairs, oracle.Pairs); err != nil {
 			return fmt.Errorf("[%s] %s vs Oracle: %w", spec, alg.Name, err)
-		}
-		switch alg.Name {
-		case "SB":
-			sbPairs = res.Pairs
-		case "SBParallel":
-			if err := identicalRun(res.Pairs, sbPairs); err != nil {
-				return fmt.Errorf("[%s] SBParallel not byte-identical to SB: %w", spec, err)
-			}
 		}
 	}
 	return nil

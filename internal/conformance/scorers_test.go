@@ -6,9 +6,9 @@ import (
 
 // TestScorerFamilySweep is the acceptance gate for the pluggable
 // scoring families: on every cell of the mode × distribution ×
-// dimension × capacity × priority grid, all eight algorithms and a
+// dimension × capacity × priority grid, all seven algorithms and a
 // drained Progressive run must reproduce the generalized Oracle
-// matching, with parallel SB byte-identical to sequential SB.
+// matching.
 func TestScorerFamilySweep(t *testing.T) {
 	specs := ScorerSweep(1)
 	if len(specs) < 150 {

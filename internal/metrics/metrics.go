@@ -16,8 +16,8 @@ import (
 // metric corresponds to Physical reads plus writes.
 //
 // Increments go through the Inc methods, which are atomic, so one counter
-// may be shared by concurrent readers of a store (the parallel solver
-// engine and SolveBatch). Aggregate reads (Accesses, Snapshot, String)
+// may be shared by concurrent readers of a store (the View queries of a
+// Workspace). Aggregate reads (Accesses, Snapshot, String)
 // are likewise atomic; direct field access remains valid for
 // single-threaded code and existing tests.
 type IOCounter struct {

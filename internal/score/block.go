@@ -2,7 +2,6 @@ package score
 
 import (
 	"math"
-	"sync"
 
 	"fairassign/internal/geom"
 	"fairassign/internal/simd"
@@ -115,13 +114,15 @@ func EvalPrepared(fam Family, w []float64, o geom.Point, osorted []float64) floa
 // long-lived index (Workspace, Chain's non-linear side list) maintains
 // them across mutations.
 //
-// FuncBlocks is not safe for concurrent mutation, but Best is safe to
-// call from many goroutines concurrently (scratch is pooled per call),
-// which is what the parallel solver engines need.
+// A FuncBlocks is single-goroutine: Best keeps its score scratch on the
+// index, so it allocates nothing at steady state.
 type FuncBlocks struct {
 	dims   int
 	groups []*funcGroup
 	loc    map[uint64]funcLoc
+
+	out  []float64 // Best's per-group scores
+	prep []float64 // Best's per-object preprocessing
 }
 
 type funcLoc struct{ g, i int }
@@ -135,7 +136,7 @@ type funcGroup struct {
 // NewFuncBlocks returns an empty function-block index for the given
 // dimensionality.
 func NewFuncBlocks(dims int) *FuncBlocks {
-	return &FuncBlocks{dims: dims, loc: make(map[uint64]funcLoc)}
+	return &FuncBlocks{dims: dims, loc: make(map[uint64]funcLoc), prep: make([]float64, dims)}
 }
 
 // Len returns the number of indexed functions.
@@ -199,26 +200,6 @@ func (fb *FuncBlocks) Remove(id uint64) bool {
 	return true
 }
 
-// blockScratch is the per-Best working set, pooled so concurrent
-// callers allocate nothing at steady state.
-type blockScratch struct {
-	out  []float64
-	prep []float64
-}
-
-var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
-
-func (s *blockScratch) grow(n, dims int) {
-	if cap(s.out) < n {
-		s.out = make([]float64, n)
-	}
-	s.out = s.out[:n]
-	if cap(s.prep) < dims {
-		s.prep = make([]float64, dims)
-	}
-	s.prep = s.prep[:dims]
-}
-
 // Best returns the indexed function maximizing its family score at o,
 // among those the accept filter admits (nil accepts everything); ties
 // break to the lower function ID. The result does not depend on block
@@ -227,28 +208,29 @@ func (s *blockScratch) grow(n, dims int) {
 // matches a row-wise scan exactly. ok is false when no function is
 // admitted.
 func (fb *FuncBlocks) Best(o geom.Point, accept func(id uint64, s float64) bool) (bestID uint64, bestS float64, ok bool) {
-	sc := blockScratchPool.Get().(*blockScratch)
-	defer blockScratchPool.Put(sc)
 	for _, g := range fb.groups {
 		n := len(g.ids)
 		if n == 0 {
 			continue
 		}
-		sc.grow(n, fb.dims)
-		g.evalDual(o, sc.prep, sc.out)
+		if cap(fb.out) < n {
+			fb.out = make([]float64, n)
+		}
+		out := fb.out[:n]
+		g.evalDual(o, fb.prep, out)
 		if accept == nil {
 			// Unfiltered: the group winner under (score, -id) comes
 			// from the strided argmax kernel, and only winners cross
 			// the group merge.
-			bi := simd.SelectBest(sc.out[:n], g.ids)
-			id, s := g.ids[bi], sc.out[bi]
+			bi := simd.SelectBest(out, g.ids)
+			id, s := g.ids[bi], out[bi]
 			if ok && (s < bestS || (s == bestS && id >= bestID)) {
 				continue
 			}
 			bestID, bestS, ok = id, s, true
 			continue
 		}
-		for i, s := range sc.out[:n] {
+		for i, s := range out {
 			id := g.ids[i]
 			if ok && (s < bestS || (s == bestS && id >= bestID)) {
 				continue

@@ -46,7 +46,7 @@ func TestEvalBlockLaneTails(t *testing.T) {
 	})
 }
 
-// TestEvalBlockUnaligned: pooled scratch hands the kernels sub-slices
+// TestEvalBlockUnaligned: reused scratch hands the kernels sub-slices
 // at arbitrary element offsets; vector loads must not assume alignment.
 func TestEvalBlockUnaligned(t *testing.T) {
 	withSIMDModes(t, func(t *testing.T) {

@@ -190,7 +190,7 @@ func TestFuncBlocksRemoveUnknown(t *testing.T) {
 
 // TestKernelAllocs: the kernels must be allocation-free at steady state
 // — EvalBlock with caller-owned buffers always, FuncBlocks.Best once
-// its pooled scratch is warm.
+// its scratch is warm.
 func TestKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dims := 4
@@ -209,7 +209,7 @@ func TestKernelAllocs(t *testing.T) {
 		fb.Add(uint64(i), testFamilies[i%len(testFamilies)], randWeights(rng, dims))
 	}
 	o := geom.Point(randWeights(rng, dims))
-	fb.Best(o, nil) // warm the scratch pool
+	fb.Best(o, nil) // warm the scratch
 	if n := testing.AllocsPerRun(20, func() { fb.Best(o, nil) }); n != 0 {
 		t.Errorf("FuncBlocks.Best allocates %.1f/op, want 0", n)
 	}

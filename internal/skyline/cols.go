@@ -21,7 +21,7 @@ import (
 // and score.Eval member by member: the per-dimension comparisons are the
 // same expressions, only the loop nest is transposed.
 //
-// A ColSet is single-goroutine (the counter scratch is part of the set);
+// A ColSet is single-goroutine (its kernel scratch is part of the set);
 // concurrent readers each take their own from the pool.
 type ColSet struct {
 	dims int
@@ -29,10 +29,10 @@ type ColSet struct {
 	cols [][]float64
 	ids  []uint64
 
-	// blocked-kernel scratch for the dominance filter: the surviving-
-	// candidate index buffer. (Best uses pooled scratch instead, so
-	// concurrent readers may share one set.)
-	cand []int32
+	// kernel scratch: the dominance filter's surviving-candidate index
+	// buffer, and Best's score block.
+	cand   []int32
+	scores []float64
 }
 
 // domBlock is the largest kernel tile: small enough that the candidate
@@ -186,28 +186,19 @@ func (c *ColSet) AnyDominates(q []float64) bool { return c.FirstDominator(q) >= 
 // with one EvalBlock pass. ok is false on an empty set. Scores are
 // bit-identical to sc.Score per member, and selection follows the same
 // (score, lowest-ID) total order, so the winner matches BestUnder over
-// the rows in any order. The score block is pooled, so concurrent
-// readers (the parallel solver fan-outs) may call Best on one shared
-// set — only mutation requires exclusion.
+// the rows in any order.
 func (c *ColSet) Best(sc score.Scorer) (idx int, best float64, ok bool) {
 	if c.n == 0 {
 		return 0, 0, false
 	}
-	sb := scoreScratchPool.Get().(*scoreScratch)
-	if cap(sb.out) < c.n {
-		sb.out = make([]float64, c.n)
+	if cap(c.scores) < c.n {
+		c.scores = make([]float64, c.n)
 	}
-	out := sb.out[:c.n]
+	out := c.scores[:c.n]
 	score.EvalBlock(sc.Fam, sc.W, c.cols, out)
 	idx = simd.SelectBest(out, c.ids[:c.n])
-	best, ok = out[idx], true
-	scoreScratchPool.Put(sb)
-	return idx, best, ok
+	return idx, out[idx], true
 }
-
-type scoreScratch struct{ out []float64 }
-
-var scoreScratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
 // colSetPool recycles ColSets across skyline passes (Compute calls, SFS
 // runs) the way entryHeapPool recycles heaps.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"fairassign/internal/geom"
 	"fairassign/internal/score"
@@ -52,19 +51,17 @@ type listEntry struct {
 	idx  int // dense function index (position in a canonical order)
 }
 
-// Counters tallies TA work for the experiment harness. Increments go
-// through atomic adds so that many Searches may run concurrently over one
-// shared list source (the parallel SB engine); plain field reads are safe
-// once the concurrent phase has completed.
+// Counters tallies TA work for the experiment harness. A list source and
+// the searches over it run on one goroutine, so the increments are plain.
 type Counters struct {
 	SortedAccesses int64 // entries popped from sorted lists
 	RandomAccesses int64 // full-weight lookups
 	Restarts       int64 // Ω-exhaustion restarts
 }
 
-func (c *Counters) addSorted()  { atomic.AddInt64(&c.SortedAccesses, 1) }
-func (c *Counters) addRandom()  { atomic.AddInt64(&c.RandomAccesses, 1) }
-func (c *Counters) addRestart() { atomic.AddInt64(&c.Restarts, 1) }
+func (c *Counters) addSorted()  { c.SortedAccesses++ }
+func (c *Counters) addRandom()  { c.RandomAccesses++ }
+func (c *Counters) addRestart() { c.Restarts++ }
 
 // Lists indexes a function set as D descending-sorted coefficient lists
 // plus a random-access table, supporting tombstoned removal of assigned

@@ -171,7 +171,7 @@ func newSearch(l listSource, o geom.Point, omega int) *Search {
 
 // Release returns the search — struct and buffers — to a shared pool for
 // reuse by future searches. The search must not be used afterwards.
-// Idempotent; safe to call from concurrent workers (the pool is
+// Idempotent; safe to call from concurrent solves (the pool is
 // goroutine-safe).
 func (s *Search) Release() {
 	if s.l == nil {

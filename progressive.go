@@ -21,24 +21,12 @@ type ProgressiveMatcher struct {
 // NewProgressiveMatcher prepares a progressive matcher. The options are
 // interpreted as for NewSolver; the algorithm is always SB.
 func NewProgressiveMatcher(objects []Object, functions []Function, opts Options) (*ProgressiveMatcher, error) {
-	solver, err := NewSolver(objects, functions, Options{
-		PageSize:          opts.PageSize,
-		BufferFraction:    opts.BufferFraction,
-		OmegaFraction:     opts.OmegaFraction,
-		SkipNormalization: opts.SkipNormalization,
-		Workers:           opts.Workers,
-		BuildWorkers:      opts.BuildWorkers,
-	})
+	opts.Algorithm = SB
+	solver, err := NewSolver(objects, functions, opts)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := assign.NewProgressive(solver.problem, assign.Config{
-		PageSize:     opts.PageSize,
-		BufferFrac:   opts.BufferFraction,
-		OmegaFrac:    opts.OmegaFraction,
-		Workers:      opts.Workers,
-		BuildWorkers: opts.BuildWorkers,
-	})
+	inner, err := assign.NewProgressive(solver.problem, opts.assignConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -195,26 +195,3 @@ func TestProgressiveMatcherCapacitated(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestProgressiveMatcherWorkers checks the stream is unchanged when the
-// engine runs parallel.
-func TestProgressiveMatcherWorkers(t *testing.T) {
-	objects := GenerateObjects(AntiCorrelated, 150, 3, 93)
-	functions := GenerateFunctions(40, 3, 94)
-	run := func(workers int) []Pair {
-		m, err := NewProgressiveMatcher(objects, functions, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return drainMatcher(t, m)
-	}
-	seq, par := run(0), run(4)
-	if len(seq) != len(par) {
-		t.Fatalf("%d pairs sequential, %d parallel", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("pair %d differs: %+v vs %+v", i, seq[i], par[i])
-		}
-	}
-}
