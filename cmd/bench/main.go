@@ -172,32 +172,14 @@ func main() {
 			c.Name, c.N, c.Dims, c.SolveNsPerOp, c.Pairs, c.TopKNsPerOp, c.TopKPerSec)
 	}
 
-	for _, c := range rep.BatchCommit {
-		match := "matching=identical"
-		if !c.Identical {
-			match = "MATCHING DIVERGED"
-		}
-		fmt.Printf("%-22s n=%-6d d=%d  batch=%d  batched %10d ns/mut | sequential %10d ns/mut | %6.2fx faster | %d muts: %d vs %d commits %s\n",
-			c.Name, c.N, c.Dims, c.BatchSize, c.BatchedNsPerMut, c.SequentialNsPerMut, c.SpeedupX,
-			c.Mutations, c.BatchedCommits, c.SequentialCommits, match)
-		if !c.Identical {
-			diverged = true
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d): batched matching differs from a cold solve\n", c.Name, c.N, c.Dims)
-		}
-		if c.BatchedNsPerMut >= c.SequentialNsPerMut {
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d): batched Apply (%d ns/mut) did not beat per-mutation commits (%d ns/mut)\n",
-				c.Name, c.N, c.Dims, c.BatchedNsPerMut, c.SequentialNsPerMut)
-		}
-	}
-
 	for _, c := range rep.Durability {
 		match := "matching=identical"
 		if !c.Identical {
 			match = "MATCHING DIVERGED"
 		}
-		fmt.Printf("%-22s n=%-6d d=%d  batch=%d  apply off %8d | nosync %8d | fsync %8d ns/mut | save %8.2fms (%d B) | recover %d batches %8.2fms | warm start %8.2fms %s\n",
+		fmt.Printf("%-22s n=%-6d d=%d  batch=%d  apply off %8d | fsync %8d ns/mut | save %8.2fms (%d B) | recover %d batches %8.2fms | warm start %8.2fms %s\n",
 			c.Name, c.N, c.Dims, c.BatchSize,
-			c.ApplyNsPerMutOff, c.ApplyNsPerMutNoSync, c.ApplyNsPerMutFsync,
+			c.ApplyNsPerMutOff, c.ApplyNsPerMutFsync,
 			float64(c.SnapshotSaveNs)/1e6, c.SnapshotBytes,
 			c.RecoveryBatches, float64(c.RecoveryNs)/1e6, float64(c.WarmStartNs)/1e6, match)
 		if !c.Identical {

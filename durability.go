@@ -63,10 +63,11 @@ type RecoveryInfo struct {
 // fresh segment.
 //
 // The population, weights, and capacities all come from the durable
-// state; opts supplies only the runtime configuration (page size,
-// buffering, durability), which is why it must match the
-// PageSize the workspace was built with only in so far as the page
-// stores are rebuilt from the snapshot's own page size.
+// state; opts supplies only the runtime configuration (buffering and
+// durability). opts.PageSize is ignored: the object store is rebuilt
+// with the page size recorded in the snapshot. A directory whose
+// snapshots were all written in the earlier format version 1 does not
+// open: OpenWorkspace returns ErrBadSnapshot.
 func OpenWorkspace(opts Options) (*Workspace, error) {
 	ws, err := assign.OpenWorkspace(opts.assignConfig())
 	if err != nil {

@@ -56,10 +56,9 @@ const retainSnapshots = 2
 
 // durableState carries a workspace's durability plumbing.
 type durableState struct {
-	fs     vfs.FS
-	dir    string
-	log    *wal.Writer // nil in snapshot-only mode (WALDir without Durable)
-	noSync bool
+	fs  vfs.FS
+	dir string
+	log *wal.Writer // nil in snapshot-only mode (WALDir without Durable)
 }
 
 // RecoveryInfo describes how OpenWorkspace reconstructed a workspace.
@@ -112,7 +111,7 @@ func (w *Workspace) initDurable() error {
 	} else if len(epochs) > 0 {
 		return fmt.Errorf("%w: %s (use OpenWorkspace)", ErrDurableDirInUse, cfg.WALDir)
 	}
-	w.dur = &durableState{fs: fs, dir: cfg.WALDir, noSync: cfg.WALNoSync}
+	w.dur = &durableState{fs: fs, dir: cfg.WALDir}
 	if !cfg.Durable {
 		return nil // snapshot-only mode: images on demand, no log
 	}
@@ -205,16 +204,13 @@ func (w *Workspace) pruneDurableFiles() {
 
 // captureDataLocked freezes the workspace into a snapshot.Data: sorted
 // entity tables, the matching, capacity tables, the frontier ID set,
-// and page images of both stores (taken from the in-memory version
-// chains — no physical reads). The function-side pool is flushed first
-// so its chains hold the final bytes; that flush is the only I/O the
-// capture performs. Caller holds w.mu.
+// and page images of the object store (taken from the in-memory version
+// chains — no physical reads). The object pool is flushed first so its
+// chains hold the final bytes; that flush is the only I/O the capture
+// performs. Caller holds w.mu.
 func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 	pt := w.obj
 	if err := pt.pool.Flush(); err != nil {
-		return nil, err
-	}
-	if err := w.fpool.Flush(); err != nil {
 		return nil, err
 	}
 	d := &snapshot.Data{
@@ -252,9 +248,6 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 	sort.Slice(d.Avail, func(i, j int) bool { return d.Avail[i] < d.Avail[j] })
 	var err error
 	if d.ObjStore, err = storeImage(pt.vstore, pt.tree.Meta()); err != nil {
-		return nil, err
-	}
-	if d.FuncStore, err = storeImage(w.fvstore, w.ftree.Meta()); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -416,7 +409,7 @@ func OpenWorkspace(cfg Config) (*Workspace, error) {
 		w.Close()
 		return nil, err
 	}
-	w.dur = &durableState{fs: fs, dir: cfg.WALDir, noSync: cfg.WALNoSync}
+	w.dur = &durableState{fs: fs, dir: cfg.WALDir}
 	if cfg.Durable {
 		segs, err := wal.ListSegments(fs, cfg.WALDir)
 		if err != nil {
@@ -492,9 +485,10 @@ func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) error {
 }
 
 // restoreWorkspace rebuilds a serving workspace from one decoded
-// snapshot: both page stores are re-imaged (preserving page IDs and the
-// allocation watermark), the R-trees reattach via their persisted Meta,
-// the matching and capacity tables load directly, and the availability
+// snapshot: the object page store is re-imaged (preserving page IDs and
+// the allocation watermark), the R-tree reattaches via its persisted
+// Meta, the function blocks are rebuilt from the function table, the
+// matching and capacity tables load directly, and the availability
 // frontier is recomputed from the capacity tables and cross-checked
 // against the persisted skyline ID set. O(file) — no solve, no bulk
 // load. Internal inconsistency returns ErrBadSnapshot so OpenWorkspace
@@ -518,7 +512,7 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		return nil, fmt.Errorf("%w: object tree size %d != %d objects", ErrBadSnapshot, d.ObjStore.Size, len(p.Objects))
 	}
 
-	vstore, pool, tree, err := restoreStore(cfg, &d.ObjStore, d.Dims, cfg.bufferFrac())
+	vstore, pool, tree, err := restoreStore(cfg, &d.ObjStore, d.Dims)
 	if err != nil {
 		return nil, err
 	}
@@ -531,14 +525,9 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		epoch:    d.Epoch - 1, // the commit sealing the restored state publishes d.Epoch
 		funcs:    newCowTable[Function](len(p.Functions)),
 		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
-		nonlin:   score.NewFuncBlocks(p.Dims),
+		allFuncs: score.NewFuncBlocks(p.Dims),
 		funcCaps: capsFromEntries(d.FuncCaps),
 		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
-	}
-	w.fvstore, w.fpool, w.ftree, err = restoreStore(cfg, &d.FuncStore, d.Dims, -1)
-	if err != nil {
-		w.Close()
-		return nil, err
 	}
 	fail := func(format string, args ...any) (*Workspace, error) {
 		w.Close()
@@ -547,19 +536,8 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	for _, o := range p.Objects {
 		pt.objs.set(o.ID, o)
 	}
-	linear := 0
 	for _, f := range p.Functions {
-		ew := f.Effective()
-		w.funcs.set(f.ID, f)
-		w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
-		if f.Fam.IsLinear() {
-			linear++
-		} else {
-			w.nonlin.Add(f.ID, f.Fam, ew)
-		}
-	}
-	if d.FuncStore.Size != linear {
-		return fail("function tree size %d != %d linear functions", d.FuncStore.Size, linear)
+		w.addFunc(f)
 	}
 	for _, pr := range d.Pairs {
 		if _, ok := w.eff[pr.FuncID]; !ok {
@@ -640,15 +618,13 @@ func checkCaps(t *capTable, population int, lookup func(id uint64) (capacity, as
 	return nil
 }
 
-// restoreStore re-images one page store from a snapshot: pages are
-// allocated up to the persisted watermark, live images written at their
-// exact IDs, holes freed — so the restored ID space matches the saved
-// one — and the R-tree reattaches via FromMeta. frac < 0
-// keeps the construction-sized pool (function side); otherwise the pool
-// is resized to the experiment fraction and cleared, and the I/O
-// counters reset — restore, like construction, is not charged to the
-// algorithm.
-func restoreStore(cfg Config, si *snapshot.StoreImage, dims int, frac float64) (*pagestore.VersionedStore, *pagestore.BufferPool, *rtree.Tree, error) {
+// restoreStore re-images the object page store from a snapshot: pages
+// are allocated up to the persisted watermark, live images written at
+// their exact IDs, holes freed — so the restored ID space matches the
+// saved one — and the R-tree reattaches via FromMeta. The pool is
+// resized to the experiment fraction and cleared, and the I/O counters
+// reset — restore, like construction, is not charged to the algorithm.
+func restoreStore(cfg Config, si *snapshot.StoreImage, dims int) (*pagestore.VersionedStore, *pagestore.BufferPool, *rtree.Tree, error) {
 	scfg := cfg
 	scfg.PageSize = si.PageSize
 	store, err := scfg.versioned().newStore()
@@ -705,15 +681,13 @@ func restoreStore(cfg Config, si *snapshot.StoreImage, dims int, frac float64) (
 		return bad("tree root page %d not in image", si.Root)
 	}
 	pool := scfg.newBuildPool(vs)
-	if frac >= 0 {
-		if err := pool.Resize(pagestore.CapacityFromFraction(vs.NumPages(), frac)); err != nil {
-			vs.Close()
-			return nil, nil, nil, err
-		}
-		if err := pool.Clear(); err != nil {
-			vs.Close()
-			return nil, nil, nil, err
-		}
+	if err := pool.Resize(pagestore.CapacityFromFraction(vs.NumPages(), cfg.bufferFrac())); err != nil {
+		vs.Close()
+		return nil, nil, nil, err
+	}
+	if err := pool.Clear(); err != nil {
+		vs.Close()
+		return nil, nil, nil, err
 	}
 	vs.IO().Reset()
 	tree, err := rtree.FromMeta(pool, dims, rtree.Meta{

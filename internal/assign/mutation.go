@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fairassign/internal/rtree"
-	"fairassign/internal/score"
 	"fairassign/internal/snapshot"
 )
 
@@ -148,19 +148,17 @@ func (w *Workspace) applyLocked(muts []Mutation) error {
 		w.mutations++
 	}
 	// Write-ahead barrier: the batch is encoded, checksummed, appended,
-	// and (unless WALNoSync) fsynced before the epoch publishes, so a
-	// batch whose Apply returned nil survives power loss. The record
-	// carries the epoch commitLocked is about to publish; the WAL writer
-	// enforces contiguity. A durability failure poisons the workspace —
+	// and fsynced before the epoch publishes, so a batch whose Apply
+	// returned nil survives power loss. The record carries the epoch
+	// commitLocked is about to publish; the WAL writer enforces
+	// contiguity. A durability failure poisons the workspace —
 	// the in-memory state is ahead of what can be made durable.
 	if w.dur != nil && w.dur.log != nil {
 		if err := w.dur.log.Append(w.epoch+1, snapshot.EncodeBatch(mutationRecs(muts))); err != nil {
 			return w.corruptLocked(err)
 		}
-		if !w.dur.noSync {
-			if err := w.dur.log.Sync(); err != nil {
-				return w.corruptLocked(err)
-			}
+		if err := w.dur.log.Sync(); err != nil {
+			return w.corruptLocked(err)
 		}
 	}
 	if err := w.commitLocked(); err != nil {
@@ -312,7 +310,8 @@ func (w *Workspace) mutateLocked(m *Mutation) error {
 	case MutRemoveObject:
 		return w.removeObjectLocked(m.ID)
 	case MutAddFunction:
-		return w.addFunctionLocked(m.Function)
+		w.addFunctionLocked(m.Function)
+		return nil
 	default:
 		return w.removeFunctionLocked(m.ID)
 	}
@@ -365,23 +364,11 @@ func (w *Workspace) removeObjectLocked(id uint64) error {
 	return nil
 }
 
-func (w *Workspace) addFunctionLocked(f Function) error {
-	weights := make([]float64, len(f.Weights))
-	copy(weights, f.Weights)
-	f.Weights = weights
-	ew := f.Effective()
-	w.funcs.set(f.ID, f)
-	w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
-	if f.Fam.IsLinear() {
-		if err := w.ftree.Insert(rtree.Item{ID: f.ID, Point: ew}); err != nil {
-			return err
-		}
-	} else {
-		w.nonlin.Add(f.ID, f.Fam, ew)
-	}
+func (w *Workspace) addFunctionLocked(f Function) {
+	f.Weights = slices.Clone(f.Weights)
+	w.addFunc(f)
 	w.funcCaps.add(f.ID, f.capacity())
 	w.pushFunc(f.ID)
-	return nil
 }
 
 func (w *Workspace) removeFunctionLocked(id uint64) error {
@@ -396,11 +383,7 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 		}
 		w.pushObj(p.oid)
 	}
-	if !w.nonlin.Remove(id) {
-		if err := w.ftree.Delete(rtree.Item{ID: id, Point: w.eff[id].W}); err != nil {
-			return err
-		}
-	}
+	w.allFuncs.Remove(id)
 	w.funcCaps.drop(id)
 	w.funcs.del(id)
 	delete(w.eff, id)

@@ -186,15 +186,6 @@ func (p *Problem) TotalFunctionCapacity() int {
 	return n
 }
 
-// TotalObjectCapacity sums object capacities (the supply in O).
-func (p *Problem) TotalObjectCapacity() int {
-	n := 0
-	for _, o := range p.Objects {
-		n += o.capacity()
-	}
-	return n
-}
-
 // Config tunes the execution environment of the disk-based algorithms.
 type Config struct {
 	// PageSize of the simulated disk (default 4096, the paper's setting).
@@ -227,11 +218,6 @@ type Config struct {
 	// warm-start images here (crash recovery then rewinds to the last
 	// snapshot; mutations since are not logged).
 	WALDir string
-	// WALNoSync skips the per-commit fsync (the record is still written
-	// and checksummed). A crash can then lose acknowledged batches —
-	// recovery still lands on a consistent prefix. Benchmark/testing
-	// knob for isolating the fsync cost.
-	WALNoSync bool
 	// FS overrides the filesystem the durability layer writes through;
 	// nil means the real OS filesystem. The crash-injection harness
 	// substitutes its fault-injecting in-memory implementation.

@@ -135,9 +135,6 @@ func (v *View) Epoch() uint64 { return v.pub.epoch }
 // Dims returns the problem dimensionality.
 func (v *View) Dims() int { return v.pub.dims }
 
-// Closed reports whether Close has been called.
-func (v *View) Closed() bool { return v.closed.Load() }
-
 // Close releases the view's pin on its epoch. Idempotent. After the
 // last view of an epoch closes (and the workspace has moved on), the
 // page versions and decoded nodes only that epoch kept alive are
@@ -254,7 +251,3 @@ func (v *View) AvailableFrontier() []rtree.Item {
 	}
 	return v.pub.obj.avail
 }
-
-// IOReads reports how many page resolutions this view's epoch snapshots
-// have served so far (reader-side I/O; never charged to the writer).
-func (v *View) IOReads() int64 { return v.pub.obj.snap.Reads() }

@@ -72,6 +72,12 @@ var (
 // ceiling for the displacement search, which then expands only the
 // index region that could beat taking a free object outright.
 //
+// A vacancy's reverse search scores every live function at once: the
+// functions' effective weights sit in per-family columnar blocks
+// (score.FuncBlocks), and one batched kernel pass picks the best
+// function that wants the object. The function side has no pages, so
+// it costs no I/O and no snapshot page image.
+//
 // Snapshot capture is O(Δ), not O(population): the object tables, the
 // function table and the function half of the matching live in
 // copy-on-write chunked tables (cowTable). A capture freezes them —
@@ -105,16 +111,6 @@ type Workspace struct {
 	pub  *pubState
 	pubA atomic.Pointer[pubState]
 
-	// Function R-tree over effective weight vectors (as in Chain),
-	// dynamically maintained; reverse searches (best function for an
-	// object) run against it. The function store is versioned too, so
-	// durable snapshot capture can image it from the in-memory version
-	// chains without physical reads; views never traverse it, so no
-	// epoch is ever pinned and every write recycles in place.
-	fvstore *pagestore.VersionedStore
-	fpool   *pagestore.BufferPool
-	ftree   *rtree.Tree
-
 	// dur is the durability state (nil without a WALDir): the log every
 	// Apply batch is fsynced to before its epoch publishes, plus the
 	// snapshot directory. recovery describes how an OpenWorkspace
@@ -124,16 +120,14 @@ type Workspace struct {
 
 	// funcs is the function table; views read frozen copies of it. eff
 	// is the writer's own per-function scorer (family over the effective
-	// weights the ftree indexes), which repair reads on every candidate.
+	// weights), which repair reads on every candidate.
 	funcs *cowTable[Function]
 	eff   map[uint64]score.Scorer
-	// nonlin holds the live non-linear functions in per-family columnar
-	// blocks. Linear functions live in the ftree (reverse search via dot
-	// symmetry); non-linear scores are not bilinear, so bestTaker scans
-	// these blocks with the batched dual kernel instead. Purely linear
-	// populations — the paper's workload — keep this empty and pay
-	// nothing.
-	nonlin   *score.FuncBlocks
+	// allFuncs holds every live function's effective weights in
+	// per-family columnar blocks: the reverse search (best function for
+	// a vacant object) is one batched dual-kernel pass over it, with no
+	// pages and no I/O.
+	allFuncs *score.FuncBlocks
 	funcCaps *capTable
 
 	// byFunc is the function half of the matching; the object half is
@@ -207,17 +201,18 @@ type WorkspaceStats struct {
 	ChainSteps    int64 // reassignments performed by repair chains
 	Searches      int64 // top-1 probes issued by repair
 	Resolves      int64 // from-scratch solves (1: the initial build)
-	IO            metrics.IOCounter
+	// IO counts page accesses of the object index; the function side
+	// has no pages.
+	IO metrics.IOCounter
 }
 
 // NewWorkspace builds the shared state, solves the initial instance with
-// SB, and returns a workspace ready for mutations. Object and function
-// stores are built through a versioned wrapper around the configured
-// store factory, so snapshots can pin page epochs. The workspace adopts
-// the SB solve's object tree.
+// SB, and returns a workspace ready for mutations. The object store is
+// built through a versioned wrapper around the configured store
+// factory, so snapshots can pin page epochs. The workspace adopts the SB
+// solve's object tree.
 func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
-	vcfg := cfg.versioned()
-	st, err := newSolveState(p, vcfg)
+	st, err := newSolveState(p, cfg.versioned())
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +227,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		obj:      newObjPart(st.store, st.pool, st.tree, len(p.Objects)),
 		funcs:    newCowTable[Function](len(p.Functions)),
 		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
-		nonlin:   score.NewFuncBlocks(p.Dims),
+		allFuncs: score.NewFuncBlocks(p.Dims),
 		funcCaps: st.funcCaps,
 		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
 		resolves: 1,
@@ -241,29 +236,8 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		w.obj.objs.set(o.ID, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
 		w.obj.caps.add(o.ID, st.objCaps.remaining[o.ID])
 	}
-
-	fstore, err := vcfg.newStore()
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	w.fvstore = fstore.(*pagestore.VersionedStore)
-	w.fpool = cfg.newBuildPool(w.fvstore)
-	fitems := make([]rtree.Item, 0, len(p.Functions))
 	for _, f := range p.Functions {
-		ew := f.Effective()
-		w.funcs.set(f.ID, f)
-		w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
-		if f.Fam.IsLinear() {
-			fitems = append(fitems, rtree.Item{ID: f.ID, Point: ew})
-		} else {
-			w.nonlin.Add(f.ID, f.Fam, ew)
-		}
-	}
-	w.ftree, err = rtree.BulkLoad(w.fpool, p.Dims, fitems, treeFill)
-	if err != nil {
-		w.Close()
-		return nil, err
+		w.addFunc(f)
 	}
 	for _, pr := range res.Pairs {
 		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjectID, score: pr.Score})
@@ -286,6 +260,16 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		}
 	}
 	return w, nil
+}
+
+// addFunc registers a function in the function table, the writer's
+// scorer map and the reverse-search blocks. Caller holds w.mu (or is
+// constructing the workspace).
+func (w *Workspace) addFunc(f Function) {
+	ew := f.Effective()
+	w.funcs.set(f.ID, f)
+	w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
+	w.allFuncs.Add(f.ID, f.Fam, ew)
 }
 
 // newObjPart wraps a freshly built object index (store from a versioned
@@ -482,7 +466,7 @@ func (pt *objPart) capture() *partPub {
 // Dims returns the workspace dimensionality.
 func (w *Workspace) Dims() int { return w.dims }
 
-// Close releases the page stores behind both indexes. The workspace
+// Close releases the page store behind the object index. The workspace
 // must not be used afterwards.
 func (w *Workspace) Close() {
 	w.mu.Lock()
@@ -495,9 +479,6 @@ func (w *Workspace) Close() {
 	w.dropPubLocked()
 	w.obj.dropPub()
 	w.obj.vstore.Close()
-	if w.fvstore != nil {
-		w.fvstore.Close()
-	}
 	if w.dur != nil && w.dur.log != nil {
 		w.dur.log.Close()
 	}
@@ -725,10 +706,7 @@ func (w *Workspace) fillObject(oid uint64) error {
 		return nil // departed while queued
 	}
 	for pt.caps.remaining[oid] > 0 {
-		gid, score, ok, err := w.bestTaker(oid, o.Point)
-		if err != nil {
-			return err
-		}
+		gid, score, ok := w.bestTaker(oid, o.Point)
 		if !ok {
 			return nil // nobody wants the vacancy: it stays open
 		}
@@ -757,60 +735,19 @@ func (w *Workspace) fillObject(oid uint64) error {
 
 // bestTaker finds the best function that wants a vacant object unit: a
 // function with spare capacity wants it at any score; a fully assigned
-// function wants it only above its current worst assignment. The
-// reverse search runs over the function R-tree, bounded below by the
-// weakest assignment any function holds (nothing scoring under that can
-// be wanted).
-func (w *Workspace) bestTaker(oid uint64, point geom.Point) (gid uint64, sc float64, ok bool, err error) {
-	bound := math.Inf(1)
-	if w.funcCaps.live > 0 {
-		// Some function has spare capacity and wants anything: no bound.
-		bound = math.Inf(-1)
-	} else {
-		// Every live function is fully assigned, so each has an entry.
-		for _, ps := range w.byFunc.all() {
-			if worst := worstOfFunc(ps); worst.score < bound {
-				bound = worst.score
-			}
-		}
-	}
+// function wants it only above its current worst assignment. One
+// batched kernel pass scores every live function, each bit-identical to
+// its scorer, and selects by (score desc, function ID asc) among the
+// functions wantsAt admits.
+func (w *Workspace) bestTaker(oid uint64, point geom.Point) (gid uint64, sc float64, ok bool) {
 	w.searches++
-	it, s, found, err := topk.BestAtLeast(w.ftree, score.LinearScorer(point), bound, func(cand uint64) bool {
-		return !w.wants(cand, oid, point)
+	return w.allFuncs.Best(point, func(fid uint64, s float64) bool {
+		return w.wantsAt(fid, oid, s)
 	})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	gid = it.ID
-	// Non-linear functions are outside the weight tree; the columnar
-	// blocks score them all with one dual-kernel pass under the same
-	// wants filter and bound, breaking ties to the lower ID exactly as
-	// the BRS enumeration does (Best follows the same (score, lowest-ID)
-	// total order with bit-identical scores).
-	if bid, v, bok := w.nonlin.Best(point, func(fid uint64, v float64) bool {
-		return v >= bound && w.wantsAt(fid, oid, v)
-	}); bok {
-		if !found || v > s || (v == s && bid < gid) {
-			gid, s, found = bid, v, true
-		}
-	}
-	if !found {
-		return 0, 0, false, nil
-	}
-	return gid, s, true, nil
 }
 
-// wants reports whether a function prefers the vacant object over its
-// current worst assignment (or has a free unit).
-func (w *Workspace) wants(fid, oid uint64, point geom.Point) bool {
-	if w.funcCaps.remaining[fid] > 0 {
-		return true
-	}
-	return w.wantsAt(fid, oid, w.scorerOf(fid).Score(point))
-}
-
-// wantsAt is wants with the function's score for the object already in
-// hand (spare capacity is re-checked so both entry points agree).
+// wantsAt reports whether a function scoring the vacant object at s
+// prefers it over its current worst assignment (or has a free unit).
 func (w *Workspace) wantsAt(fid, oid uint64, s float64) bool {
 	if w.funcCaps.remaining[fid] > 0 {
 		return true
@@ -951,7 +888,6 @@ func (w *Workspace) statsLocked() WorkspaceStats {
 	}
 	if !w.closed {
 		s.IO.Add(w.obj.vstore.IO().Snapshot())
-		s.IO.Add(w.fvstore.IO().Snapshot())
 	}
 	return s
 }

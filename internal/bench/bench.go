@@ -157,10 +157,7 @@ type Report struct {
 	// on identical data.
 	ScorerFamilies []ScorerFamilyCase `json:"scorer_families,omitempty"`
 
-	// BatchCommit measures the group-commit mutation path: batched
-	// Apply vs one commit per mutation on an identical churn stream.
-	BatchCommit []BatchCommitCase `json:"batch_commit,omitempty"`
-	// Durability measures the WAL tax on Apply (off / no-sync / fsync)
+	// Durability measures the WAL tax on Apply (off / fsync)
 	// and the snapshot save, replay-recovery, and warm-start times.
 	Durability []DurabilityCase `json:"durability,omitempty"`
 	// Production is the production-scale matrix (n = 10⁶ by default):
@@ -374,15 +371,6 @@ func Run(opts Options) (*Report, error) {
 		}
 		rep.ScorerFamilies = append(rep.ScorerFamilies, sf...)
 	}
-	// Group-commit churn: batched Apply vs per-mutation commits at the
-	// largest size on the first dimensionality (the commit overhead
-	// being amortized — buffer flush, snapshot capture, epoch publish —
-	// is dimension-insensitive).
-	bc, err := runBatchCommit(maxN, opts.Dims[0], 64, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep.BatchCommit = append(rep.BatchCommit, bc)
 	// Durability: the WAL tax and the recovery/warm-start times at the
 	// largest size on the first dimensionality. The in-memory hot paths
 	// above never touch the durability layer — this scenario is where

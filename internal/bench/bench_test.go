@@ -36,19 +36,6 @@ func TestRunTiny(t *testing.T) {
 			t.Errorf("readnode_warm allocates %d per op warm, want 0", c.Warm.AllocsPerOp)
 		}
 	}
-	if len(rep.BatchCommit) != 1 {
-		t.Fatalf("got %d batch_commit cases, want 1", len(rep.BatchCommit))
-	}
-	bc := rep.BatchCommit[0]
-	if !bc.Identical {
-		t.Errorf("%s: batched matching differs from cold solve", bc.Name)
-	}
-	if bc.SequentialCommits != bc.Mutations {
-		t.Errorf("%s: sequential side coalesced: %d commits for %d mutations", bc.Name, bc.SequentialCommits, bc.Mutations)
-	}
-	if bc.BatchedCommits >= bc.SequentialCommits {
-		t.Errorf("%s: group commit did not coalesce: %d vs %d commits", bc.Name, bc.BatchedCommits, bc.SequentialCommits)
-	}
 }
 
 func TestApplyBaseline(t *testing.T) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,11 +12,10 @@ import (
 )
 
 // DurabilityCase measures what the durability layer costs and what
-// recovery buys. Three twin workspaces consume the identical churn
-// stream: one purely in-memory (the baseline the hot-path cases
-// gate), one logging every batch without fsync, one with the full
-// fsync-before-ack barrier — the per-mutation deltas are the WAL
-// encode/write and the disk flush, respectively. The fsync twin then
+// recovery buys. Two twin workspaces consume the identical churn
+// stream: one purely in-memory (the baseline the hot-path cases gate)
+// and one with the full fsync-before-ack barrier — the per-mutation
+// delta is the WAL encode, write and disk flush. The fsync twin then
 // exercises the recovery paths: a timed snapshot save, a timed
 // replay-on-open over the post-snapshot batches, and a timed
 // warm-start open (snapshot only, zero replay). Identical gates the
@@ -26,9 +26,8 @@ type DurabilityCase struct {
 	Dims      int    `json:"dims"`
 	BatchSize int    `json:"batch_size"`
 	// Per-mutation Apply latency over the shared measured stream.
-	ApplyNsPerMutOff    int64 `json:"apply_ns_per_mut_wal_off"`
-	ApplyNsPerMutNoSync int64 `json:"apply_ns_per_mut_wal_nosync"`
-	ApplyNsPerMutFsync  int64 `json:"apply_ns_per_mut_wal_fsync"`
+	ApplyNsPerMutOff   int64 `json:"apply_ns_per_mut_wal_off"`
+	ApplyNsPerMutFsync int64 `json:"apply_ns_per_mut_wal_fsync"`
 	// SnapshotSaveNs times one SaveSnapshot (encode + write + fsync +
 	// rename + log rotation); SnapshotBytes is the resulting file size.
 	SnapshotSaveNs int64 `json:"snapshot_save_ns"`
@@ -65,7 +64,7 @@ func runDurability(n, dims, batchSize int, opts Options) (DurabilityCase, error)
 			os.RemoveAll(d)
 		}
 	}()
-	newTwin := func(durable, noSync bool) (*twin, error) {
+	newTwin := func(durable bool) (*twin, error) {
 		cfg := assign.Config{PageSize: 512, BufferFrac: 0.05}
 		if durable {
 			d, err := os.MkdirTemp("", "fairassign-bench-dur-*")
@@ -73,10 +72,8 @@ func runDurability(n, dims, batchSize int, opts Options) (DurabilityCase, error)
 				return nil, err
 			}
 			tmpDirs = append(tmpDirs, d)
-			cfg.Durable, cfg.WALDir, cfg.WALNoSync = true, filepath.Join(d, "wal"), noSync
-			if !noSync {
-				dir = cfg.WALDir
-			}
+			cfg.Durable, cfg.WALDir = true, filepath.Join(d, "wal")
+			dir = cfg.WALDir
 		}
 		ws, err := assign.NewWorkspace(incrementalProblem(n, dims, opts), cfg)
 		if err != nil {
@@ -84,22 +81,17 @@ func runDurability(n, dims, batchSize int, opts Options) (DurabilityCase, error)
 		}
 		return &twin{ws: ws, gen: newChurnScript(p, opts.Seed+43)}, nil
 	}
-	off, err := newTwin(false, false)
+	off, err := newTwin(false)
 	if err != nil {
 		return c, fmt.Errorf("%s: wal-off twin: %w", c.Name, err)
 	}
 	defer off.ws.Close()
-	noSync, err := newTwin(true, true)
-	if err != nil {
-		return c, fmt.Errorf("%s: nosync twin: %w", c.Name, err)
-	}
-	defer noSync.ws.Close()
-	fsync, err := newTwin(true, false)
+	fsync, err := newTwin(true)
 	if err != nil {
 		return c, fmt.Errorf("%s: fsync twin: %w", c.Name, err)
 	}
 	defer fsync.ws.Close()
-	twins := []*twin{off, noSync, fsync}
+	twins := []*twin{off, fsync}
 
 	// Warm-up batch, then the measured stream, applied in lockstep.
 	for bi := 0; bi < 1+measuredBatches; bi++ {
@@ -116,7 +108,6 @@ func runDurability(n, dims, batchSize int, opts Options) (DurabilityCase, error)
 	}
 	muts := int64(measuredBatches * batchSize)
 	c.ApplyNsPerMutOff = off.t.Nanoseconds() / muts
-	c.ApplyNsPerMutNoSync = noSync.t.Nanoseconds() / muts
 	c.ApplyNsPerMutFsync = fsync.t.Nanoseconds() / muts
 
 	// Snapshot save on the fsync twin, then replayBatches more applied
@@ -166,6 +157,52 @@ func runDurability(n, dims, batchSize int, opts Options) (DurabilityCase, error)
 	c.Identical = c.Identical && matchingEqual(warm.Pairs(), off.ws.Pairs())
 	warm.Close()
 	return c, nil
+}
+
+// churnScript is a deterministic, self-contained object-churn stream:
+// each batch removes batchSize/2 random live objects and adds the same
+// number of fresh ones, so the population stays at n. Two instances
+// with the same seed emit identical streams regardless of which
+// workspace consumes them.
+type churnScript struct {
+	rng    *rand.Rand
+	dims   int
+	liveO  []uint64
+	nextID uint64
+}
+
+func newChurnScript(p *assign.Problem, seed int64) *churnScript {
+	s := &churnScript{
+		rng:    rand.New(rand.NewSource(seed)),
+		dims:   p.Dims,
+		liveO:  make([]uint64, len(p.Objects)),
+		nextID: uint64(1 << 41),
+	}
+	for i, o := range p.Objects {
+		s.liveO[i] = o.ID
+	}
+	return s
+}
+
+func (s *churnScript) batch(size int) []assign.Mutation {
+	muts := make([]assign.Mutation, 0, size)
+	for len(muts) < size {
+		// Alternate departure/arrival to hold the population constant.
+		if len(muts)%2 == 0 && len(s.liveO) > 2 {
+			i := s.rng.Intn(len(s.liveO))
+			muts = append(muts, assign.Mutation{Kind: assign.MutRemoveObject, ID: s.liveO[i]})
+			s.liveO = append(s.liveO[:i], s.liveO[i+1:]...)
+		} else {
+			s.nextID++
+			pt := make([]float64, s.dims)
+			for d := range pt {
+				pt[d] = s.rng.Float64()
+			}
+			muts = append(muts, assign.Mutation{Kind: assign.MutAddObject, Object: assign.Object{ID: s.nextID, Point: pt}})
+			s.liveO = append(s.liveO, s.nextID)
+		}
+	}
+	return muts
 }
 
 // newestSnapshotSize returns the byte size of the newest snapshot file

@@ -218,10 +218,6 @@ func (r Rect) EnlargementArea(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
 }
 
-// TopCorner returns the corner of r with the maximum value in every
-// dimension — the best possible object inside r.
-func (r Rect) TopCorner() Point { return r.Max }
-
 // MaxScore returns the score of the best corner of r under the linear
 // function with coefficients w (assumed non-negative), i.e. an upper bound
 // of f(o) for any o inside r. This is maxscore(M) from BRS (Section 2.3).

@@ -336,20 +336,6 @@ func (b *BufferPool) SetDecodedCache(enabled bool) {
 	}
 }
 
-// DecodedLen reports how many resident frames currently carry a decoded
-// object (tests and introspection).
-func (b *BufferPool) DecodedLen() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, f := range b.frames {
-		if f.obj != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // invalidateDecodedLocked detaches any decoded object for a page whose
 // bytes are about to change (write or free).
 func (b *BufferPool) invalidateDecodedLocked(id PageID) {

@@ -108,9 +108,6 @@ func NewVersioned(inner Store) *VersionedStore {
 	}
 }
 
-// Inner returns the wrapped physical store.
-func (s *VersionedStore) Inner() Store { return s.inner }
-
 // PageSize implements Store.
 func (s *VersionedStore) PageSize() int { return s.inner.PageSize() }
 

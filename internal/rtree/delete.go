@@ -1,9 +1,6 @@
 package rtree
 
-import (
-	"fairassign/internal/geom"
-	"fairassign/internal/pagestore"
-)
+import "fairassign/internal/pagestore"
 
 // Delete removes the item (matched by ID and point) from the tree,
 // condensing underfull nodes and reinserting their orphaned entries, as in
@@ -141,10 +138,4 @@ func (t *Tree) condenseTree(path []pathElem) error {
 		}
 	}
 	return nil
-}
-
-// DeletePoint removes the first item found with the given ID at the given
-// point. It is a convenience wrapper mirroring Delete.
-func (t *Tree) DeletePoint(id uint64, p geom.Point) error {
-	return t.Delete(Item{ID: id, Point: p})
 }

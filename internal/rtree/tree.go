@@ -103,12 +103,6 @@ func (t *Tree) Pool() *pagestore.BufferPool { return t.pool }
 // NumPages returns the number of pages the tree occupies.
 func (t *Tree) NumPages() int { return t.pool.Store().NumPages() }
 
-// MaxLeafEntries exposes the leaf fan-out (used by bulk loading and tests).
-func (t *Tree) MaxLeafEntries() int { return t.maxLeaf }
-
-// MaxInternalEntries exposes the internal fan-out.
-func (t *Tree) MaxInternalEntries() int { return t.maxInternal }
-
 // ReadNode fetches a node, going through the buffer pool (the access is
 // I/O-counted). The returned Node comes from the pool's decoded-node
 // cache: it is shared, immutable, and remains valid indefinitely (cache

@@ -101,10 +101,6 @@ func (c *ColSet) SwapDelete(i int) {
 	c.n = last
 }
 
-// Cols exposes the per-dimension columns (first Len() entries valid);
-// callers must treat them as read-only.
-func (c *ColSet) Cols() [][]float64 { return c.cols[:c.dims] }
-
 // FirstDominator returns the lowest index whose point strictly
 // dominates q — the exact per-point predicate is geom.Point.Dominates:
 // no dimension with point < q, at least one with point > q — or -1 if

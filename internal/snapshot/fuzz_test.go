@@ -14,12 +14,12 @@ import (
 func FuzzSnapshotDecode(f *testing.F) {
 	valid := Encode(sampleData())
 	f.Add(valid)
-	f.Add(valid[:headerSize])       // header only, no sections
-	f.Add(valid[:len(valid)/2])     // truncated mid-section
-	f.Add(append(valid, 0))         // trailing garbage
-	f.Add([]byte{})                 // empty
-	f.Add([]byte("FASNAP01"))       // magic alone
-	f.Add(bytes.Repeat(valid, 2))   // doubled file
+	f.Add(valid[:headerSize])     // header only, no sections
+	f.Add(valid[:len(valid)/2])   // truncated mid-section
+	f.Add(append(valid, 0))       // trailing garbage
+	f.Add([]byte{})               // empty
+	f.Add([]byte("FASNAP01"))     // magic alone
+	f.Add(bytes.Repeat(valid, 2)) // doubled file
 	flipped := append([]byte(nil), valid...)
 	flipped[headerSize+9] ^= 0x40 // corrupt a section header byte
 	f.Add(flipped)
@@ -57,11 +57,11 @@ func FuzzBatchDecode(f *testing.F) {
 	}
 	valid := EncodeBatch(sample)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])            // truncated final mutation
-	f.Add(append(valid, 1, 2, 3))          // trailing bytes
-	f.Add([]byte{})                        // short payload
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})  // implausible count
-	f.Add(EncodeBatch(nil))                // empty batch
+	f.Add(valid[:len(valid)-3])           // truncated final mutation
+	f.Add(append(valid, 1, 2, 3))         // trailing bytes
+	f.Add([]byte{})                       // short payload
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // implausible count
+	f.Add(EncodeBatch(nil))               // empty batch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		muts, err := DecodeBatch(data)
 		if err != nil {

@@ -1,12 +1,12 @@
 // Package snapshot persists a pinned workspace epoch — page images of
-// both versioned stores, the R-tree headers, the matching, the capacity
-// tables, the availability frontier, and the solver counters — to a
-// compact, versioned, CRC-checksummed file, and decodes it back. The
-// assign layer turns a decoded Data into a ready-to-serve workspace in
-// O(file) time with no re-solve (warm-start); together with the WAL
-// (internal/wal) the snapshot is the durable source of truth — the
-// workspace's live page files are scratch and are never read during
-// recovery.
+// the object index's versioned store and its R-tree header, the entity
+// tables, the matching, the capacity tables, the availability frontier,
+// and the solver counters — to a compact, versioned, CRC-checksummed
+// file, and decodes it back. The assign layer turns a decoded Data into
+// a ready-to-serve workspace in O(file) time with no re-solve
+// (warm-start); together with the WAL (internal/wal) the snapshot is
+// the durable source of truth — the workspace's live page files are
+// scratch and are never read during recovery.
 //
 // # File format
 //
@@ -22,6 +22,9 @@
 // against the input length before any count-sized allocation, so
 // arbitrary input returns ErrBadSnapshot — never a panic or an
 // unbounded allocation.
+//
+// This is format version 2. Version-1 files, which also imaged a
+// function store, are rejected as an unsupported format version.
 //
 // Snapshot files are written atomically: encode to "<name>.tmp", fsync,
 // rename over the final name, fsync the directory. A crash at any byte
@@ -52,7 +55,7 @@ var ErrBadSnapshot = errors.New("snapshot: bad snapshot")
 
 const (
 	magic         = "FASNAP01"
-	formatVersion = 1
+	formatVersion = 2
 	headerSize    = 8 + 4 + 4 + 8 + 4 + 4
 	secHdrSize    = 4 + 4 + 8 + 4
 
@@ -74,7 +77,6 @@ const (
 	secFuncCaps  = 6
 	secAvail     = 7
 	secObjStore  = 8
-	secFuncStore = 9
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -155,9 +157,8 @@ type Data struct {
 	// skyline of objects with remaining capacity) — a logical checksum:
 	// restore recomputes the frontier from the capacity tables and
 	// rejects the snapshot if the sets differ.
-	Avail     []uint64
-	ObjStore  StoreImage
-	FuncStore StoreImage
+	Avail    []uint64
+	ObjStore StoreImage
 }
 
 // FileName returns the snapshot file name for an epoch:
@@ -269,17 +270,14 @@ func Encode(d *Data) []byte {
 	}
 	writeSection(secAvail, e.take())
 
-	encStore := func(si *StoreImage) []byte {
-		e.u32(uint32(si.PageSize)).u32(0).i64(si.Next).i64(si.Root)
-		e.u32(uint32(si.Height)).u32(0).u64(uint64(si.Size)).u64(uint64(len(si.Pages)))
-		for _, p := range si.Pages {
-			e.i64(p.ID).u32(uint32(len(p.Data)))
-			e.bytes(p.Data)
-		}
-		return e.take()
+	si := &d.ObjStore
+	e.u32(uint32(si.PageSize)).u32(0).i64(si.Next).i64(si.Root)
+	e.u32(uint32(si.Height)).u32(0).u64(uint64(si.Size)).u64(uint64(len(si.Pages)))
+	for _, p := range si.Pages {
+		e.i64(p.ID).u32(uint32(len(p.Data)))
+		e.bytes(p.Data)
 	}
-	writeSection(secObjStore, encStore(&d.ObjStore))
-	writeSection(secFuncStore, encStore(&d.FuncStore))
+	writeSection(secObjStore, e.take())
 
 	e.u64(uint64(sections + 1))
 	writeSection(secFooter, e.take())
@@ -372,8 +370,6 @@ func Decode(data []byte) (*Data, error) {
 			err = decodeAvail(&r, d)
 		case secObjStore:
 			err = decodeStore(&r, &d.ObjStore)
-		case secFuncStore:
-			err = decodeStore(&r, &d.FuncStore)
 		default:
 			return nil, fmt.Errorf("%w: unknown section %d", ErrBadSnapshot, kind)
 		}
@@ -387,7 +383,7 @@ func Decode(data []byte) (*Data, error) {
 	if !footer {
 		return nil, fmt.Errorf("%w: missing footer (truncated file)", ErrBadSnapshot)
 	}
-	for k := uint32(secCounters); k <= secFuncStore; k++ {
+	for k := uint32(secCounters); k <= secObjStore; k++ {
 		if !seen[k] {
 			return nil, fmt.Errorf("%w: missing section %d", ErrBadSnapshot, k)
 		}
@@ -567,9 +563,9 @@ func (e *enc) u64(v uint64) *enc {
 	e.b = binary.LittleEndian.AppendUint64(e.b, v)
 	return e
 }
-func (e *enc) i64(v int64) *enc     { return e.u64(uint64(v)) }
-func (e *enc) f64(v float64) *enc   { return e.u64(math.Float64bits(v)) }
-func (e *enc) bytes(p []byte) *enc  { e.b = append(e.b, p...); return e }
+func (e *enc) i64(v int64) *enc    { return e.u64(uint64(v)) }
+func (e *enc) f64(v float64) *enc  { return e.u64(math.Float64bits(v)) }
+func (e *enc) bytes(p []byte) *enc { e.b = append(e.b, p...); return e }
 
 // take returns the accumulated bytes and resets the encoder.
 func (e *enc) take() []byte {

@@ -32,10 +32,6 @@ func sampleData() *Data {
 			PageSize: 256, Next: 3, Root: 2, Height: 1, Size: 2,
 			Pages: []PageImage{{ID: 0, Data: []byte{1, 2, 3}}, {ID: 2, Data: []byte{9}}},
 		},
-		FuncStore: StoreImage{
-			PageSize: 256, Next: 1, Root: 0, Height: 1, Size: 1,
-			Pages: []PageImage{{ID: 0, Data: []byte{4, 5}}},
-		},
 	}
 }
 

@@ -36,11 +36,11 @@ func FuzzWALReadSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:headerSize])     // header only, no records
-	f.Add(valid[:headerSize+5])   // torn record header
-	f.Add(valid[:len(valid)-1])   // torn record payload
-	f.Add([]byte{})               // no header at all
-	f.Add([]byte("FAWAL001"))     // magic alone
+	f.Add(valid[:headerSize])   // header only, no records
+	f.Add(valid[:headerSize+5]) // torn record header
+	f.Add(valid[:len(valid)-1]) // torn record payload
+	f.Add([]byte{})             // no header at all
+	f.Add([]byte("FAWAL001"))   // magic alone
 	huge := append([]byte(nil), valid[:headerSize]...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x0F) // plen near maxRecordSize, no data
 	f.Add(huge)

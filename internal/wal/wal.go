@@ -95,11 +95,11 @@ func parseSegmentName(name string) (seq uint64, ok bool) {
 
 // Writer appends records to one segment file.
 type Writer struct {
-	f      vfs.File
-	seq    uint64
-	base   uint64
-	next   uint64 // epoch the next record must carry
-	closed bool
+	f       vfs.File
+	seq     uint64
+	base    uint64
+	next    uint64 // epoch the next record must carry
+	closed  bool
 	scratch []byte
 }
 

@@ -82,7 +82,8 @@ type WorkspaceStats struct {
 	Searches   int64
 	Resolves   int64
 	// IOAccesses is the paper's I/O metric accumulated over the
-	// workspace lifetime (both indexes).
+	// workspace lifetime. It counts the object index only: the function
+	// side is held in memory and has no pages.
 	IOAccesses int64
 }
 
