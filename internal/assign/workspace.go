@@ -3,7 +3,6 @@ package assign
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 	"fairassign/internal/rtree"
 	"fairassign/internal/score"
 	"fairassign/internal/skyline"
-	"fairassign/internal/topk"
 )
 
 // Typed misuse errors. All Workspace methods return wrapped forms of
@@ -67,10 +65,13 @@ var (
 // The availability frontier — the skyline of objects with remaining
 // capacity — is maintained incrementally through the Section 5.2
 // machinery (Maintainer.Insert for arrivals and revived capacity,
-// Maintainer.Discard for exhaustion and departures). Function proposals
-// scan that skyline for the best free object and use its score as a
-// ceiling for the displacement search, which then expands only the
-// index region that could beat taking a free object outright.
+// Maintainer.Discard for exhaustion and departures). A function proposal
+// scores that skyline for the best free object, and scores the
+// displacement block — every full object as columns beside its worst
+// assignment — for the best object whose worst it beats; the better of
+// the two wins. Both are batched kernel passes: repair reads no index
+// pages, and the R-tree serves structural edits, views and the initial
+// solve.
 //
 // A vacancy's reverse search scores every live function at once: the
 // functions' effective weights sit in per-family columnar blocks
@@ -145,13 +146,13 @@ type Workspace struct {
 	mutations int64
 	commits   int64 // epochs published (group commits batch many mutations into one)
 	chainLen  int64 // reassignments performed by repair chains
-	searches  int64 // top-1 probes issued by repair
+	searches  int64 // top-1 searches issued by repair
 	resolves  int64 // full solves (the initial build)
 }
 
 // objPart is the object side of a workspace: its versioned page store,
-// R-tree, availability frontier, object and capacity tables, and the
-// object half of the matching.
+// R-tree, availability frontier, displacement block, object and
+// capacity tables, and the object half of the matching.
 type objPart struct {
 	vstore *pagestore.VersionedStore
 	pool   *pagestore.BufferPool
@@ -167,6 +168,11 @@ type objPart struct {
 	caps  *capTable
 	byObj map[uint64][]wsPair
 	units int // assigned units: the number of pairs in the matching
+
+	// full is the displacement search's index: every full object with
+	// its worst assignment. link, unlink and restoreUnit keep it in step
+	// with caps and byObj; views never see it.
+	full *displacementBlock
 
 	pageDirty bool // tree pages written since the last publish
 	// pub caches the capture of the current objects, tree and frontier.
@@ -199,10 +205,11 @@ type WorkspaceStats struct {
 	Mutations     int64 // mutations applied since construction
 	Commits       int64 // epochs published (Apply groups many mutations into one)
 	ChainSteps    int64 // reassignments performed by repair chains
-	Searches      int64 // top-1 probes issued by repair
+	Searches      int64 // top-1 searches issued by repair
 	Resolves      int64 // from-scratch solves (1: the initial build)
-	// IO counts page accesses of the object index; the function side
-	// has no pages.
+	// IO counts page accesses of the object index: its structural
+	// inserts and deletes. Repair searches read no pages, and the
+	// function side has none.
 	IO metrics.IOCounter
 }
 
@@ -283,6 +290,7 @@ func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.T
 		objs:      newCowTable[Object](n),
 		caps:      &capTable{remaining: make(map[uint64]int, n)},
 		byObj:     make(map[uint64][]wsPair),
+		full:      newDisplacementBlock(tree.Dims()),
 		pageDirty: true,
 	}
 }
@@ -320,6 +328,7 @@ func (pt *objPart) restoreUnit(oid uint64) error {
 	if !pt.caps.restore(oid) {
 		return nil
 	}
+	pt.full.remove(oid)
 	pt.dropPub()
 	o, _ := pt.objs.get(oid)
 	if err := pt.avail.Insert(rtree.Item{ID: oid, Point: o.Point}); err != nil {
@@ -340,17 +349,96 @@ func (pt *objPart) consumeUnit(oid uint64) error {
 	return pt.avail.Discard(oid)
 }
 
-// displaceable reports whether a full object would evict its worst
-// assignment in favor of the proposing function (available objects are
-// handled by the frontier path and skipped here).
-func (pt *objPart) displaceable(fid uint64, fsc score.Scorer, oid uint64) bool {
-	if pt.caps.remaining[oid] > 0 {
-		return false
+// syncFull keeps an object's displacement row in step with its capacity
+// and pairs: a full object has a row holding its current worst
+// assignment; any other object has none.
+func (pt *objPart) syncFull(oid uint64) {
+	ps := pt.byObj[oid]
+	if len(ps) == 0 || pt.caps.remaining[oid] > 0 {
+		pt.full.remove(oid)
+		return
 	}
-	worst := worstOfObj(pt.byObj[oid])
 	o, _ := pt.objs.get(oid)
-	s := fsc.Score(o.Point)
-	return s > worst.score || (s == worst.score && fid < worst.fid)
+	pt.full.put(oid, o.Point, worstOfObj(ps))
+}
+
+// displacementBlock holds every full object (no spare capacity) as one
+// columnar block: the object's point as per-dimension columns, beside
+// the score and function ID of its worst assignment — the one a
+// stronger proposer displaces. An object that beats the best free one
+// for a proposer must be full, and full objects number at most the size
+// of the matching, so one EvalBlock pass over the block answers the
+// displacement search with no page reads. Only the writer uses it; its
+// score scratch lives on the block.
+type displacementBlock struct {
+	cols   [][]float64    // cols[d][i] is attribute d of row i
+	ids    []uint64       // object ID of row i
+	worstS []float64      // score of row i's worst assignment
+	worstF []uint64       // function ID of row i's worst assignment
+	row    map[uint64]int // object ID → row
+	out    []float64      // best's score scratch
+}
+
+func newDisplacementBlock(dims int) *displacementBlock {
+	return &displacementBlock{cols: make([][]float64, dims), row: make(map[uint64]int)}
+}
+
+// put adds a full object's row, or refreshes the worst assignment of the
+// row it already has.
+func (b *displacementBlock) put(oid uint64, p geom.Point, worst wsPair) {
+	i, ok := b.row[oid]
+	if !ok {
+		i = len(b.ids)
+		b.row[oid] = i
+		for d := range b.cols {
+			b.cols[d] = append(b.cols[d], p[d])
+		}
+		b.ids = append(b.ids, oid)
+		b.worstS = append(b.worstS, 0)
+		b.worstF = append(b.worstF, 0)
+	}
+	b.worstS[i], b.worstF[i] = worst.score, worst.fid
+}
+
+// remove drops an object's row, if it has one, by moving the last row
+// into its slot.
+func (b *displacementBlock) remove(oid uint64) {
+	i, ok := b.row[oid]
+	if !ok {
+		return
+	}
+	last := len(b.ids) - 1
+	for d, col := range b.cols {
+		col[i] = col[last]
+		b.cols[d] = col[:last]
+	}
+	b.ids[i], b.worstS[i], b.worstF[i] = b.ids[last], b.worstS[last], b.worstF[last]
+	b.row[b.ids[i]] = i
+	b.ids, b.worstS, b.worstF = b.ids[:last], b.worstS[:last], b.worstF[:last]
+	delete(b.row, oid)
+}
+
+// best returns the full object a proposing function scores highest
+// among those whose worst assignment it beats — a strictly higher
+// score, or an equal score and a lower function ID — with ties to the
+// lower object ID. Scores are bit-identical to sc.Score. ok is false
+// when the function displaces nobody.
+func (b *displacementBlock) best(fid uint64, sc score.Scorer) (oid uint64, s float64, ok bool) {
+	n := len(b.ids)
+	if cap(b.out) < n {
+		b.out = make([]float64, n)
+	}
+	out := b.out[:n]
+	score.EvalBlock(sc.Fam, sc.W, b.cols, out)
+	for i, si := range out {
+		if !(si > b.worstS[i] || (si == b.worstS[i] && fid < b.worstF[i])) {
+			continue
+		}
+		if id := b.ids[i]; !ok || si > s || (si == s && id < oid) {
+			oid, s, ok = id, si, true
+		}
+	}
+	return oid, s, ok
 }
 
 // objLive reports whether an object is live. Caller holds w.mu.
@@ -493,6 +581,7 @@ func (w *Workspace) link(p wsPair) {
 	ps := pt.byObj[p.oid]
 	pt.byObj[p.oid] = append(ps[:len(ps):len(ps)], p)
 	pt.units++
+	pt.syncFull(p.oid)
 	ps, _ = w.byFunc.get(p.fid)
 	w.byFunc.set(p.fid, append(ps[:len(ps):len(ps)], p))
 }
@@ -506,6 +595,7 @@ func (w *Workspace) unlink(p wsPair) error {
 	}
 	pt.byObj[p.oid] = ps
 	pt.units--
+	pt.syncFull(p.oid)
 	ps, _ = w.byFunc.get(p.fid)
 	if ps, err = cutPair(ps, p); err != nil {
 		return err
@@ -636,10 +726,7 @@ func (w *Workspace) placeFunction(fid uint64) error {
 		return nil // departed while queued
 	}
 	for w.funcCaps.remaining[fid] > 0 {
-		oid, score, displace, ok, err := w.bestEntry(fid)
-		if err != nil {
-			return err
-		}
+		oid, score, displace, ok := w.bestEntry(fid)
 		if !ok {
 			return nil // no object accepts: the unit stays free
 		}
@@ -666,36 +753,25 @@ func (w *Workspace) placeFunction(fid uint64) error {
 func (w *Workspace) scorerOf(fid uint64) score.Scorer { return w.eff[fid] }
 
 // bestEntry finds the best object a function unit can enter: the best
-// available object (scanned off the availability frontier, no I/O), or
-// a full object holding a strictly worse assignment. The availability
-// score is the ceiling of the displacement search. Both the frontier
-// scan and the BRS displacement search run under the function's scorer,
-// which is what keeps repair correct for every monotone family; both
-// order candidates by (score desc, ID asc).
-func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok bool, err error) {
+// available object, or a full object holding a strictly worse
+// assignment. Two batched kernel passes answer it with no page reads:
+// one over the availability frontier's columnar mirror, one over the
+// displacement block of full objects. Both score under the function's
+// scorer, which is what keeps repair correct for every monotone family,
+// and both order candidates by (score desc, object ID asc).
+func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok bool) {
 	fsc := w.scorerOf(fid)
 	pt := w.obj
-	// One batched kernel pass over the frontier's columnar mirror, with
-	// the same (score, lowest-ID) selection as a scan of the skyline.
 	avail, availScore, availOK := pt.avail.Best(fsc)
-	bound := math.Inf(-1)
-	if availOK {
-		bound = availScore
-	}
 	w.searches++
-	it, s, found, err := topk.BestAtLeast(pt.tree, fsc, bound, func(cand uint64) bool {
-		return !pt.displaceable(fid, fsc, cand)
-	})
-	if err != nil {
-		return 0, 0, false, false, err
-	}
-	if found && (!availOK || s > availScore || (s == availScore && it.ID < avail.ID)) {
-		return it.ID, s, true, true, nil
+	id, s, found := pt.full.best(fid, fsc)
+	if found && (!availOK || s > availScore || (s == availScore && id < avail.ID)) {
+		return id, s, true, true
 	}
 	if availOK {
-		return avail.ID, availScore, false, true, nil
+		return avail.ID, availScore, false, true
 	}
-	return 0, 0, false, false, nil
+	return 0, 0, false, false
 }
 
 // fillObject runs vacancy chains for every free unit of an object.

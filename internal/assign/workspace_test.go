@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -264,5 +266,107 @@ func TestWorkspaceMutationErrors(t *testing.T) {
 	w.Close()
 	if err := w.AddObject(Object{ID: 5000, Point: geom.Point{0.1, 0.1}}); err == nil {
 		t.Fatal("mutation on closed workspace accepted")
+	}
+}
+
+// TestDisplacementBlockMatchesRowScan drives the repair-lock scripts,
+// plus a capacity-heavy variant, one mutation per Apply, and checks the
+// displacement block after each: its rows are exactly the full objects,
+// with their points bit for bit and their current worst assignments,
+// and its pick for every live function equals a row-wise scan of all
+// live objects. A warm bestEntry allocates nothing.
+func TestDisplacementBlockMatchesRowScan(t *testing.T) {
+	const steps = 60
+	ins := repairInstances()
+	// The tie-heavy instance with two or three units on every object, so
+	// full objects hold several assignments and a displacement moves
+	// their worst one.
+	heavy := repairInstances()[0]
+	heavy.name = "ties-2d-capacity"
+	for i := range heavy.p.Objects {
+		heavy.p.Objects[i].Capacity = 2 + i%2
+	}
+	newObj := heavy.s.newObj
+	heavy.s.newObj = func(rng *rand.Rand, id uint64) Object {
+		o := newObj(rng, id)
+		o.Capacity = 2 + int(id%2)
+		return o
+	}
+	for _, in := range append(ins, heavy) {
+		w, err := NewWorkspace(in.p, testCfg())
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		checkDisplacementBlock(t, w, in.name+" initial")
+		for step := 0; step < steps; step++ {
+			if err := w.Apply(in.s.batch(1)); err != nil {
+				t.Fatalf("%s step %d: %v", in.name, step, err)
+			}
+			checkDisplacementBlock(t, w, fmt.Sprintf("%s step %d", in.name, step))
+		}
+		for fid := range w.eff {
+			if allocs := testing.AllocsPerRun(20, func() { w.bestEntry(fid) }); allocs != 0 {
+				t.Errorf("%s: warm bestEntry for function %d allocates %v times per call", in.name, fid, allocs)
+			}
+		}
+		w.Close()
+	}
+}
+
+// checkDisplacementBlock compares the displacement block with the
+// workspace's tables and a row-wise displacement scan.
+func checkDisplacementBlock(t *testing.T, w *Workspace, label string) {
+	t.Helper()
+	pt, b := w.obj, w.obj.full
+	full := 0
+	for id, o := range pt.objs.all() {
+		if pt.caps.remaining[id] > 0 {
+			continue
+		}
+		full++
+		i, ok := b.row[id]
+		if !ok || i >= len(b.ids) || b.ids[i] != id {
+			t.Fatalf("%s: full object %d has no row", label, id)
+		}
+		for d, v := range o.Point {
+			if math.Float64bits(b.cols[d][i]) != math.Float64bits(v) {
+				t.Fatalf("%s: object %d column %d is %v, want %v", label, id, d, b.cols[d][i], v)
+			}
+		}
+		worst := worstOfObj(pt.byObj[id])
+		if math.Float64bits(b.worstS[i]) != math.Float64bits(worst.score) || b.worstF[i] != worst.fid {
+			t.Fatalf("%s: object %d worst row (%v,%d) want (%v,%d)", label, id, b.worstS[i], b.worstF[i], worst.score, worst.fid)
+		}
+	}
+	if len(b.ids) != full || len(b.row) != full || len(b.worstS) != full || len(b.worstF) != full {
+		t.Fatalf("%s: block has %d rows (%d indexed), want the %d full objects", label, len(b.ids), len(b.row), full)
+	}
+	for d, col := range b.cols {
+		if len(col) != full {
+			t.Fatalf("%s: column %d has %d rows, want %d", label, d, len(col), full)
+		}
+	}
+	for fid := range w.eff {
+		sc := w.scorerOf(fid)
+		var wantID uint64
+		var wantS float64
+		wantOK := false
+		for id, o := range pt.objs.all() {
+			if pt.caps.remaining[id] > 0 {
+				continue
+			}
+			s := sc.Score(o.Point)
+			worst := worstOfObj(pt.byObj[id])
+			if !(s > worst.score || (s == worst.score && fid < worst.fid)) {
+				continue
+			}
+			if !wantOK || s > wantS || (s == wantS && id < wantID) {
+				wantID, wantS, wantOK = id, s, true
+			}
+		}
+		gotID, gotS, gotOK := b.best(fid, sc)
+		if gotOK != wantOK || gotID != wantID || math.Float64bits(gotS) != math.Float64bits(wantS) {
+			t.Fatalf("%s: function %d displaces (%d, %v, %v), row scan (%d, %v, %v)", label, fid, gotID, gotS, gotOK, wantID, wantS, wantOK)
+		}
 	}
 }

@@ -15,8 +15,6 @@
 package topk
 
 import (
-	"math"
-
 	"fairassign/internal/geom"
 	"fairassign/internal/heaputil"
 	"fairassign/internal/pagestore"
@@ -62,9 +60,6 @@ type Searcher struct {
 	h       brsHeap
 	skip    func(uint64) bool
 	started bool
-	// floor prunes at push time: entries bounded below it are never
-	// pushed. Only a search that is not resumed below it may set it.
-	floor float64
 
 	// NodeReads counts R-tree node visits by this searcher.
 	NodeReads int64
@@ -80,33 +75,13 @@ func NewSearcher(t rtree.NodeReader, weights []float64, skip func(uint64) bool) 
 // scorer: entries are keyed by the scorer's upper bound over their MBR,
 // so enumeration order is non-increasing in the scorer for any family.
 func NewScorerSearcher(t rtree.NodeReader, sc score.Scorer, skip func(uint64) bool) *Searcher {
-	return &Searcher{tree: t, sc: sc, skip: skip, floor: math.Inf(-1)}
-}
-
-// BestAtLeast is a one-shot NextAtLeast: the best non-skipped object
-// scoring at least bound. The search is never resumed, so entries
-// bounded below it are dropped instead of pushed — the same nodes are
-// read, with less heap work. The Workspace uses it with the best
-// available-object score as the bound: its displacement search only
-// expands the (typically tiny) index region that could beat taking a
-// free object outright.
-func BestAtLeast(t rtree.NodeReader, sc score.Scorer, bound float64, skip func(uint64) bool) (rtree.Item, float64, bool, error) {
-	s := &Searcher{tree: t, sc: sc, skip: skip, floor: bound}
-	return s.NextAtLeast(bound)
+	return &Searcher{tree: t, sc: sc, skip: skip}
 }
 
 // Next returns the highest-scoring remaining object, or ok == false when
 // the tree is exhausted. Successive calls enumerate objects in
 // non-increasing score order, skipping tombstoned ones at pop time.
 func (s *Searcher) Next() (item rtree.Item, score float64, ok bool, err error) {
-	return s.NextAtLeast(math.Inf(-1))
-}
-
-// NextAtLeast is Next bounded from below: it returns the best remaining
-// object scoring at least bound, or ok == false once every unexplored
-// entry is bounded below it. The frontier heap is left intact, so the
-// search can resume later — including with a lower bound.
-func (s *Searcher) NextAtLeast(bound float64) (item rtree.Item, score float64, ok bool, err error) {
 	if !s.started {
 		s.started = true
 		if s.tree.Len() > 0 {
@@ -118,9 +93,6 @@ func (s *Searcher) NextAtLeast(bound float64) (item rtree.Item, score float64, o
 		}
 	}
 	for len(s.h) > 0 {
-		if s.h[0].key < bound {
-			return rtree.Item{}, 0, false, nil
-		}
 		e := s.h.pop()
 		if e.isPoint() {
 			if s.skip != nil && s.skip(e.id) {
@@ -145,9 +117,6 @@ func (s *Searcher) Footprint() int64 {
 func (s *Searcher) pushNode(n *rtree.Node) {
 	for _, ne := range n.Entries {
 		key := s.sc.UpperBound(ne.Rect.Min, ne.Rect.Max)
-		if key < s.floor {
-			continue
-		}
 		s.h.push(brsEntry{rect: ne.Rect, child: ne.Child, id: ne.ID, key: key})
 	}
 }

@@ -104,50 +104,3 @@ func TestScorerSearcherMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestNextAtLeastScorer checks the bounded resume used by Workspace
-// displacement searches under a non-linear scorer.
-func TestNextAtLeastScorer(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	tree, items := buildScorerTree(t, rng, 150, 3)
-	sc := score.Scorer{Fam: score.Family{Kind: score.OWA}, W: []float64{0.1, 0.1, 0.8}}
-	var scores []float64
-	for _, it := range items {
-		scores = append(scores, sc.Score(it.Point))
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	bound := scores[10] // exactly the 11th best
-	sr := NewScorerSearcher(tree, sc, nil)
-	count := 0
-	for {
-		_, s, ok, err := sr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok || s < bound {
-			break
-		}
-		count++
-		if count > 11 {
-			break
-		}
-	}
-	sr2 := NewScorerSearcher(tree, sc, nil)
-	got := 0
-	for {
-		_, s, ok, err := sr2.NextAtLeast(bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if s < bound {
-			t.Fatalf("NextAtLeast returned %v below bound %v", s, bound)
-		}
-		got++
-	}
-	if got != 11 {
-		t.Fatalf("NextAtLeast enumerated %d results at or above bound, want 11", got)
-	}
-}

@@ -25,9 +25,10 @@ import (
 // same score f(o), so the stable matching is unique and chain repair
 // converges to it without a global recomputation. The skyline of
 // objects with remaining capacity (the availability frontier) is
-// maintained incrementally and prices every proposal: a displacement
-// search only explores the index region that could beat the best freely
-// available object.
+// maintained incrementally and offers every proposal its best free
+// object; the full objects sit in one columnar block beside their worst
+// assignments, so the displacement search is one batched scoring pass
+// over at most the matching's size, with no index page reads.
 //
 // Concurrency. A Workspace follows a single-writer / many-readers
 // contract: all methods are safe to call from any goroutine — an
@@ -73,8 +74,8 @@ type WorkspaceStats struct {
 	// Mutations counts applied mutations; Commits counts the epoch
 	// publishes that carried them (group commits via Apply batch
 	// mutations, so Commits <= Mutations+1); ChainSteps counts the
-	// reassignments repair performed; Searches counts the bounded top-1
-	// probes those chains issued. Resolves counts from-scratch solves
+	// reassignments repair performed; Searches counts the top-1
+	// searches those chains issued. Resolves counts from-scratch solves
 	// (always 1: the initial build).
 	Mutations  int64
 	Commits    int64
@@ -82,8 +83,9 @@ type WorkspaceStats struct {
 	Searches   int64
 	Resolves   int64
 	// IOAccesses is the paper's I/O metric accumulated over the
-	// workspace lifetime. It counts the object index only: the function
-	// side is held in memory and has no pages.
+	// workspace lifetime. It counts the object index's structural
+	// inserts and deletes: repair searches read no pages, and the
+	// function side is held in memory and has none.
 	IOAccesses int64
 }
 
