@@ -215,6 +215,9 @@ func main() {
 		fmt.Printf("%-26s n=%-8d d=%d  %8.1f muts/s (apply %9d ns, snap %9d ns) | topk p50 %9d p99 %9d ns | %s\n",
 			c.Name, c.N, c.Dims, c.MutationsPerSec, c.ApplyNsPerOp, c.SnapNsPerOp,
 			c.TopKP50NS, c.TopKP99NS, match)
+		sa := c.SlowestApply
+		fmt.Printf("%-26s slowest apply: step %d, %.2f ms, %d chain steps, %d searches\n",
+			"", sa.Step, sa.MS, sa.ChainSteps, sa.Searches)
 		if !c.Identical {
 			diverged = true
 			fmt.Fprintf(os.Stderr, "bench: %s(n=%d): final matching differs from a cold solve\n", c.Name, c.N)

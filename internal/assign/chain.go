@@ -91,12 +91,14 @@ func buildFuncIndex(p *Problem, fpool *pagestore.BufferPool, cfg Config) (*funcI
 	return fx, nil
 }
 
-// bestFunc answers the reverse top-1 — the non-skipped function
-// maximizing f(o) — combining the linear tree search with the batched
-// kernel scan over the non-linear blocks. Ties break to the lower
-// function ID, matching the BRS enumeration order; FuncBlocks.Best
-// follows the same (score, lowest-ID) total order with bit-identical
-// scores, so the merged winner equals the former per-function loop.
+// bestFunc answers the reverse top-1 — the live function maximizing
+// f(o) — combining the linear tree search, which skips the exhausted
+// functions, with the batched kernel scan over the non-linear blocks,
+// from which exhausted functions are removed (emitChainPair). Ties
+// break to the lower function ID, matching the BRS enumeration order;
+// FuncBlocks.Best follows the same (score, lowest-ID) total order with
+// bit-identical scores, so the merged winner equals the former
+// per-function loop.
 func (fx *funcIndex) bestFunc(opoint geom.Point, skip func(uint64) bool) (fid uint64, s float64, ok bool, err error) {
 	it, s, ok, err := topk.Top1(fx.ftree, opoint, skip)
 	if err != nil {
@@ -106,7 +108,8 @@ func (fx *funcIndex) bestFunc(opoint geom.Point, skip func(uint64) bool) (fid ui
 	if !ok {
 		s = math.Inf(-1)
 	}
-	if bid, bs, bok := fx.nonlin.Best(opoint, func(id uint64, _ float64) bool { return !skip(id) }); bok {
+	// Chain sets no floors, so the object ID Best takes goes unused.
+	if bid, bs, bok := fx.nonlin.Best(opoint, 0); bok {
 		if !ok || bs > s || (bs == s && bid < fid) {
 			fid, s, ok = bid, bs, true
 		}
@@ -193,7 +196,7 @@ func chainLoop(p *Problem, st *solveState, fx *funcIndex, memBase int64) (*Resul
 				break
 			}
 			if f2 == f {
-				emitChainPair(res, funcCaps, objCaps, deadFunc, deadObj, f, o.ID, sc)
+				emitChainPair(res, fx, funcCaps, objCaps, deadFunc, deadObj, f, o.ID, sc)
 			} else {
 				queue = append(queue, queued{isFunc: false, id: o.ID})
 			}
@@ -217,7 +220,7 @@ func chainLoop(p *Problem, st *solveState, fx *funcIndex, memBase int64) (*Resul
 				break
 			}
 			if o2.ID == oid {
-				emitChainPair(res, funcCaps, objCaps, deadFunc, deadObj, f, oid, sc)
+				emitChainPair(res, fx, funcCaps, objCaps, deadFunc, deadObj, f, oid, sc)
 			} else {
 				queue = append(queue, queued{isFunc: true, id: f})
 			}
@@ -231,10 +234,13 @@ func chainLoop(p *Problem, st *solveState, fx *funcIndex, memBase int64) (*Resul
 	return res, nil
 }
 
-func emitChainPair(res *Result, funcCaps, objCaps *capTable, deadFunc, deadObj map[uint64]bool, fid, oid uint64, score float64) {
+// emitChainPair outputs a mutual best pair. An exhausted function is
+// marked dead for the tree search and leaves the non-linear blocks.
+func emitChainPair(res *Result, fx *funcIndex, funcCaps, objCaps *capTable, deadFunc, deadObj map[uint64]bool, fid, oid uint64, score float64) {
 	res.Pairs = append(res.Pairs, Pair{FuncID: fid, ObjectID: oid, Score: score})
 	if funcCaps.consume(fid) {
 		deadFunc[fid] = true
+		fx.nonlin.Remove(fid)
 	}
 	if objCaps.consume(oid) {
 		deadObj[oid] = true

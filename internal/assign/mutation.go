@@ -300,9 +300,10 @@ func (b *batchView) validate(m *Mutation) error {
 }
 
 // mutateLocked performs the structural phase of one already-validated
-// mutation: maps, trees, capacity tables, availability frontier, and the
-// repair queue. Any error is a mid-mutation failure the caller must
-// escalate to corruptLocked. Caller holds w.mu.
+// mutation: maps, trees, capacity tables, the availability changes the
+// next frontier sync applies, and the repair queue. Any error is a
+// mid-mutation failure the caller must escalate to corruptLocked.
+// Caller holds w.mu.
 func (w *Workspace) mutateLocked(m *Mutation) error {
 	switch m.Kind {
 	case MutAddObject:
@@ -327,9 +328,7 @@ func (w *Workspace) addObjectLocked(o Object) error {
 		return err
 	}
 	pt.caps.add(o.ID, o.capacity())
-	if err := pt.avail.Insert(rtree.Item{ID: o.ID, Point: point}); err != nil {
-		return err
-	}
+	pt.availChanged(o.ID, false)
 	w.pushObj(o.ID)
 	return nil
 }
@@ -339,20 +338,20 @@ func (w *Workspace) removeObjectLocked(id uint64) error {
 	o, _ := pt.objs.get(id)
 	pt.dropPub()
 	pt.pageDirty = true
-	// Take the object off the availability frontier first. An exhausted
-	// object already left it (Discarded on exhaustion); a parked one
-	// stays where it is until it resurfaces, and the frontier's live
-	// check drops it then, since the tables below no longer hold it.
+	// An available object leaves the availability frontier at the next
+	// sync, which discards it; an exhausted one already left at the sync
+	// after its exhaustion. If it is parked, it stays where it is until
+	// it resurfaces, and the frontier's live check drops it then, since
+	// the tables below no longer hold it.
 	if pt.caps.remaining[id] > 0 {
-		if err := pt.avail.Discard(id); err != nil {
-			return err
-		}
+		pt.availChanged(id, true)
 	}
 	for _, p := range pt.byObj[id] {
 		if err := w.unlink(p); err != nil {
 			return err
 		}
 		w.funcCaps.restore(p.fid)
+		w.syncFloor(p.fid)
 		w.pushFunc(p.fid)
 	}
 	delete(pt.byObj, id)
@@ -368,6 +367,7 @@ func (w *Workspace) addFunctionLocked(f Function) {
 	f.Weights = slices.Clone(f.Weights)
 	w.addFunc(f)
 	w.funcCaps.add(f.ID, f.capacity())
+	w.syncFloor(f.ID)
 	w.pushFunc(f.ID)
 }
 
@@ -378,9 +378,7 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 		if err := w.unlink(p); err != nil {
 			return err
 		}
-		if err := w.obj.restoreUnit(p.oid); err != nil {
-			return err
-		}
+		w.obj.restoreUnit(p.oid)
 		w.pushObj(p.oid)
 	}
 	w.allFuncs.Remove(id)

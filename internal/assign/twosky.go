@@ -84,7 +84,7 @@ func SBTwoSkylines(p *Problem, cfg Config) (*Result, error) {
 		// reverse, by batched kernel scans of the (small) cross product.
 		byObj := make([]bestFunc, len(sky))
 		for i, o := range sky {
-			fid, s, ok := fblocks.Best(o.Point, nil)
+			fid, s, ok := fblocks.Best(o.Point, o.ID)
 			byObj[i] = bestFunc{fid: fid, score: s, ok: ok}
 		}
 		oBest := make(map[uint64]bestFunc, len(sky))

@@ -64,8 +64,12 @@ var (
 //
 // The availability frontier — the skyline of objects with remaining
 // capacity — is maintained incrementally through the Section 5.2
-// machinery (Maintainer.Insert for arrivals and revived capacity,
-// Maintainer.Discard for exhaustion and departures). A function proposal
+// machinery. Like Algorithm 2, which updates the skyline once per
+// round, it absorbs availability flips in batches: syncFrontier applies
+// their net change (Maintainer.Insert, then one Maintainer.Discard)
+// before each function proposal, the only repair step that reads it,
+// and at the end of each mutation's repair, so a vacancy chain that
+// revives and refills an object costs it nothing. A function proposal
 // scores that skyline for the best free object, and scores the
 // displacement block — every full object as columns beside its worst
 // assignment — for the best object whose worst it beats; the better of
@@ -75,9 +79,11 @@ var (
 //
 // A vacancy's reverse search scores every live function at once: the
 // functions' effective weights sit in per-family columnar blocks
-// (score.FuncBlocks), and one batched kernel pass picks the best
-// function that wants the object. The function side has no pages, so
-// it costs no I/O and no snapshot page image.
+// (score.FuncBlocks), each beside its floor — free while the function
+// has a spare unit, otherwise its worst assignment — and one batched
+// kernel pass picks the best function whose floor the vacancy beats.
+// The function side has no pages, so it costs no I/O and no snapshot
+// page image.
 //
 // Snapshot capture is O(Δ), not O(population): the object tables, the
 // function table and the function half of the matching live in
@@ -125,9 +131,9 @@ type Workspace struct {
 	funcs *cowTable[Function]
 	eff   map[uint64]score.Scorer
 	// allFuncs holds every live function's effective weights in
-	// per-family columnar blocks: the reverse search (best function for
-	// a vacant object) is one batched dual-kernel pass over it, with no
-	// pages and no I/O.
+	// per-family columnar blocks, beside its floor (see syncFloor): the
+	// reverse search (best function for a vacant object) is one batched
+	// dual-kernel pass over it, with no pages and no I/O.
 	allFuncs *score.FuncBlocks
 	funcCaps *capTable
 
@@ -161,8 +167,16 @@ type objPart struct {
 	// avail is the availability frontier: a materialized skyline
 	// maintainer over the objects with remaining capacity. It holds no
 	// R-tree references (the workspace physically mutates its tree), so
-	// arbitrary Insert/Discard traffic stays correct.
+	// arbitrary Insert/Discard traffic stays correct. Only buildFrontier
+	// and syncFrontier change it.
 	avail *skyline.Maintainer
+	// pending maps each object whose availability changed since the last
+	// syncFrontier to its availability at that sync; pendingIDs holds the
+	// same objects in first-change order, so syncs are deterministic.
+	// Both are empty outside repair.
+	pending    map[uint64]bool
+	pendingIDs []uint64
+	discards   []uint64 // syncFrontier's Discard scratch
 
 	objs  *cowTable[Object] // views read frozen copies of it
 	caps  *capTable
@@ -290,6 +304,7 @@ func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.T
 		objs:      newCowTable[Object](n),
 		caps:      &capTable{remaining: make(map[uint64]int, n)},
 		byObj:     make(map[uint64][]wsPair),
+		pending:   make(map[uint64]bool),
 		full:      newDisplacementBlock(tree.Dims()),
 		pageDirty: true,
 	}
@@ -323,30 +338,60 @@ func (pt *objPart) dropPub() {
 }
 
 // restoreUnit gives one unit of capacity back to an object; a revival
-// (exhausted → available) re-enters the availability frontier.
-func (pt *objPart) restoreUnit(oid uint64) error {
-	if !pt.caps.restore(oid) {
-		return nil
+// (exhausted → available) is recorded for the next frontier sync.
+func (pt *objPart) restoreUnit(oid uint64) {
+	if pt.caps.restore(oid) {
+		pt.full.remove(oid)
+		pt.availChanged(oid, false)
 	}
-	pt.full.remove(oid)
-	pt.dropPub()
-	o, _ := pt.objs.get(oid)
-	if err := pt.avail.Insert(rtree.Item{ID: oid, Point: o.Point}); err != nil {
-		// Insert only errors on a live duplicate, which consistent
-		// availability bookkeeping rules out.
-		return fmt.Errorf("assign: availability frontier out of sync: %w", err)
-	}
-	return nil
 }
 
-// consumeUnit takes one unit of an object's capacity; exhaustion leaves
-// the availability frontier via Discard.
-func (pt *objPart) consumeUnit(oid uint64) error {
-	if !pt.caps.consume(oid) {
+// consumeUnit takes one unit of an object's capacity; an exhaustion is
+// recorded for the next frontier sync.
+func (pt *objPart) consumeUnit(oid uint64) {
+	if pt.caps.consume(oid) {
+		pt.availChanged(oid, true)
+	}
+}
+
+// availChanged records that an object's availability flipped from was;
+// only the first flip since the last sync is kept.
+func (pt *objPart) availChanged(oid uint64, was bool) {
+	if _, seen := pt.pending[oid]; !seen {
+		pt.pending[oid] = was
+		pt.pendingIDs = append(pt.pendingIDs, oid)
+	}
+}
+
+// syncFrontier applies the net availability change since the last
+// sync. The inserts run first: a Discard resurfaces parked entries
+// through the live check, which already sees the current capacities, so
+// a revived object still awaiting its Insert could rejoin the skyline
+// there and turn that Insert into a duplicate.
+func (pt *objPart) syncFrontier() error {
+	if len(pt.pendingIDs) == 0 {
 		return nil
 	}
 	pt.dropPub()
-	return pt.avail.Discard(oid)
+	drop := pt.discards[:0]
+	for _, id := range pt.pendingIDs {
+		was, now := pt.pending[id], pt.caps.remaining[id] > 0
+		switch {
+		case now && !was:
+			o, _ := pt.objs.get(id)
+			if err := pt.avail.Insert(rtree.Item{ID: id, Point: o.Point}); err != nil {
+				// Insert only errors on a live duplicate, which consistent
+				// availability bookkeeping rules out.
+				return fmt.Errorf("assign: availability frontier out of sync: %w", err)
+			}
+		case was && !now:
+			drop = append(drop, id)
+		}
+	}
+	clear(pt.pending)
+	pt.pendingIDs = pt.pendingIDs[:0]
+	pt.discards = drop
+	return pt.avail.Discard(drop...)
 }
 
 // syncFull keeps an object's displacement row in step with its capacity
@@ -584,6 +629,7 @@ func (w *Workspace) link(p wsPair) {
 	pt.syncFull(p.oid)
 	ps, _ = w.byFunc.get(p.fid)
 	w.byFunc.set(p.fid, append(ps[:len(ps):len(ps)], p))
+	w.syncFloor(p.fid)
 }
 
 // unlink removes one instance of the pair from both sides.
@@ -605,7 +651,23 @@ func (w *Workspace) unlink(p wsPair) error {
 	} else {
 		w.byFunc.set(p.fid, ps)
 	}
+	w.syncFloor(p.fid)
 	return nil
+}
+
+// syncFloor refreshes a function's floor in the reverse-search blocks,
+// wherever funcCaps or byFunc change for it: free while it has a spare
+// unit, else its worst assignment, which a vacancy must beat. Between
+// taking its last unit and linking the pair it has no worst yet, and
+// stays free until the link.
+func (w *Workspace) syncFloor(fid uint64) {
+	ps, _ := w.byFunc.get(fid)
+	if w.funcCaps.remaining[fid] > 0 || len(ps) == 0 {
+		w.allFuncs.ClearFloor(fid)
+		return
+	}
+	worst := worstOfFunc(ps)
+	w.allFuncs.SetFloor(fid, worst.score, worst.oid)
 }
 
 // cutPair returns a new slice holding ps without one instance of p; ps
@@ -658,8 +720,9 @@ func (w *Workspace) AddObject(o Object) error {
 
 // RemoveObject withdraws an object. Its assigned functions are freed
 // and re-chained; the object leaves the availability skyline through
-// Discard (delta maintenance: if it is parked inside a pruned list, the
-// frontier's live check drops it when it resurfaces).
+// the next frontier sync's Discard (delta maintenance: if it is parked
+// inside a pruned list, the frontier's live check drops it when it
+// resurfaces).
 func (w *Workspace) RemoveObject(id uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -702,7 +765,8 @@ func (w *Workspace) liveLocked() error {
 // slot (bounded by total capacity) or replaces an assignment with a
 // strictly better one in the greedy order, so the cascade terminates;
 // at quiescence no blocking pair remains, and with both sides ranking
-// pairs by the same score that stable matching is the greedy one.
+// pairs by the same score that stable matching is the greedy one. The
+// final frontier sync leaves nothing pending between mutations.
 func (w *Workspace) repair() error {
 	for len(w.queue) > 0 {
 		it := w.queue[0]
@@ -717,7 +781,7 @@ func (w *Workspace) repair() error {
 			return err
 		}
 	}
-	return nil
+	return w.obj.syncFrontier()
 }
 
 // placeFunction runs proposal chains for every free unit of a function.
@@ -726,6 +790,9 @@ func (w *Workspace) placeFunction(fid uint64) error {
 		return nil // departed while queued
 	}
 	for w.funcCaps.remaining[fid] > 0 {
+		if err := w.obj.syncFrontier(); err != nil { // bestEntry reads it
+			return err
+		}
 		oid, score, displace, ok := w.bestEntry(fid)
 		if !ok {
 			return nil // no object accepts: the unit stays free
@@ -736,11 +803,13 @@ func (w *Workspace) placeFunction(fid uint64) error {
 				return err
 			}
 			w.funcCaps.restore(evicted.fid)
+			w.syncFloor(evicted.fid)
 			w.pushFunc(evicted.fid)
-		} else if err := w.obj.consumeUnit(oid); err != nil {
-			return err
+		} else {
+			w.obj.consumeUnit(oid)
 		}
 		w.funcCaps.consume(fid)
+		w.syncFloor(fid)
 		w.link(wsPair{fid: fid, oid: oid, score: score})
 		w.chainLen++
 	}
@@ -755,10 +824,11 @@ func (w *Workspace) scorerOf(fid uint64) score.Scorer { return w.eff[fid] }
 // bestEntry finds the best object a function unit can enter: the best
 // available object, or a full object holding a strictly worse
 // assignment. Two batched kernel passes answer it with no page reads:
-// one over the availability frontier's columnar mirror, one over the
-// displacement block of full objects. Both score under the function's
-// scorer, which is what keeps repair correct for every monotone family,
-// and both order candidates by (score desc, object ID asc).
+// one over the availability frontier's columnar mirror (which must be
+// synced), one over the displacement block of full objects. Both score
+// under the function's scorer, which is what keeps repair correct for
+// every monotone family, and both order candidates by (score desc,
+// object ID asc).
 func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok bool) {
 	fsc := w.scorerOf(fid)
 	pt := w.obj
@@ -788,6 +858,7 @@ func (w *Workspace) fillObject(oid uint64) error {
 		}
 		if w.funcCaps.remaining[gid] > 0 {
 			w.funcCaps.consume(gid)
+			w.syncFloor(gid)
 		} else {
 			// The mover abandons its worst unit, cascading the vacancy.
 			ps, _ := w.byFunc.get(gid)
@@ -795,14 +866,10 @@ func (w *Workspace) fillObject(oid uint64) error {
 			if err := w.unlink(left); err != nil {
 				return err
 			}
-			if err := pt.restoreUnit(left.oid); err != nil {
-				return err
-			}
+			pt.restoreUnit(left.oid)
 			w.pushObj(left.oid)
 		}
-		if err := pt.consumeUnit(oid); err != nil {
-			return err
-		}
+		pt.consumeUnit(oid)
 		w.link(wsPair{fid: gid, oid: oid, score: score})
 		w.chainLen++
 	}
@@ -811,26 +878,13 @@ func (w *Workspace) fillObject(oid uint64) error {
 
 // bestTaker finds the best function that wants a vacant object unit: a
 // function with spare capacity wants it at any score; a fully assigned
-// function wants it only above its current worst assignment. One
-// batched kernel pass scores every live function, each bit-identical to
-// its scorer, and selects by (score desc, function ID asc) among the
-// functions wantsAt admits.
+// function wants it only above its current worst assignment, the floor
+// syncFloor keeps. One batched kernel pass scores every live function,
+// each bit-identical to its scorer, and selects by (score desc,
+// function ID asc) among the functions whose floor the object beats.
 func (w *Workspace) bestTaker(oid uint64, point geom.Point) (gid uint64, sc float64, ok bool) {
 	w.searches++
-	return w.allFuncs.Best(point, func(fid uint64, s float64) bool {
-		return w.wantsAt(fid, oid, s)
-	})
-}
-
-// wantsAt reports whether a function scoring the vacant object at s
-// prefers it over its current worst assignment (or has a free unit).
-func (w *Workspace) wantsAt(fid, oid uint64, s float64) bool {
-	if w.funcCaps.remaining[fid] > 0 {
-		return true
-	}
-	ps, _ := w.byFunc.get(fid)
-	worst := worstOfFunc(ps)
-	return s > worst.score || (s == worst.score && oid < worst.oid)
+	return w.allFuncs.Best(point, oid)
 }
 
 // sortPairsDefinitional orders pairs in the definitional greedy order:

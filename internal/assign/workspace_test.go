@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairassign/internal/geom"
+	"fairassign/internal/rtree"
+	"fairassign/internal/skyline"
 )
 
 func newTestWorkspace(t *testing.T, p *Problem) *Workspace {
@@ -270,43 +273,79 @@ func TestWorkspaceMutationErrors(t *testing.T) {
 }
 
 // TestDisplacementBlockMatchesRowScan drives the repair-lock scripts,
-// plus a capacity-heavy variant, one mutation per Apply, and checks the
-// displacement block after each: its rows are exactly the full objects,
-// with their points bit for bit and their current worst assignments,
-// and its pick for every live function equals a row-wise scan of all
-// live objects. A warm bestEntry allocates nothing.
+// plus a capacity-heavy variant and a crowded one (more function units
+// than object units), one mutation per Apply, and checks the repair
+// indexes after each. The displacement block's rows are exactly the
+// full objects, with their points bit for bit and their current worst
+// assignments, and its pick for every live function equals a row-wise
+// scan of all live objects. No frontier change is left pending, and
+// the frontier's ID set is the skyline (SFS) of the live objects with
+// spare capacity. Every live function's floor in the reverse-search
+// blocks is free exactly when it has a spare unit, and otherwise its
+// worst assignment; and the reverse search's pick for every live
+// object equals a row-wise scan of all live functions under the
+// definitional "wants" rule. Warm bestEntry and bestTaker calls
+// allocate nothing.
 func TestDisplacementBlockMatchesRowScan(t *testing.T) {
 	const steps = 60
 	ins := repairInstances()
-	// The tie-heavy instance with two or three units on every object, so
-	// full objects hold several assignments and a displacement moves
-	// their worst one.
-	heavy := repairInstances()[0]
-	heavy.name = "ties-2d-capacity"
-	for i := range heavy.p.Objects {
-		heavy.p.Objects[i].Capacity = 2 + i%2
+	for _, crowded := range []bool{false, true} {
+		// The tie-heavy instance with two or three units on every object,
+		// so full objects hold several assignments and a displacement
+		// moves their worst one.
+		in := repairInstances()[0]
+		in.name = "ties-2d-capacity"
+		for i := range in.p.Objects {
+			in.p.Objects[i].Capacity = 2 + i%2
+		}
+		newObj := in.s.newObj
+		in.s.newObj = func(rng *rand.Rand, id uint64) Object {
+			o := newObj(rng, id)
+			o.Capacity = 2 + int(id%2)
+			return o
+		}
+		if crowded {
+			// Two or three units on every function too, and only the
+			// first 20 objects, so function units outnumber object
+			// units: a displaced function can stay unplaced with a
+			// spare unit while it still holds others.
+			in.name = "ties-2d-crowded"
+			in.p.Objects, in.s.objs = in.p.Objects[:20], in.s.objs[:20]
+			for i := range in.p.Functions {
+				in.p.Functions[i].Capacity = 2 + i%2
+			}
+			newFunc := in.s.newFunc
+			in.s.newFunc = func(rng *rand.Rand, id uint64) Function {
+				f := newFunc(rng, id)
+				f.Capacity = 2 + int(id%2)
+				return f
+			}
+		}
+		ins = append(ins, in)
 	}
-	newObj := heavy.s.newObj
-	heavy.s.newObj = func(rng *rand.Rand, id uint64) Object {
-		o := newObj(rng, id)
-		o.Capacity = 2 + int(id%2)
-		return o
-	}
-	for _, in := range append(ins, heavy) {
+	for _, in := range ins {
 		w, err := NewWorkspace(in.p, testCfg())
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		checkDisplacementBlock(t, w, in.name+" initial")
+		checkFrontierAndFloors(t, w, in.name+" initial")
 		for step := 0; step < steps; step++ {
 			if err := w.Apply(in.s.batch(1)); err != nil {
 				t.Fatalf("%s step %d: %v", in.name, step, err)
 			}
-			checkDisplacementBlock(t, w, fmt.Sprintf("%s step %d", in.name, step))
+			label := fmt.Sprintf("%s step %d", in.name, step)
+			checkDisplacementBlock(t, w, label)
+			checkFrontierAndFloors(t, w, label)
 		}
 		for fid := range w.eff {
 			if allocs := testing.AllocsPerRun(20, func() { w.bestEntry(fid) }); allocs != 0 {
 				t.Errorf("%s: warm bestEntry for function %d allocates %v times per call", in.name, fid, allocs)
+			}
+		}
+		for id, o := range w.obj.objs.all() {
+			if allocs := testing.AllocsPerRun(20, func() { w.bestTaker(id, o.Point) }); allocs != 0 {
+				t.Errorf("%s: warm bestTaker for object %d allocates %v times per call", in.name, id, allocs)
 			}
 		}
 		w.Close()
@@ -367,6 +406,73 @@ func checkDisplacementBlock(t *testing.T, w *Workspace, label string) {
 		gotID, gotS, gotOK := b.best(fid, sc)
 		if gotOK != wantOK || gotID != wantID || math.Float64bits(gotS) != math.Float64bits(wantS) {
 			t.Fatalf("%s: function %d displaces (%d, %v, %v), row scan (%d, %v, %v)", label, fid, gotID, gotS, gotOK, wantID, wantS, wantOK)
+		}
+	}
+}
+
+// checkFrontierAndFloors checks the availability frontier against a
+// from-scratch skyline, and the reverse-search floors and picks against
+// the workspace's tables.
+func checkFrontierAndFloors(t *testing.T, w *Workspace, label string) {
+	t.Helper()
+	pt := w.obj
+	if len(pt.pending) != 0 || len(pt.pendingIDs) != 0 {
+		t.Fatalf("%s: %d frontier changes (%d listed) still pending", label, len(pt.pending), len(pt.pendingIDs))
+	}
+	var avail []rtree.Item
+	for id, o := range pt.objs.all() {
+		if pt.caps.remaining[id] > 0 {
+			avail = append(avail, rtree.Item{ID: id, Point: o.Point})
+		}
+	}
+	var want, got []uint64
+	for _, it := range skyline.SFS(avail) {
+		want = append(want, it.ID)
+	}
+	for _, it := range pt.avail.Skyline() {
+		got = append(got, it.ID)
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: frontier %v, skyline of the available objects %v", label, got, want)
+	}
+
+	for fid := range w.eff {
+		s, oid, floored := w.allFuncs.Floor(fid)
+		if w.funcCaps.remaining[fid] > 0 {
+			if floored {
+				t.Fatalf("%s: function %d has a spare unit but floor (%v, %d)", label, fid, s, oid)
+			}
+			continue
+		}
+		ps, _ := w.byFunc.get(fid)
+		worst := worstOfFunc(ps)
+		if !floored || math.Float64bits(s) != math.Float64bits(worst.score) || oid != worst.oid {
+			t.Fatalf("%s: function %d floor (%v, %d, floored %v), worst assignment (%v, %d)", label, fid, s, oid, floored, worst.score, worst.oid)
+		}
+	}
+
+	for oid, o := range pt.objs.all() {
+		var wantID uint64
+		var wantS float64
+		wantOK := false
+		for fid, sc := range w.eff {
+			s := sc.Score(o.Point)
+			if w.funcCaps.remaining[fid] == 0 {
+				ps, _ := w.byFunc.get(fid)
+				worst := worstOfFunc(ps)
+				if !(s > worst.score || (s == worst.score && oid < worst.oid)) {
+					continue
+				}
+			}
+			if !wantOK || s > wantS || (s == wantS && fid < wantID) {
+				wantID, wantS, wantOK = fid, s, true
+			}
+		}
+		gotID, gotS, gotOK := w.allFuncs.Best(o.Point, oid)
+		if gotOK != wantOK || gotID != wantID || math.Float64bits(gotS) != math.Float64bits(wantS) {
+			t.Fatalf("%s: object %d taker (%d, %v, %v), row scan (%d, %v, %v)", label, oid, gotID, gotS, gotOK, wantID, wantS, wantOK)
 		}
 	}
 }

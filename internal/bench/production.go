@@ -279,7 +279,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 		}
 		identical := true
 		for _, o := range probes {
-			bid, bs, _ := fb.Best(o.Point, nil)
+			bid, bs, _ := fb.Best(o.Point, o.ID)
 			rid, rs, _ := rowBest(o.Point)
 			if bid != rid || bs != rs {
 				identical = false
@@ -288,7 +288,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 		}
 		i := 0
 		mb, err := measure(opts.Budget, func() error {
-			fb.Best(probes[i%len(probes)].Point, nil)
+			fb.Best(probes[i%len(probes)].Point, probes[i%len(probes)].ID)
 			i++
 			return nil
 		})
@@ -421,9 +421,9 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	identical = true
 	for _, o := range probes {
 		score.SetSIMD(true)
-		id1, s1, ok1 := fb.Best(o.Point, nil)
+		id1, s1, ok1 := fb.Best(o.Point, o.ID)
 		score.SetSIMD(false)
-		id2, s2, ok2 := fb.Best(o.Point, nil)
+		id2, s2, ok2 := fb.Best(o.Point, o.ID)
 		if id1 != id2 || ok1 != ok2 || math.Float64bits(s1) != math.Float64bits(s2) {
 			identical = false
 			break
@@ -432,7 +432,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	score.SetSIMD(true)
 	i = 0
 	mOn, err = measure(opts.Budget, func() error {
-		fb.Best(probes[i%len(probes)].Point, nil)
+		fb.Best(probes[i%len(probes)].Point, probes[i%len(probes)].ID)
 		i++
 		return nil
 	})
@@ -442,7 +442,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	score.SetSIMD(false)
 	i = 0
 	mOff, err = measure(opts.Budget, func() error {
-		fb.Best(probes[i%len(probes)].Point, nil)
+		fb.Best(probes[i%len(probes)].Point, probes[i%len(probes)].ID)
 		i++
 		return nil
 	})

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
@@ -30,9 +31,22 @@ type ServingScaleCase struct {
 	TopKP50NS    int64 `json:"topk_p50_ns"`
 	TopKP99NS    int64 `json:"topk_p99_ns"`
 	SnapNsPerOp  int64 `json:"snapshot_ns_per_op"`
+	// SlowestApply is the loop's longest Apply with its repair cascade,
+	// so the cost per chain step of the worst vacancy chain can be read
+	// off the report.
+	SlowestApply SlowApply `json:"slowest_apply"`
 
 	Identical bool   `json:"identical"`
 	Detail    string `json:"detail,omitempty"`
+}
+
+// SlowApply is one Apply of the serving loop: its step index, the chain
+// steps and top-1 searches its repair ran, and its wall time.
+type SlowApply struct {
+	Step       int     `json:"step"`
+	ChainSteps int64   `json:"chain_steps"`
+	Searches   int64   `json:"searches"`
+	MS         float64 `json:"ms"`
 }
 
 // servingScaleSteps bounds the serving loop: enough iterations for
@@ -93,17 +107,30 @@ func runServingScale(opts Options) (ServingScaleCase, error) {
 		return c, fmt.Errorf("serving_scale: %w", err)
 	}
 	defer e.Close()
+	// Settle the heap first, as measure does, so the loop does not pay
+	// for collecting what construction and earlier sections left behind.
+	runtime.GC()
 
 	var applyNS, snapNS int64
+	var slowest time.Duration
 	topkNS := make([]time.Duration, 0, steps)
+	prev := e.Stats()
 	loopStart := time.Now()
 	for i, m := range muts {
 		t0 := time.Now()
 		if err := e.Apply([]assign.Mutation{m}); err != nil {
 			return c, fmt.Errorf("serving_scale: step %d: %w", i, err)
 		}
+		d := time.Since(t0)
+		applyNS += d.Nanoseconds()
+		st := e.Stats()
+		if d > slowest {
+			slowest = d
+			c.SlowestApply = SlowApply{Step: i, ChainSteps: st.ChainSteps - prev.ChainSteps,
+				Searches: st.Searches - prev.Searches, MS: float64(d.Nanoseconds()) / 1e6}
+		}
+		prev = st
 		t1 := time.Now()
-		applyNS += t1.Sub(t0).Nanoseconds()
 		v, err := e.Snapshot()
 		if err != nil {
 			return c, err

@@ -114,6 +114,11 @@ func EvalPrepared(fam Family, w []float64, o geom.Point, osorted []float64) floa
 // long-lived index (Workspace, Chain's non-linear side list) maintains
 // them across mutations.
 //
+// Beside its weights each function carries a floor: free (the default)
+// or a score and object ID — for the Workspace, its worst assignment —
+// which Best's object must beat, so a reverse search skips a fully
+// assigned function with one compare.
+//
 // A FuncBlocks is single-goroutine: Best keeps its score scratch on the
 // index, so it allocates nothing at steady state.
 type FuncBlocks struct {
@@ -131,6 +136,12 @@ type funcGroup struct {
 	fam   Family
 	ids   []uint64
 	wcols [][]float64
+
+	// Floor columns (see Best); nfloor counts the floored functions.
+	floored []bool
+	floorS  []float64
+	floorO  []uint64
+	nfloor  int
 }
 
 // NewFuncBlocks returns an empty function-block index for the given
@@ -148,9 +159,9 @@ func (fb *FuncBlocks) Contains(id uint64) bool {
 	return ok
 }
 
-// Add indexes a function. The weight slice is copied into the columns,
-// so callers may reuse it. Adding an ID twice is a no-op for the second
-// add.
+// Add indexes a function with a free floor. The weight slice is copied
+// into the columns, so callers may reuse it. Adding an ID twice is a
+// no-op for the second add.
 func (fb *FuncBlocks) Add(id uint64, fam Family, w []float64) {
 	if _, dup := fb.loc[id]; dup {
 		return
@@ -173,6 +184,9 @@ func (fb *FuncBlocks) Add(id uint64, fam Family, w []float64) {
 	for d := 0; d < fb.dims; d++ {
 		g.wcols[d] = append(g.wcols[d], w[d])
 	}
+	g.floored = append(g.floored, false)
+	g.floorS = append(g.floorS, 0)
+	g.floorO = append(g.floorO, 0)
 }
 
 // Remove drops a function from the index (swap-delete within its family
@@ -183,6 +197,9 @@ func (fb *FuncBlocks) Remove(id uint64) bool {
 		return false
 	}
 	g := fb.groups[l.g]
+	if g.floored[l.i] {
+		g.nfloor--
+	}
 	last := len(g.ids) - 1
 	if l.i != last {
 		moved := g.ids[last]
@@ -190,24 +207,67 @@ func (fb *FuncBlocks) Remove(id uint64) bool {
 		for d := range g.wcols {
 			g.wcols[d][l.i] = g.wcols[d][last]
 		}
+		g.floored[l.i], g.floorS[l.i], g.floorO[l.i] = g.floored[last], g.floorS[last], g.floorO[last]
 		fb.loc[moved] = funcLoc{g: l.g, i: l.i}
 	}
 	g.ids = g.ids[:last]
 	for d := range g.wcols {
 		g.wcols[d] = g.wcols[d][:last]
 	}
+	g.floored, g.floorS, g.floorO = g.floored[:last], g.floorS[:last], g.floorO[:last]
 	delete(fb.loc, id)
 	return true
 }
 
+// SetFloor gives an indexed function the floor (s, oid). Unknown IDs
+// are ignored.
+func (fb *FuncBlocks) SetFloor(id uint64, s float64, oid uint64) {
+	l, ok := fb.loc[id]
+	if !ok {
+		return
+	}
+	g := fb.groups[l.g]
+	if !g.floored[l.i] {
+		g.floored[l.i] = true
+		g.nfloor++
+	}
+	g.floorS[l.i], g.floorO[l.i] = s, oid
+}
+
+// ClearFloor makes an indexed function free. Unknown IDs are ignored.
+func (fb *FuncBlocks) ClearFloor(id uint64) {
+	l, ok := fb.loc[id]
+	if !ok {
+		return
+	}
+	if g := fb.groups[l.g]; g.floored[l.i] {
+		g.floored[l.i] = false
+		g.nfloor--
+	}
+}
+
+// Floor returns a function's floor; floored is false for a free or
+// unknown one.
+func (fb *FuncBlocks) Floor(id uint64) (s float64, oid uint64, floored bool) {
+	l, ok := fb.loc[id]
+	if !ok {
+		return 0, 0, false
+	}
+	g := fb.groups[l.g]
+	return g.floorS[l.i], g.floorO[l.i], g.floored[l.i]
+}
+
 // Best returns the indexed function maximizing its family score at o,
-// among those the accept filter admits (nil accepts everything); ties
-// break to the lower function ID. The result does not depend on block
-// or group order — selection is by the total order (score, -id) — and
-// each score is bit-identical to Eval on the same function, so Best
-// matches a row-wise scan exactly. ok is false when no function is
-// admitted.
-func (fb *FuncBlocks) Best(o geom.Point, accept func(id uint64, s float64) bool) (bestID uint64, bestS float64, ok bool) {
+// the object with ID oid, among the functions that admit it: a free
+// function admits every object, a floored one only a score s with
+// s > floorS, or s == floorS and oid < floorO (a NaN score passes no
+// floor). Ties break to the lower function ID. On NaN-free scores the
+// result does not depend on block or group order — selection is by the
+// total order (score, -id) — and each score is bit-identical to Eval on
+// the same function, so Best matches a row-wise scan exactly. A group
+// with no floor takes the argmax kernel. ok is false when no function
+// admits o.
+func (fb *FuncBlocks) Best(o geom.Point, oid uint64) (bestID uint64, bestS float64, ok bool) {
 	for _, g := range fb.groups {
 		n := len(g.ids)
 		if n == 0 {
@@ -218,7 +278,7 @@ func (fb *FuncBlocks) Best(o geom.Point, accept func(id uint64, s float64) bool)
 		}
 		out := fb.out[:n]
 		g.evalDual(o, fb.prep, out)
-		if accept == nil {
+		if g.nfloor == 0 {
 			// Unfiltered: the group winner under (score, -id) comes
 			// from the strided argmax kernel, and only winners cross
 			// the group merge.
@@ -235,7 +295,7 @@ func (fb *FuncBlocks) Best(o geom.Point, accept func(id uint64, s float64) bool)
 			if ok && (s < bestS || (s == bestS && id >= bestID)) {
 				continue
 			}
-			if !accept(id, s) {
+			if fs := g.floorS[i]; g.floored[i] && !(s > fs || (s == fs && oid < g.floorO[i])) {
 				continue
 			}
 			bestID, bestS, ok = id, s, true

@@ -77,9 +77,9 @@ func FuzzEvalBlockSIMD(f *testing.F) {
 			fb.Add(uint64(i), fam, row)
 		}
 		simd.SetEnabled(true)
-		id1, s1, ok1 := fb.Best(w, nil)
+		id1, s1, ok1 := fb.Best(w, 0)
 		simd.SetEnabled(false)
-		id2, s2, ok2 := fb.Best(w, nil)
+		id2, s2, ok2 := fb.Best(w, 0)
 		if ok1 != ok2 || id1 != id2 {
 			t.Fatalf("FuncBlocks.Best %v dims=%d: SIMD (%d,%v,%v) portable (%d,%v,%v)",
 				fam, dims, id1, s1, ok1, id2, s2, ok2)

@@ -104,7 +104,7 @@ func TestFuncBlocksTinyFamilies(t *testing.T) {
 		}
 		for trial := 0; trial < 50; trial++ {
 			o := geom.Point(randWeights(rng, dims))
-			bestID, bestS, ok := fb.Best(o, nil)
+			bestID, bestS, ok := fb.Best(o, 0)
 			if !ok {
 				t.Fatal("Best found nothing")
 			}

@@ -1,8 +1,10 @@
 package score
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairassign/internal/geom"
@@ -98,20 +100,72 @@ func TestEvalPreparedMatchesEval(t *testing.T) {
 	}
 }
 
+// floorFunc is one function of the Best reference scan, with the floor
+// the test gave it: free unless floored.
+type floorFunc struct {
+	id      uint64
+	fam     Family
+	w       []float64
+	floored bool
+	floorS  float64
+	floorO  uint64
+}
+
+// scanBest is the row-wise reference for FuncBlocks.Best: every function
+// in order, admitted by its floor, and taken unless it scores lower than
+// the incumbent or ties it with a higher ID — the kernels' replacement
+// rule, which also fixes what a NaN score does.
+func scanBest(fns []floorFunc, o geom.Point, oid uint64) (bestID uint64, bestS float64, ok bool) {
+	for _, f := range fns {
+		s := Eval(f.fam, f.w, o)
+		if f.floored && !(s > f.floorS || (s == f.floorS && oid < f.floorO)) {
+			continue
+		}
+		if ok && (s < bestS || (s == bestS && f.id >= bestID)) {
+			continue
+		}
+		bestID, bestS, ok = f.id, s, true
+	}
+	return bestID, bestS, ok
+}
+
+// setFloors installs each function's floor in fb.
+func setFloors(fb *FuncBlocks, fns []floorFunc) {
+	for _, f := range fns {
+		if f.floored {
+			fb.SetFloor(f.id, f.floorS, f.floorO)
+		} else {
+			fb.ClearFloor(f.id)
+		}
+	}
+}
+
+// checkBest compares fb.Best with scanBest, score bits included.
+func checkBest(t *testing.T, label string, fb *FuncBlocks, fns []floorFunc, o geom.Point, oid uint64) {
+	t.Helper()
+	gotID, gotS, gotOK := fb.Best(o, oid)
+	wantID, wantS, wantOK := scanBest(fns, o, oid)
+	if gotOK != wantOK || (gotOK && (gotID != wantID ||
+		math.Float64bits(gotS) != math.Float64bits(wantS))) {
+		t.Fatalf("%s: Best=(%d,%x,%v) scan=(%d,%x,%v)", label,
+			gotID, math.Float64bits(gotS), gotOK, wantID, math.Float64bits(wantS), wantOK)
+	}
+}
+
 // TestFuncBlocksBestMatchesScan: the batched function-direction Best
 // must agree with an exhaustive row-wise Eval scan — same winner, same
-// score bits — on mixed-family populations with score ties, under both
-// nil and restrictive accept filters.
+// score bits — on mixed-family populations with score ties, under
+// floor settings that admit fixed sets (none floored, odd IDs
+// rejected, s > 0.5, nothing) and under random floors drawn from each
+// function's own score at the probe, so both sides of the object-ID
+// tie-break run. Floors set before the removals must move with their
+// functions through swap-delete. A last probe scores +Inf, -Inf and NaN.
 func TestFuncBlocksBestMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	inf := math.Inf(1)
 	for _, dims := range []int{2, 4, 5} {
 		fb := NewFuncBlocks(dims)
-		type fn struct {
-			id  uint64
-			fam Family
-			w   []float64
-		}
-		var funcs []fn
+		var funcs []floorFunc
 		for i := 0; i < 300; i++ {
 			fam := testFamilies[rng.Intn(len(testFamilies))]
 			w := randWeights(rng, dims)
@@ -122,9 +176,14 @@ func TestFuncBlocksBestMatchesScan(t *testing.T) {
 				fam = funcs[j].fam
 				w = append([]float64(nil), funcs[j].w...)
 			}
-			f := fn{id: uint64(1000 + i), fam: fam, w: w}
+			f := floorFunc{id: uint64(1000 + i), fam: fam, w: w}
 			funcs = append(funcs, f)
 			fb.Add(f.id, f.fam, f.w)
+			// Floor every function that stays, so the swap-deletes below
+			// must carry floors; the settings then overwrite them.
+			if i%3 != 0 {
+				fb.SetFloor(f.id, inf, 0)
+			}
 		}
 		// Exercise swap-delete: remove a third, keep scanning the rest.
 		for i := 0; i < len(funcs); i += 3 {
@@ -132,7 +191,7 @@ func TestFuncBlocksBestMatchesScan(t *testing.T) {
 				t.Fatalf("Remove(%d) reported absent", funcs[i].id)
 			}
 		}
-		live := make([]fn, 0, len(funcs))
+		live := make([]floorFunc, 0, len(funcs))
 		for i, f := range funcs {
 			if i%3 != 0 {
 				live = append(live, f)
@@ -141,37 +200,71 @@ func TestFuncBlocksBestMatchesScan(t *testing.T) {
 		if fb.Len() != len(live) {
 			t.Fatalf("Len=%d want %d", fb.Len(), len(live))
 		}
+		if _, _, ok := fb.Best(geom.Point(randWeights(rng, dims)), 0); ok {
+			t.Fatalf("dims=%d: a floor at +Inf admitted a function", dims)
+		}
 
-		filters := []func(id uint64, s float64) bool{
-			nil,
-			func(id uint64, s float64) bool { return id%2 == 0 },
-			func(id uint64, s float64) bool { return s > 0.5 },
-			func(id uint64, s float64) bool { return false },
+		settings := []struct {
+			name  string
+			floor func(f *floorFunc, s float64, oid uint64)
+		}{
+			{"free", func(f *floorFunc, _ float64, _ uint64) {}},
+			{"odd rejected", func(f *floorFunc, _ float64, _ uint64) {
+				if f.id%2 == 1 {
+					f.floored, f.floorS = true, inf
+				}
+			}},
+			{"s > 0.5", func(f *floorFunc, _ float64, _ uint64) { f.floored, f.floorS = true, 0.5 }},
+			{"nothing", func(f *floorFunc, _ float64, _ uint64) { f.floored, f.floorS = true, inf }},
+			{"own score", func(f *floorFunc, s float64, oid uint64) {
+				if rng.Intn(5) == 0 {
+					return // free
+				}
+				f.floored = true
+				f.floorS = [...]float64{s, s, s, math.Nextafter(s, -inf), math.Nextafter(s, inf)}[rng.Intn(5)]
+				f.floorO = oid - 1 + uint64(rng.Intn(3)) // below, at or above oid
+			}},
 		}
 		for trial := 0; trial < 40; trial++ {
 			o := geom.Point(randWeights(rng, dims))
-			for fi, accept := range filters {
-				gotID, gotS, gotOK := fb.Best(o, accept)
-				var wantID uint64
-				var wantS float64
-				wantOK := false
-				for _, f := range live {
-					s := Eval(f.fam, f.w, o)
-					if accept != nil && !accept(f.id, s) {
-						continue
-					}
-					if !wantOK || s > wantS || (s == wantS && f.id < wantID) {
-						wantID, wantS, wantOK = f.id, s, true
-					}
+			oid := uint64(1 + rng.Intn(1000))
+			for _, st := range settings {
+				fns := slices.Clone(live)
+				for i := range fns {
+					st.floor(&fns[i], Eval(fns[i].fam, fns[i].w, o), oid)
 				}
-				if gotOK != wantOK || (gotOK && (gotID != wantID ||
-					math.Float64bits(gotS) != math.Float64bits(wantS))) {
-					t.Fatalf("dims=%d filter=%d: Best=(%d,%x,%v) scan=(%d,%x,%v)",
-						dims, fi, gotID, math.Float64bits(gotS), gotOK,
-						wantID, math.Float64bits(wantS), wantOK)
-				}
+				setFloors(fb, fns)
+				checkBest(t, fmt.Sprintf("dims=%d trial %d %s", dims, trial, st.name), fb, fns, o, oid)
 			}
 		}
+	}
+
+	// Overflowing scores: at {MaxFloat64, -MaxFloat64} the linear weights
+	// below score NaN, +Inf twice, -Inf twice and 0. Each trial inserts
+	// them in a random order into a fresh single-family block; under
+	// eight functions both Best paths scan in that order, so the
+	// reference does too, and NaN's place in it is part of the result.
+	o := geom.Point{math.MaxFloat64, -math.MaxFloat64}
+	ws := [][]float64{{2, 2}, {2, 0}, {3, 0}, {0, 2}, {0, 3}, {1, 1}}
+	for trial := 0; trial < 200; trial++ {
+		fb := NewFuncBlocks(2)
+		var fns []floorFunc
+		for _, i := range rng.Perm(len(ws)) {
+			f := floorFunc{id: uint64(10 + i), fam: Family{Kind: Linear}, w: ws[i]}
+			fb.Add(f.id, f.fam, f.w)
+			fns = append(fns, f)
+		}
+		oid := uint64(5 + rng.Intn(3))
+		checkBest(t, fmt.Sprintf("overflow trial %d free", trial), fb, fns, o, oid)
+		for i := range fns {
+			if rng.Intn(3) > 0 {
+				fns[i].floored = true
+				fns[i].floorS = Eval(fns[i].fam, fns[i].w, o)
+				fns[i].floorO = uint64(5 + rng.Intn(3))
+			}
+		}
+		setFloors(fb, fns)
+		checkBest(t, fmt.Sprintf("overflow trial %d floored", trial), fb, fns, o, oid)
 	}
 }
 
@@ -209,9 +302,15 @@ func TestKernelAllocs(t *testing.T) {
 		fb.Add(uint64(i), testFamilies[i%len(testFamilies)], randWeights(rng, dims))
 	}
 	o := geom.Point(randWeights(rng, dims))
-	fb.Best(o, nil) // warm the scratch
-	if n := testing.AllocsPerRun(20, func() { fb.Best(o, nil) }); n != 0 {
+	fb.Best(o, 7) // warm the scratch
+	if n := testing.AllocsPerRun(20, func() { fb.Best(o, 7) }); n != 0 {
 		t.Errorf("FuncBlocks.Best allocates %.1f/op, want 0", n)
+	}
+	for i := 0; i < 256; i += 2 {
+		fb.SetFloor(uint64(i), 0.5, 7)
+	}
+	if n := testing.AllocsPerRun(20, func() { fb.Best(o, 7) }); n != 0 {
+		t.Errorf("FuncBlocks.Best with floors allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -259,7 +358,7 @@ func BenchmarkFuncBlocksBest(b *testing.B) {
 		b.Run("blocked/"+famLabel(fam), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fb.Best(o, nil)
+				fb.Best(o, 0)
 			}
 		})
 		b.Run("rowwise/"+famLabel(fam), func(b *testing.B) {

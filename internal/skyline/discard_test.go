@@ -120,7 +120,10 @@ func TestDiscardWithoutLiveCheckRejectsParkedObject(t *testing.T) {
 // TestDiscardRandomizedAgainstSFS drives a maintainer through a random
 // interleaving of discards (of arbitrary live objects) and re-arrivals,
 // checking the skyline against an SFS recomputation of the live set
-// after every step.
+// after every step. Some steps batch the way the workspace's frontier
+// sync does: they insert several revived objects, then discard a mixed
+// batch — skyline objects, parked objects and just-revived ones — in a
+// single lenient Discard call.
 func TestDiscardRandomizedAgainstSFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const n = 120
@@ -133,28 +136,68 @@ func TestDiscardRandomizedAgainstSFS(t *testing.T) {
 		t.Helper()
 		sameSkyline(t, m, live, step)
 	}
-	check(-1)
-	for step := 0; step < 200 && len(live) > 0; step++ {
-		if rng.Intn(4) == 0 {
-			// Revive a previously discarded object.
-			var cand []rtree.Item
-			for _, it := range items {
-				if _, ok := live[it.ID]; !ok {
-					cand = append(cand, it)
-				}
+	// revive re-inserts up to k previously discarded objects and returns
+	// their IDs.
+	revive := func(step, k int) []uint64 {
+		var cand []rtree.Item
+		for _, it := range items {
+			if _, ok := live[it.ID]; !ok {
+				cand = append(cand, it)
 			}
-			if len(cand) == 0 {
+		}
+		sort.Slice(cand, func(i, j int) bool { return cand[i].ID < cand[j].ID })
+		var ids []uint64
+		for ; k > 0 && len(cand) > 0; k-- {
+			i := rng.Intn(len(cand))
+			it := cand[i]
+			cand = append(cand[:i], cand[i+1:]...)
+			if m.Contains(it.ID) {
 				continue
 			}
-			sort.Slice(cand, func(i, j int) bool { return cand[i].ID < cand[j].ID })
-			it := cand[rng.Intn(len(cand))]
-			if !m.Contains(it.ID) {
-				live[it.ID] = it
-				if err := m.Insert(it); err != nil {
-					t.Fatalf("step %d: insert %d: %v", step, it.ID, err)
+			live[it.ID] = it
+			if err := m.Insert(it); err != nil {
+				t.Fatalf("step %d: insert %d: %v", step, it.ID, err)
+			}
+			ids = append(ids, it.ID)
+		}
+		return ids
+	}
+	check(-1)
+	batches := 0
+	for step := 0; step < 200 && len(live) > 0; step++ {
+		switch r := rng.Intn(8); {
+		case r < 2:
+			revive(step, 1)
+		case r == 2:
+			revived := revive(step, 1+rng.Intn(4))
+			fresh := make(map[uint64]bool, len(revived))
+			for _, id := range revived {
+				fresh[id] = true
+			}
+			var onSky, parked []uint64
+			for _, id := range liveIDs(live) {
+				switch {
+				case fresh[id]:
+				case m.Contains(id):
+					onSky = append(onSky, id)
+				default:
+					parked = append(parked, id)
 				}
 			}
-		} else {
+			var batch []uint64
+			for _, ids := range [][]uint64{onSky, parked, revived} {
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				batch = append(batch, ids[:min(len(ids), 1+rng.Intn(2))]...)
+			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			for _, id := range batch {
+				delete(live, id)
+			}
+			if err := m.Discard(batch...); err != nil {
+				t.Fatalf("step %d: discard %v: %v", step, batch, err)
+			}
+			batches++
+		default:
 			ids := liveIDs(live)
 			id := ids[rng.Intn(len(ids))]
 			delete(live, id)
@@ -163,6 +206,9 @@ func TestDiscardRandomizedAgainstSFS(t *testing.T) {
 			}
 		}
 		check(step)
+	}
+	if batches == 0 {
+		t.Fatal("the script ran no batched discard")
 	}
 }
 

@@ -26,9 +26,15 @@ import (
 // converges to it without a global recomputation. The skyline of
 // objects with remaining capacity (the availability frontier) is
 // maintained incrementally and offers every proposal its best free
-// object; the full objects sit in one columnar block beside their worst
-// assignments, so the displacement search is one batched scoring pass
-// over at most the matching's size, with no index page reads.
+// object. Like the paper's once-per-round skyline update, it absorbs
+// only the net availability change, before each proposal and once at
+// the end of the mutation, so a vacancy chain that revives and refills
+// an object never touches it. The full objects sit in one columnar
+// block beside their worst assignments, so the displacement search is
+// one batched scoring pass over at most the matching's size, with no
+// index page reads; every function sits in a columnar block beside its
+// own worst assignment, so a vacancy's reverse search is one batched
+// pass that rejects a fully assigned function with one compare.
 //
 // Concurrency. A Workspace follows a single-writer / many-readers
 // contract: all methods are safe to call from any goroutine — an
