@@ -52,6 +52,10 @@ func BulkLoadWorkers(pool *pagestore.BufferPool, dims int, items []Item, fillFac
 
 	leafFill := max(2, int(float64(t.maxLeaf)*fillFactor))
 	internalFill := max(2, int(float64(t.maxInternal)*fillFactor))
+	// One key column serves every sort of the build: each level is
+	// smaller than the one below it.
+	keys := getKeys(len(items))
+	defer keyPool.Put(keys)
 
 	// Build leaf level. The degenerate leaf rectangles alias the item
 	// points directly (no clones): entries only live until their page is
@@ -60,7 +64,7 @@ func BulkLoadWorkers(pool *pagestore.BufferPool, dims int, items []Item, fillFac
 	for i, it := range items {
 		entries[i] = Entry{Rect: geom.Rect{Min: it.Point, Max: it.Point}, ID: it.ID, Child: pagestore.InvalidPage}
 	}
-	level, err := t.packLevel(entries, true, leafFill, workers)
+	level, err := t.packLevel(entries, *keys, true, leafFill, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +72,7 @@ func BulkLoadWorkers(pool *pagestore.BufferPool, dims int, items []Item, fillFac
 
 	// Build internal levels until a single root remains.
 	for len(level) > 1 {
-		level, err = t.packLevel(level, false, internalFill, workers)
+		level, err = t.packLevel(level, *keys, false, internalFill, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -100,8 +104,8 @@ func BulkLoadWorkers(pool *pagestore.BufferPool, dims int, items []Item, fillFac
 // images enter the buffer pool in group order again — so the pool's
 // eviction state machine sees the identical Put sequence at any worker
 // count.
-func (t *Tree) packLevel(entries []Entry, leaf bool, fill, workers int) ([]Entry, error) {
-	groups := strTile(entries, t.dims, fill, 0, workers)
+func (t *Tree) packLevel(entries []Entry, keys []centerKey, leaf bool, fill, workers int) ([]Entry, error) {
+	groups := strTile(entries, keys, t.dims, fill, 0, workers)
 	if workers <= 1 || len(groups) < 2 {
 		parents := make([]Entry, 0, len(groups))
 		for _, g := range groups {
@@ -185,11 +189,13 @@ func (t *Tree) packLevel(entries []Entry, leaf bool, fill, workers int) ([]Entry
 // merge and the independent slabs recurse concurrently; the sort key is
 // a total order (center, ID, Child), so the output grouping is the
 // unique sorted permutation regardless of how the sorting was split.
-func strTile(entries []Entry, dims, fill, dim, workers int) [][]Entry {
+// keys is the sort's scratch column (len(keys) >= len(entries)); each
+// slab sorts in the part of it that lines up with its entries.
+func strTile(entries []Entry, keys []centerKey, dims, fill, dim, workers int) [][]Entry {
 	if len(entries) <= fill {
 		return [][]Entry{entries}
 	}
-	sortByCenter(entries, dim, workers)
+	sortByCenter(entries, keys, dim, workers)
 	if dim == dims-1 {
 		return evenChunks(entries, fill)
 	}
@@ -206,8 +212,10 @@ func strTile(entries []Entry, dims, fill, dim, workers int) [][]Entry {
 	slabSlices := evenChunks(entries, slabSize)
 	if workers <= 1 || len(slabSlices) < 2 {
 		var out [][]Entry
+		off := 0
 		for _, slab := range slabSlices {
-			out = append(out, strTile(slab, dims, fill, dim+1, 1)...)
+			out = append(out, strTile(slab, keys[off:off+len(slab)], dims, fill, dim+1, 1)...)
+			off += len(slab)
 		}
 		return out
 	}
@@ -216,14 +224,16 @@ func strTile(entries []Entry, dims, fill, dim, workers int) [][]Entry {
 	perSlab := make([][][]Entry, len(slabSlices))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
+	off := 0
 	for i, slab := range slabSlices {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, slab []Entry) {
+		go func(i int, slab []Entry, keys []centerKey) {
 			defer wg.Done()
-			perSlab[i] = strTile(slab, dims, fill, dim+1, 1)
+			perSlab[i] = strTile(slab, keys, dims, fill, dim+1, 1)
 			<-sem
-		}(i, slab)
+		}(i, slab, keys[off:off+len(slab)])
+		off += len(slab)
 	}
 	wg.Wait()
 	var out [][]Entry
@@ -255,49 +265,101 @@ func evenChunks(entries []Entry, maxSize int) [][]Entry {
 	return out
 }
 
-// centerCmp is the STR sort key: center along dim, then ID, then Child.
-// ID breaks leaf-entry ties (IDs are unique) and Child breaks
-// internal-entry ties (all internal entries carry ID 0 but reference
-// distinct pages), so the order is total and the sorted permutation
-// unique — the property the parallel chunk-sort + merge relies on, and
-// what makes equal-center grouping deterministic at all (the former
-// (center, ID) key left internal ties to the sort implementation).
-func centerCmp(a, b Entry, dim int) int {
-	ca := a.Rect.Min[dim] + a.Rect.Max[dim]
-	cb := b.Rect.Min[dim] + b.Rect.Max[dim]
+// centerKey is one entry's STR sort key, packed: the center along the
+// sort dimension (doubled — Min+Max orders like the midpoint), then ID,
+// then Child, plus the entry's position so the sorted keys can permute
+// the entries afterwards. ID breaks leaf-entry ties (IDs are unique) and
+// Child breaks internal-entry ties (all internal entries carry ID 0 but
+// reference distinct pages), so the order is total and the sorted
+// permutation unique — the property the parallel chunk-sort + merge
+// relies on, and what makes equal-center grouping deterministic at all.
+type centerKey struct {
+	c     float64
+	id    uint64
+	child pagestore.PageID
+	pos   int
+}
+
+func compareKeys(a, b centerKey) int {
 	switch {
-	case ca < cb:
+	case a.c < b.c:
 		return -1
-	case ca > cb:
+	case a.c > b.c:
 		return 1
-	case a.ID < b.ID:
+	case a.id < b.id:
 		return -1
-	case a.ID > b.ID:
+	case a.id > b.id:
 		return 1
-	case a.Child < b.Child:
+	case a.child < b.child:
 		return -1
-	case a.Child > b.Child:
+	case a.child > b.child:
 		return 1
 	}
 	return 0
+}
+
+// keyPool recycles key columns between builds, so that sorting keys
+// instead of entries adds no allocation to a build that follows another.
+var keyPool sync.Pool // of *[]centerKey
+
+// getKeys returns a pooled key column of length n.
+func getKeys(n int) *[]centerKey {
+	if p, _ := keyPool.Get().(*[]centerKey); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	k := make([]centerKey, n)
+	return &k
 }
 
 // parallelSortMin is the slice size below which a parallel sort cannot
 // win back its goroutine and merge overhead.
 const parallelSortMin = 1 << 13
 
-func sortByCenter(entries []Entry, dim, workers int) {
+// sortByCenter sorts entries by their centerKey along dim. It sorts the
+// packed key column, which compares without touching the entries' point
+// slices and swaps 32 bytes instead of a 64-byte Entry, then moves every
+// entry once. keys is caller-owned scratch of at least len(entries).
+func sortByCenter(entries []Entry, keys []centerKey, dim, workers int) {
 	n := len(entries)
-	if workers <= 1 || n < parallelSortMin {
-		slices.SortFunc(entries, func(a, b Entry) int { return centerCmp(a, b, dim) })
-		return
+	keys = keys[:n]
+	for i, e := range entries {
+		keys[i] = centerKey{c: e.Rect.Min[dim] + e.Rect.Max[dim], id: e.ID, child: e.Child, pos: i}
 	}
+	if workers <= 1 || n < parallelSortMin {
+		slices.SortFunc(keys, compareKeys)
+	} else {
+		sortKeysParallel(keys, workers)
+	}
+	// Apply the permutation in place, one cycle at a time: entries[i]
+	// takes the entry at keys[i].pos, and a visited key's pos is set to
+	// -1 so each cycle is walked once.
+	for i := range keys {
+		if keys[i].pos < 0 {
+			continue
+		}
+		first, j := entries[i], i
+		for {
+			k := keys[j].pos
+			keys[j].pos = -1
+			if k == i {
+				entries[j] = first
+				break
+			}
+			entries[j] = entries[k]
+			j = k
+		}
+	}
+}
+
+// sortKeysParallel chunk-sorts keys concurrently, then merges pairs of
+// runs round by round between keys and a scratch column. The key's
+// total order means every round preserves the unique final permutation.
+func sortKeysParallel(keys []centerKey, workers int) {
+	n := len(keys)
 	if workers > n/(parallelSortMin/8) {
 		workers = max(2, n/(parallelSortMin/8))
 	}
-	// Chunk-sort concurrently, then merge pairs round by round between
-	// entries and a scratch buffer. The key's total order means every
-	// round preserves the unique final permutation.
 	chunkSize := (n + workers - 1) / workers
 	segs := make([][2]int, 0, workers)
 	var wg sync.WaitGroup
@@ -307,12 +369,14 @@ func sortByCenter(entries []Entry, dim, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			slices.SortFunc(entries[lo:hi], func(a, b Entry) int { return centerCmp(a, b, dim) })
+			slices.SortFunc(keys[lo:hi], compareKeys)
 		}(lo, hi)
 	}
 	wg.Wait()
 
-	src, dst := entries, make([]Entry, n)
+	scratch := getKeys(n)
+	defer keyPool.Put(scratch)
+	src, dst := keys, *scratch
 	for len(segs) > 1 {
 		nextSegs := make([][2]int, 0, (len(segs)+1)/2)
 		var mw sync.WaitGroup
@@ -328,25 +392,25 @@ func sortByCenter(entries []Entry, dim, workers int) {
 			mw.Add(1)
 			go func(a, b [2]int) {
 				defer mw.Done()
-				mergeEntries(dst[a[0]:b[1]], src[a[0]:a[1]], src[b[0]:b[1]], dim)
+				mergeKeys(dst[a[0]:b[1]], src[a[0]:a[1]], src[b[0]:b[1]])
 			}(a, b)
 		}
 		mw.Wait()
 		src, dst = dst, src
 		segs = nextSegs
 	}
-	if &src[0] != &entries[0] {
-		copy(entries, src)
+	if &src[0] != &keys[0] {
+		copy(keys, src)
 	}
 }
 
-// mergeEntries merges two sorted runs into out (len(out) == len(a)+len(b)).
+// mergeKeys merges two sorted runs into out (len(out) == len(a)+len(b)).
 // Ties cannot occur across runs — the key is a total order over distinct
 // entries — so <= vs < is moot; <= keeps the merge stable anyway.
-func mergeEntries(out, a, b []Entry, dim int) {
+func mergeKeys(out, a, b []centerKey) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if centerCmp(a[i], b[j], dim) <= 0 {
+		if compareKeys(a[i], b[j]) <= 0 {
 			out[k] = a[i]
 			i++
 		} else {

@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -85,6 +87,58 @@ func TestBulkLoadParallelByteIdentical(t *testing.T) {
 						t.Fatalf("dims=%d n=%d fill=%v workers=%d: io=(%d,%d), sequential (%d,%d)",
 							dims, n, fill, workers, reads, writes, wantReads, wantWrites)
 					}
+				}
+			}
+		}
+	}
+}
+
+// bulkLoadPagesWant pins, per dims/n, the page count and an FNV-1a hash
+// over the page images in allocation order (a freed ID hashes as an
+// empty marker) of a fill-0.9 build. The constants were recorded before
+// the STR sort moved to packed keys: TestBulkLoadParallelByteIdentical
+// compares the parallel build with the sequential one, so it cannot see
+// a change to the sort order both share.
+var bulkLoadPagesWant = map[string]string{
+	"dims=2/n=100":   "pages=15 hash=92d15affeb2f45ee",
+	"dims=2/n=5000":  "pages=332 hash=975418eb55cb40c8",
+	"dims=2/n=20000": "pages=1267 hash=25ef584a596b9712",
+	"dims=4/n=100":   "pages=29 hash=222a1892e81e7220",
+	"dims=4/n=5000":  "pages=645 hash=8bcb8ee91db0bb25",
+	"dims=4/n=20000": "pages=2568 hash=0525ee9bb59fbcdf",
+	"dims=5/n=100":   "pages=29 hash=03eadc0cc6e20d3d",
+	"dims=5/n=5000":  "pages=815 hash=26f1a61333c6d9ae",
+	"dims=5/n=20000": "pages=3626 hash=251d2ae88da7e33b",
+}
+
+// TestBulkLoadPagesUnchanged locks the STR build's page images at both
+// the sequential and the parallel sort (n = 20000 is above
+// parallelSortMin), with the tie-heavy coordinates of bulkItems.
+func TestBulkLoadPagesUnchanged(t *testing.T) {
+	const pageSize, poolPages = 512, 1 << 16
+	for _, dims := range []int{2, 4, 5} {
+		for _, n := range []int{100, 5000, 20000} {
+			key := fmt.Sprintf("dims=%d/n=%d", dims, n)
+			items := bulkItems(rand.New(rand.NewSource(int64(31*n+dims))), n, dims)
+			for _, workers := range []int{1, 4} {
+				store := pagestore.NewMemStore(pageSize)
+				pool := pagestore.NewBufferPool(store, poolPages)
+				if _, err := BulkLoadWorkers(pool, dims, items, 0.9, workers); err != nil {
+					t.Fatalf("%s workers=%d: %v", key, workers, err)
+				}
+				h := fnv.New64a()
+				pages := storePages(t, pool, store)
+				for _, p := range pages {
+					if p == nil {
+						h.Write([]byte{0}) // freed or never-allocated ID
+						continue
+					}
+					h.Write([]byte{1})
+					h.Write(p)
+				}
+				got := fmt.Sprintf("pages=%d hash=%016x", len(pages), h.Sum64())
+				if got != bulkLoadPagesWant[key] {
+					t.Errorf("%s workers=%d:\n got  %s\n want %s", key, workers, got, bulkLoadPagesWant[key])
 				}
 			}
 		}

@@ -140,11 +140,15 @@ func BuildDiskLists(pool *pagestore.BufferPool, funcs []Func, dims int) (*DiskLi
 // Dims returns the dimensionality.
 func (dl *DiskLists) Dims() int { return dl.dimCount }
 
-// listSource implementation (see search.go).
-func (dl *DiskLists) dims() int            { return dl.dimCount }
-func (dl *DiskLists) maxBudget() float64   { return dl.maxB }
-func (dl *DiskLists) listLength(d int) int { return dl.listLen }
-func (dl *DiskLists) funcCount() int       { return dl.listLen }
+// listSource implementation (see search.go); NewDiskSearch reads the
+// shape once.
+func (dl *DiskLists) shape() listShape {
+	return listShape{
+		dims: dl.dimCount, n: dl.listLen, maxB: dl.maxB,
+		removed: dl.removedIdx, live: &dl.live, counters: &dl.Counters,
+		fams: dl.fams, famSet: dl.famSet, linear: dl.linear,
+	}
+}
 func (dl *DiskLists) entryAt(d, i int) (listEntry, error) {
 	dl.Counters.addSorted()
 	e, err := dl.readEntry(d, i)
@@ -162,12 +166,6 @@ func (dl *DiskLists) weightsAt(_ int, id uint64, hintDim int, hintCoef float64) 
 	}
 	return w, nil
 }
-func (dl *DiskLists) removedAt(idx int) bool        { return dl.removedIdx[idx] }
-func (dl *DiskLists) liveCount() int                { return dl.live }
-func (dl *DiskLists) counters() *Counters           { return &dl.Counters }
-func (dl *DiskLists) familyAt(idx int) score.Family { return dl.fams[idx] }
-func (dl *DiskLists) familySet() []score.Family     { return dl.famSet }
-func (dl *DiskLists) linearOnly() bool              { return dl.linear }
 
 // FamilyOf returns the scoring family of a function (the linear zero
 // value when the ID is unknown).

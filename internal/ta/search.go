@@ -10,34 +10,47 @@ import (
 // listSource abstracts where the sorted coefficient lists live: in memory
 // (Lists) or on the simulated disk (DiskLists). Search runs unchanged
 // over either, which is how the Section 7.6 experiment puts SB's
-// per-object resumable searches on top of disk-resident F.
+// per-object resumable searches on top of disk-resident F. Only the two
+// per-access reads go through the interface; everything else a search
+// needs it reads once, from the source's listShape.
 type listSource interface {
-	dims() int
-	maxBudget() float64
-	listLength(d int) int
-	funcCount() int
 	// entryAt returns entry i of list d (I/O-counted for disk lists).
 	entryAt(d, i int) (listEntry, error)
 	// weightsAt returns the weight vector of the function with the given
 	// dense index; hintDim's coefficient hintCoef was already read from
 	// the scanned list.
 	weightsAt(idx int, id uint64, hintDim int, hintCoef float64) ([]float64, error)
-	removedAt(idx int) bool
-	liveCount() int
-	counters() *Counters
-	// familyAt returns the scoring family of the function at a dense
-	// index; familySet lists the distinct families present, and
-	// linearOnly reports the all-linear fast path (the paper's setting).
-	familyAt(idx int) score.Family
-	familySet() []score.Family
-	linearOnly() bool
 }
 
-// Lists implements listSource.
-func (l *Lists) dims() int            { return l.dimCount }
-func (l *Lists) maxBudget() float64   { return l.maxB }
-func (l *Lists) listLength(d int) int { return len(l.coefs[d]) }
-func (l *Lists) funcCount() int       { return len(l.byIdx) }
+// listShape is what a search reads from its list source once, at
+// construction. The dimension count, list length, budget and families
+// never change while the lists live: lists are only tombstoned, never
+// resized. The tombstones, the live count and the counters are shared
+// with the source, which updates them in place, so a search reading
+// them through these references always sees the current state.
+type listShape struct {
+	dims     int
+	n        int     // entries per list: every list holds every function once
+	maxB     float64 // knapsack budget (see Lists.MaxB)
+	removed  []bool  // dense index -> tombstone
+	live     *int    // unassigned function count
+	counters *Counters
+	// fams maps a dense index to its scoring family; famSet lists the
+	// distinct families present, and linear reports the all-linear
+	// fast path (the paper's setting).
+	fams   []score.Family
+	famSet []score.Family
+	linear bool
+}
+
+// Lists implements listSource; NewSearch reads its shape once.
+func (l *Lists) shape() listShape {
+	return listShape{
+		dims: l.dimCount, n: len(l.byIdx), maxB: l.maxB,
+		removed: l.removed, live: &l.live, counters: &l.Counters,
+		fams: l.fams, famSet: l.famSet, linear: l.linear,
+	}
+}
 func (l *Lists) entryAt(d, i int) (listEntry, error) {
 	l.Counters.addSorted()
 	idx := l.lidx[d][i]
@@ -47,12 +60,6 @@ func (l *Lists) weightsAt(idx int, _ uint64, _ int, _ float64) ([]float64, error
 	l.Counters.addRandom()
 	return l.byIdx[idx], nil
 }
-func (l *Lists) removedAt(idx int) bool        { return l.removed[idx] }
-func (l *Lists) liveCount() int                { return l.live }
-func (l *Lists) counters() *Counters           { return &l.Counters }
-func (l *Lists) familyAt(idx int) score.Family { return l.fams[idx] }
-func (l *Lists) familySet() []score.Family     { return l.famSet }
-func (l *Lists) linearOnly() bool              { return l.linear }
 
 // Search is the resumable reverse top-1 state kept per skyline object
 // (Section 5.1, "Resuming search"). It scans the sorted coefficient lists
@@ -61,11 +68,18 @@ func (l *Lists) linearOnly() bool              { return l.linear }
 // function is assigned elsewhere. Each pop consumes one unit of the Ω
 // guarantee budget; when the budget is spent the search restarts from
 // scratch (the paper's memory/time trade-off knob ω).
+//
+// The embedded listShape is read from the source when the search is
+// created, so the exhaustion check, the threshold, the queue-head
+// tombstone check and biased probing make no interface calls; only the
+// sorted and random accesses themselves go through listSource.
 type Search struct {
-	l         listSource
+	l listSource
+	listShape
 	obj       geom.Point
 	dimOrder  []int // dimensions sorted by descending object value
 	pos       []int // next index per list
+	open      int   // lists not yet scanned to the end; exhausted at 0
 	lastSeen  []float64
 	seen      []uint32 // epoch-stamped visited marks, by dense index
 	epoch     uint32
@@ -75,13 +89,10 @@ type Search struct {
 	omega     int
 	err       error
 
-	// Generalized-threshold state, populated only when the list source
-	// holds non-linear families: the distinct families present and the
-	// object's values sorted descending (for the OWA position bound).
-	// linear selects the knapsack fast path (byte-identical to the
-	// pre-generalization code).
-	linear    bool
-	fams      []score.Family
+	// objSorted holds the object's values sorted descending, for the OWA
+	// position bound; it is filled only when the source holds non-linear
+	// families (linear selects the knapsack fast path, byte-identical to
+	// the pre-generalization code).
 	objSorted []float64
 }
 
@@ -103,25 +114,25 @@ var searchPool sync.Pool // of *Search
 // omega is the candidate-queue capacity Ω (at least 1); the paper sets
 // Ω = ω·|F| with ω ≈ 2.5 %.
 func NewSearch(l *Lists, o geom.Point, omega int) *Search {
-	return newSearch(l, o, omega)
+	return newSearch(l, l.shape(), o, omega)
 }
 
 // NewDiskSearch creates a resumable search for object o over
 // disk-resident lists (Section 7.6: plain SB with F on disk).
 func NewDiskSearch(l *DiskLists, o geom.Point, omega int) *Search {
-	return newSearch(l, o, omega)
+	return newSearch(l, l.shape(), o, omega)
 }
 
-func newSearch(l listSource, o geom.Point, omega int) *Search {
+func newSearch(l listSource, sh listShape, o geom.Point, omega int) *Search {
 	if omega < 1 {
 		omega = 1
 	}
-	dims, nf := l.dims(), l.funcCount()
+	dims, nf := sh.dims, sh.n
 	s, _ := searchPool.Get().(*Search)
 	if s == nil {
 		s = &Search{}
 	}
-	s.l, s.obj, s.omega, s.err = l, o, omega, nil
+	s.l, s.listShape, s.obj, s.omega, s.err = l, sh, o, omega, nil
 	s.guarantee = 0
 	if cap(s.pos) >= dims {
 		s.pos = s.pos[:dims]
@@ -132,13 +143,10 @@ func newSearch(l listSource, o geom.Point, omega int) *Search {
 		s.lastSeen = make([]float64, dims)
 		s.dimOrder = make([]int, dims)
 	}
-	s.linear = l.linearOnly()
-	if s.linear {
-		// Keep the objSorted backing array: a recycled Search may serve
-		// a non-linear source next, and linear searches never read it.
-		s.fams = nil
-	} else {
-		s.fams = l.familySet()
+	// A linear search keeps the objSorted backing array untouched: a
+	// recycled Search may serve a non-linear source next, and linear
+	// searches never read it.
+	if !s.linear {
 		if cap(s.objSorted) >= dims {
 			s.objSorted = s.objSorted[:dims]
 		} else {
@@ -171,15 +179,16 @@ func newSearch(l listSource, o geom.Point, omega int) *Search {
 
 // Release returns the search — struct and buffers — to a shared pool for
 // reuse by future searches. The search must not be used afterwards.
-// Idempotent; safe to call from concurrent solves (the pool is
-// goroutine-safe).
+// It drops every reference the search took from its source, so a pooled
+// search never keeps a finished solve's lists alive. Idempotent; safe to
+// call from concurrent solves (the pool is goroutine-safe).
 func (s *Search) Release() {
 	if s.l == nil {
 		return
 	}
 	s.l = nil
+	s.listShape = listShape{}
 	s.obj = nil
-	s.fams = nil
 	searchPool.Put(s)
 }
 
@@ -213,7 +222,11 @@ func (s *Search) reset() {
 		s.pos[i] = 0
 	}
 	for i := range s.lastSeen {
-		s.lastSeen[i] = s.l.maxBudget()
+		s.lastSeen[i] = s.maxB
+	}
+	s.open = 0
+	if s.n > 0 {
+		s.open = s.dims
 	}
 	s.epoch++ // invalidates all seen marks without clearing
 	if s.epoch == 0 {
@@ -233,7 +246,7 @@ func (s *Search) qlen() int { return len(s.queue) - s.qhead }
 // Footprint approximates the bytes held by this search state, for the
 // paper's memory metric.
 func (s *Search) Footprint() int64 {
-	return int64(len(s.seen))*4 + int64(s.qlen())*24 + int64(s.l.dims())*16 + 64
+	return int64(len(s.seen))*4 + int64(s.qlen())*24 + int64(s.dims)*16 + 64
 }
 
 // Err returns the first I/O error encountered (disk-backed sources only).
@@ -243,22 +256,22 @@ func (s *Search) Err() error { return s.err }
 // scan when possible. ok is false when no live functions remain or an
 // I/O error occurred (check Err).
 func (s *Search) Best() (id uint64, score float64, ok bool) {
-	if s.l.liveCount() == 0 || s.err != nil {
+	if *s.live == 0 || s.err != nil {
 		return 0, 0, false
 	}
 	for {
 		// Lazily discard queue heads that were assigned elsewhere; each
 		// discard consumes guarantee budget.
-		for s.qlen() > 0 && s.l.removedAt(s.queue[s.qhead].idx) {
+		for s.qlen() > 0 && s.removed[s.queue[s.qhead].idx] {
 			s.qhead++
 			s.guarantee--
 		}
 		if s.guarantee <= 0 {
-			s.l.counters().addRestart()
+			s.counters.addRestart()
 			s.reset()
 			continue
 		}
-		exhausted := s.exhausted()
+		exhausted := s.open == 0
 		if s.qlen() > 0 {
 			top := s.queue[s.qhead]
 			if exhausted || top.score >= s.threshold() {
@@ -267,7 +280,7 @@ func (s *Search) Best() (id uint64, score float64, ok bool) {
 		} else if exhausted {
 			// Everything scanned but the queue is empty: candidates were
 			// lost to pops after overflow. Restart rebuilds them.
-			s.l.counters().addRestart()
+			s.counters.addRestart()
 			s.reset()
 			continue
 		}
@@ -317,10 +330,10 @@ func famBoundPad(bound float64) float64 {
 // aggregate.
 func (s *Search) threshold() float64 {
 	if !s.linear {
-		b := score.MaxBound(s.fams, s.lastSeen, s.obj, s.dimOrder, s.objSorted, s.l.maxBudget())
+		b := score.MaxBound(s.famSet, s.lastSeen, s.obj, s.dimOrder, s.objSorted, s.maxB)
 		return b + famBoundPad(b)
 	}
-	b := s.l.maxBudget()
+	b := s.maxB
 	t := 0.0
 	for _, d := range s.dimOrder {
 		if b <= 0 {
@@ -337,22 +350,13 @@ func (s *Search) threshold() float64 {
 	return t
 }
 
-func (s *Search) exhausted() bool {
-	for d := 0; d < s.l.dims(); d++ {
-		if s.pos[d] < s.l.listLength(d) {
-			return false
-		}
-	}
-	return true
-}
-
 // step performs one sorted access on the most promising list (biased
 // probing: maximize lastSeen_i · o_i) plus the random accesses needed to
 // score a newly seen function. It returns false on I/O error.
 func (s *Search) step() bool {
 	best, bestVal := -1, -1.0
-	for d := 0; d < s.l.dims(); d++ {
-		if s.pos[d] >= s.l.listLength(d) {
+	for d := 0; d < s.dims; d++ {
+		if s.pos[d] >= s.n {
 			continue
 		}
 		if v := s.lastSeen[d] * s.obj[d]; v > bestVal {
@@ -368,12 +372,15 @@ func (s *Search) step() bool {
 		return false
 	}
 	s.pos[best]++
+	if s.pos[best] == s.n {
+		s.open--
+	}
 	s.lastSeen[best] = e.coef
 	if s.seen[e.idx] == s.epoch {
 		return true
 	}
 	s.seen[e.idx] = s.epoch
-	if s.l.removedAt(e.idx) {
+	if s.removed[e.idx] {
 		return true
 	}
 	w, err := s.l.weightsAt(e.idx, e.id, best, e.coef)
@@ -389,7 +396,7 @@ func (s *Search) step() bool {
 		// candidates this turns every scoring random access into a plain
 		// dot product (bit-identical: OWA's Eval is Dot over exactly this
 		// sorted vector).
-		sc = score.EvalPrepared(s.l.familyAt(e.idx), w, s.obj, s.objSorted)
+		sc = score.EvalPrepared(s.fams[e.idx], w, s.obj, s.objSorted)
 	}
 	s.insert(cand{id: e.id, idx: e.idx, score: sc})
 	return true
