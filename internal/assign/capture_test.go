@@ -29,7 +29,10 @@ func unshared(prev, cur []uintptr) int {
 // one object chunk with the previous epoch's, and every function chunk;
 // the capture after one function mutation shares every object chunk,
 // and all but at most one function chunk. Pair chunks are re-copied
-// for at most the functions whose assignments changed.
+// for at most the functions whose assignments changed. Every function
+// mutation here exhausts or revives an object (the assigned units
+// change), and its epoch still reuses the previous object capture,
+// page snapshot included: a capture holds no availability state.
 func TestCaptureSharesUnwrittenChunks(t *testing.T) {
 	p := &assign.Problem{
 		Dims:      2,
@@ -59,6 +62,7 @@ func TestCaptureSharesUnwrittenChunks(t *testing.T) {
 		{"add object", true, assign.Mutation{Kind: assign.MutAddObject, Object: assign.Object{ID: fresh, Point: geom.Point{0.9, 0.9}}}},
 		{"remove function", false, assign.Mutation{Kind: assign.MutRemoveFunction, ID: p.Functions[5].ID}},
 		{"add function", false, assign.Mutation{Kind: assign.MutAddFunction, Function: assign.Function{ID: fresh, Weights: []float64{0.3, 0.7}}}},
+		{"remove added function", false, assign.Mutation{Kind: assign.MutRemoveFunction, ID: fresh}},
 	}
 	fids := []uint64{fresh}
 	for _, f := range p.Functions {
@@ -74,6 +78,9 @@ func TestCaptureSharesUnwrittenChunks(t *testing.T) {
 		}
 		o0, f0, p0 := assign.CaptureChunks(prev)
 		o1, f1, p1 := assign.CaptureChunks(cur)
+		c0, s0 := assign.ObjectCapture(prev)
+		c1, s1 := assign.ObjectCapture(cur)
+		flipped := prev.Stats().AssignedUnits != cur.Stats().AssignedUnits
 		changed := 0
 		for _, fid := range fids {
 			if !reflect.DeepEqual(prev.PairsOf(fid), cur.PairsOf(fid)) {
@@ -94,6 +101,13 @@ func TestCaptureSharesUnwrittenChunks(t *testing.T) {
 		if !st.object && (objNew != 0 || funcNew > 1) {
 			t.Fatalf("%s: %d of %d object chunks and %d of %d function chunks unshared, want 0 and <= 1",
 				st.name, objNew, len(o1), funcNew, len(f1))
+		}
+		if st.object && c1 == c0 {
+			t.Fatalf("%s: the object capture was reused after an object mutation", st.name)
+		}
+		if !st.object && (!flipped || c1 != c0 || s1 != s0) {
+			t.Fatalf("%s: availability flipped %v, object capture reused %v, page snapshot reused %v; want all true",
+				st.name, flipped, c1 == c0, s1 == s0)
 		}
 		if changed == 0 || pairNew > changed {
 			t.Fatalf("%s: %d of %d pair chunks unshared for %d functions with new assignments",

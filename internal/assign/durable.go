@@ -242,10 +242,7 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 	}
 	d.ObjCaps = capEntries(pt.caps)
 	d.FuncCaps = capEntries(w.funcCaps)
-	for _, it := range pt.avail.Skyline() {
-		d.Avail = append(d.Avail, it.ID)
-	}
-	sort.Slice(d.Avail, func(i, j int) bool { return d.Avail[i] < d.Avail[j] })
+	d.Avail = pt.frontierIDs()
 	var err error
 	if d.ObjStore, err = storeImage(pt.vstore, pt.tree.Meta()); err != nil {
 		return nil, err

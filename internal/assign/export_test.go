@@ -18,3 +18,10 @@ func chunkIDs[V any](t *frozenTable[V]) []uintptr {
 	}
 	return ids
 }
+
+// ObjectCapture returns the identities of the object capture view v
+// composes and of the page snapshot that capture pins, so external
+// tests can check which epochs share one.
+func ObjectCapture(v *View) (capture, snap uintptr) {
+	return reflect.ValueOf(v.pub.obj).Pointer(), reflect.ValueOf(v.pub.obj.snap).Pointer()
+}

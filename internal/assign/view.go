@@ -12,19 +12,19 @@ import (
 )
 
 // partPub is the object side's capture: a pagestore snapshot pinning
-// the object index pages, a flat copy of the availability frontier, and
-// a frozen copy of the object table, which shares every chunk the
-// writer has not written since. It is refcounted by the object side
-// (which caches it until the objects, tree or frontier next change) and
-// by every pubState composing it, so an epoch that left the object side
-// untouched joins the capture for the cost of a refcount increment.
+// the object index pages and a frozen copy of the object table, which
+// shares every chunk the writer has not written since. It holds no
+// availability state, so it is refcounted by the object side (which
+// caches it until the objects or tree next change) and by every
+// pubState composing it: an epoch that added or removed no object —
+// even one whose repair exhausted or revived objects — joins the
+// capture for the cost of a refcount increment.
 type partPub struct {
 	refs atomic.Int64
 
-	snap  *pagestore.Snapshot
-	meta  rtree.Meta
-	avail []rtree.Item // availability frontier (skyline of spare capacity)
-	objs  frozenTable[Object]
+	snap *pagestore.Snapshot
+	meta rtree.Meta
+	objs frozenTable[Object]
 }
 
 func (p *partPub) retain() { p.refs.Add(1) }
@@ -240,14 +240,4 @@ func (v *View) Skyline() ([]rtree.Item, error) {
 		return nil, ErrViewClosed
 	}
 	return skyline.Compute(v.tree(), nil)
-}
-
-// AvailableFrontier returns the frozen availability skyline (objects
-// with spare capacity, as maintained incrementally by the workspace).
-// Shared and immutable.
-func (v *View) AvailableFrontier() []rtree.Item {
-	if v.closed.Load() {
-		return nil
-	}
-	return v.pub.obj.avail
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"fairassign/internal/geom"
@@ -80,7 +81,7 @@ func mutateBatch(t *testing.T, ws *Workspace, seed int64) {
 }
 
 // The acceptance-criterion test: a view taken before a mutation batch
-// returns byte-identical Assignment/Stats/TopK/frontier output after
+// returns byte-identical Assignment/Stats/TopK/skyline output after
 // the batch lands, while a fresh view reflects the batch.
 func TestViewSnapshotIsolation(t *testing.T) {
 	ws := viewTestWorkspace(t, 150, 14, 3, 20090824)
@@ -99,7 +100,6 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beforeFrontier := len(v1.AvailableFrontier())
 	beforeSky, err := v1.Skyline()
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +127,6 @@ func TestViewSnapshotIsolation(t *testing.T) {
 			t.Fatalf("view TopK[%d] drifted: (%d,%v) vs (%d,%v)",
 				i, afterItems[i].ID, afterScores[i], beforeItems[i].ID, beforeScores[i])
 		}
-	}
-	if len(v1.AvailableFrontier()) != beforeFrontier {
-		t.Fatalf("view frontier drifted")
 	}
 	afterSky, err := v1.Skyline()
 	if err != nil {
@@ -197,6 +194,61 @@ func TestViewSharedEpoch(t *testing.T) {
 	if v3.Epoch() == v1.Epoch() {
 		t.Fatalf("mutation did not advance the view epoch")
 	}
+}
+
+// Eight goroutines running TopK on one view, each on pooled searchers,
+// get exactly the answers the queries gave one at a time.
+func TestViewTopKConcurrentReaders(t *testing.T) {
+	ws := viewTestWorkspace(t, 3000, 20, 3, 8)
+	defer ws.Close()
+	v, err := ws.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	rng := rand.New(rand.NewSource(9))
+	type answer struct {
+		items  []rtree.Item
+		scores []float64
+	}
+	queries := make([][]float64, 16)
+	want := make([]answer, len(queries))
+	for i := range queries {
+		queries[i] = randWeights(rng, 3)
+		items, scores, err := v.TopK(queries[i], 5+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = answer{items, scores}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				i := (g + r) % len(queries)
+				items, scores, err := v.TopK(queries[i], 5+i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(items) != len(want[i].items) {
+					t.Errorf("reader %d query %d: %d results, want %d", g, i, len(items), len(want[i].items))
+					return
+				}
+				for j := range items {
+					if items[j].ID != want[i].items[j].ID ||
+						math.Float64bits(scores[j]) != math.Float64bits(want[i].scores[j]) {
+						t.Errorf("reader %d query %d rank %d: (%d, %v), want (%d, %v)", g, i, j,
+							items[j].ID, scores[j], want[i].items[j].ID, want[i].scores[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // Typed misuse errors: duplicates, unknown IDs, use after Close.

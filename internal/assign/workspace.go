@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,7 +94,9 @@ var (
 // chunks it wrote. Pair slices are immutable values, so frozen pair
 // tables share them too. Writer-only state (the object half of the
 // matching, the per-function scorers, the capacity tables) stays in
-// plain maps.
+// plain maps, and the availability frontier is never captured, so an
+// epoch that only exhausted or revived objects reuses the previous
+// object capture whole.
 type Workspace struct {
 	// mu is the single-writer lock: it serializes mutations, epoch
 	// publication, and snapshot acquisition. Snapshot readers never take
@@ -189,10 +192,10 @@ type objPart struct {
 	full *displacementBlock
 
 	pageDirty bool // tree pages written since the last publish
-	// pub caches the capture of the current objects, tree and frontier.
-	// Any change to them drops it; otherwise every epoch's capture
-	// reuses it for the cost of a refcount increment (a function
-	// mutation that exhausts or revives no object leaves it alone).
+	// pub caches the capture of the current objects and tree. An object
+	// arrival or departure drops it; otherwise every epoch's capture
+	// reuses it for the cost of a refcount increment (availability
+	// flips leave it alone: it holds no frontier).
 	pub *partPub
 }
 
@@ -328,8 +331,20 @@ func (pt *objPart) buildFrontier(dims int) {
 	}, nil)
 }
 
-// dropPub releases the cached capture after a change to the objects,
-// tree or frontier, so the next Snapshot re-captures them.
+// frontierIDs returns the IDs of the availability frontier in
+// ascending order.
+func (pt *objPart) frontierIDs() []uint64 {
+	sky := pt.avail.Skyline()
+	ids := make([]uint64, len(sky))
+	for i, it := range sky {
+		ids[i] = it.ID
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// dropPub releases the cached capture after a change to the objects or
+// tree, so the next Snapshot re-captures them.
 func (pt *objPart) dropPub() {
 	if pt.pub != nil {
 		pt.pub.release()
@@ -372,7 +387,6 @@ func (pt *objPart) syncFrontier() error {
 	if len(pt.pendingIDs) == 0 {
 		return nil
 	}
-	pt.dropPub()
 	drop := pt.discards[:0]
 	for _, id := range pt.pendingIDs {
 		was, now := pt.pending[id], pt.caps.remaining[id] > 0
@@ -561,7 +575,7 @@ func (w *Workspace) Snapshot() (*View, error) {
 
 // captureLocked freezes the logical state of the current epoch. The
 // object side contributes its cached capture, re-captured only if the
-// objects, tree or frontier changed since; the function and pair tables
+// objects or tree changed since; the function and pair tables
 // are frozen copy-on-write copies, costing a chunk-pointer array each.
 // Per entity points, weights and pair slices alias the immutable
 // originals; flat forms (the sorted matching, the Problem) are built
@@ -584,13 +598,12 @@ func (w *Workspace) captureLocked() *pubState {
 }
 
 // capture freezes the object side: a pinned page snapshot, the tree
-// metadata, a flat copy of the frontier and a frozen object table.
+// metadata and a frozen object table.
 func (pt *objPart) capture() *partPub {
 	p := &partPub{
-		snap:  pt.vstore.Acquire(),
-		meta:  pt.tree.Meta(),
-		avail: pt.avail.Skyline(),
-		objs:  pt.objs.freeze(),
+		snap: pt.vstore.Acquire(),
+		meta: pt.tree.Meta(),
+		objs: pt.objs.freeze(),
 	}
 	p.refs.Store(1) // the object side's own cache reference
 	return p
@@ -995,6 +1008,16 @@ func (w *Workspace) VerifyStable() error {
 	w.mu.Unlock()
 	// IsStable is O(|F|·|O|); run it on the copies, outside the lock.
 	return IsStable(p, pairs)
+}
+
+// FrontierIDs returns the IDs of the availability frontier — the
+// skyline of the objects with spare capacity — in ascending order, read
+// under the writer lock. Views hold no copy of the frontier; this is
+// the one way to observe it.
+func (w *Workspace) FrontierIDs() []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.obj.frontierIDs()
 }
 
 // Stats summarizes the workspace.

@@ -31,9 +31,11 @@ type ServingScaleCase struct {
 	TopKP50NS    int64 `json:"topk_p50_ns"`
 	TopKP99NS    int64 `json:"topk_p99_ns"`
 	SnapNsPerOp  int64 `json:"snapshot_ns_per_op"`
-	// SlowestApply is the loop's longest Apply with its repair cascade,
-	// so the cost per chain step of the worst vacancy chain can be read
-	// off the report.
+	// SlowestApply is the loop's Apply with the longest repair cascade
+	// (most chain steps, ties to the earlier step) and its wall time, so
+	// the cost per chain step of the worst vacancy chain can be read off
+	// the report. It is chosen by chain steps, not by wall time, so host
+	// noise cannot pick a mutation that ran no cascade.
 	SlowestApply SlowApply `json:"slowest_apply"`
 
 	Identical bool   `json:"identical"`
@@ -112,7 +114,6 @@ func runServingScale(opts Options) (ServingScaleCase, error) {
 	runtime.GC()
 
 	var applyNS, snapNS int64
-	var slowest time.Duration
 	topkNS := make([]time.Duration, 0, steps)
 	prev := e.Stats()
 	loopStart := time.Now()
@@ -124,9 +125,8 @@ func runServingScale(opts Options) (ServingScaleCase, error) {
 		d := time.Since(t0)
 		applyNS += d.Nanoseconds()
 		st := e.Stats()
-		if d > slowest {
-			slowest = d
-			c.SlowestApply = SlowApply{Step: i, ChainSteps: st.ChainSteps - prev.ChainSteps,
+		if chain := st.ChainSteps - prev.ChainSteps; i == 0 || chain > c.SlowestApply.ChainSteps {
+			c.SlowestApply = SlowApply{Step: i, ChainSteps: chain,
 				Searches: st.Searches - prev.Searches, MS: float64(d.Nanoseconds()) / 1e6}
 		}
 		prev = st

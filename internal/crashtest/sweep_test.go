@@ -106,21 +106,7 @@ func captureState(w *assign.Workspace) twinState {
 	// Physical I/O legitimately diverges after recovery (a fresh buffer
 	// pool is cold); everything else must be identical.
 	st.IO = metrics.IOCounter{}
-	return twinState{pairs: pairs, stats: st, avail: availIDs(w)}
-}
-
-func availIDs(w *assign.Workspace) []uint64 {
-	v, err := w.Snapshot()
-	if err != nil {
-		return nil
-	}
-	defer v.Close()
-	var ids []uint64
-	for _, it := range v.AvailableFrontier() {
-		ids = append(ids, it.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return twinState{pairs: pairs, stats: st, avail: w.FrontierIDs()}
 }
 
 func sameState(a, b twinState) error {

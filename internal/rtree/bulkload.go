@@ -93,14 +93,19 @@ func BulkLoadWorkers(pool *pagestore.BufferPool, dims int, items []Item, fillFac
 	return t, nil
 }
 
+// slabs recycles the parallel packLevel's encode slab, one page image
+// per node of a level; the buffer pool copies each image it is given,
+// so the slab is free again once the level is written.
+var slabs = sync.Pool{New: func() any { return new([]byte) }}
+
 // packLevel groups entries into nodes of the given occupancy using STR
 // tiling and returns the parent entries for the next level up.
 //
 // The deterministic skeleton is kept sequential and only the pure work
 // is fanned out: page IDs are taken from the store one group at a time
 // in group order (exactly the sequence the sequential build produces),
-// the per-node page images are encoded concurrently (encodeNode writes
-// a fresh buffer and reads shared entries only), and the finished
+// the per-node page images are encoded concurrently (each into its own
+// page of a pooled slab, reading shared entries only), and the finished
 // images enter the buffer pool in group order again — so the pool's
 // eviction state machine sees the identical Put sequence at any worker
 // count.
@@ -127,8 +132,15 @@ func (t *Tree) packLevel(entries []Entry, keys []centerKey, leaf bool, fill, wor
 		ids[i] = id
 	}
 
+	pageSize := t.pool.PageSize()
+	slab := slabs.Get().(*[]byte)
+	defer slabs.Put(slab)
+	if need := len(groups) * pageSize; cap(*slab) < need {
+		*slab = make([]byte, need)
+	}
+	page := func(i int) []byte { return (*slab)[i*pageSize : (i+1)*pageSize] }
+
 	parents := make([]Entry, len(groups))
-	bufs := make([][]byte, len(groups))
 	errs := make([]error, workers)
 	var next int64
 	var wg sync.WaitGroup
@@ -140,7 +152,6 @@ func (t *Tree) packLevel(entries []Entry, keys []centerKey, leaf bool, fill, wor
 		mu.Unlock()
 		return i
 	}
-	pageSize := t.pool.PageSize()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -151,12 +162,10 @@ func (t *Tree) packLevel(entries []Entry, keys []centerKey, leaf bool, fill, wor
 					return
 				}
 				n := &Node{Leaf: leaf, Entries: groups[i], Page: ids[i]}
-				buf, err := encodeNode(n, pageSize, t.dims)
-				if err != nil {
+				if err := encodeNode(n, page(i), t.dims); err != nil {
 					errs[w] = err
 					return
 				}
-				bufs[i] = buf
 				parents[i] = Entry{Rect: n.MBR(), Child: ids[i], ID: 0}
 			}
 		}(w)
@@ -167,11 +176,10 @@ func (t *Tree) packLevel(entries []Entry, keys []centerKey, leaf bool, fill, wor
 			return nil, err
 		}
 	}
-	for i, buf := range bufs {
-		if buf == nil {
-			return nil, fmt.Errorf("rtree: bulk load worker died before encoding group %d", i)
-		}
-		if err := t.pool.Put(ids[i], buf); err != nil {
+	// Every group was claimed by a worker, and one that failed to encode
+	// its group recorded the error above, so every page is encoded here.
+	for i, id := range ids {
+		if err := t.pool.Put(id, page(i)); err != nil {
 			return nil, err
 		}
 	}

@@ -145,8 +145,8 @@ func TestLeafEntriesShareBacking(t *testing.T) {
 	n := &Node{Leaf: true, Entries: []Entry{
 		{Rect: geom.RectFromPoint(geom.Point{1, 2}), ID: 1, Child: pagestore.InvalidPage},
 	}}
-	buf, err := encodeNode(n, 256, 2)
-	if err != nil {
+	buf := make([]byte, 256)
+	if err := encodeNode(n, buf, 2); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := decodeNode(0, buf, 2)

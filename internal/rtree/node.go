@@ -85,18 +85,20 @@ func getFloat(buf []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf))
 }
 
-// encodeNode serializes n into a page image of the given size.
-func encodeNode(n *Node, pageSize, dims int) ([]byte, error) {
+// encodeNode serializes n into buf, a page image of the page's size
+// that the caller owns. Every byte of buf is written, with zeros past
+// the last entry, so a reused buffer carries nothing over.
+func encodeNode(n *Node, buf []byte, dims int) error {
 	var cap, esz int
 	if n.Leaf {
-		cap, esz = leafCapacity(pageSize, dims), leafEntrySize(dims)
+		cap, esz = leafCapacity(len(buf), dims), leafEntrySize(dims)
 	} else {
-		cap, esz = internalCapacity(pageSize, dims), internalEntrySize(dims)
+		cap, esz = internalCapacity(len(buf), dims), internalEntrySize(dims)
 	}
 	if len(n.Entries) > cap {
-		return nil, fmt.Errorf("rtree: node overflow: %d entries, capacity %d", len(n.Entries), cap)
+		return fmt.Errorf("rtree: node overflow: %d entries, capacity %d", len(n.Entries), cap)
 	}
-	buf := make([]byte, pageSize)
+	buf[0] = 0
 	if n.Leaf {
 		buf[0] = 1
 	}
@@ -117,7 +119,8 @@ func encodeNode(n *Node, pageSize, dims int) ([]byte, error) {
 		}
 		off += esz
 	}
-	return buf, nil
+	clear(buf[off:])
+	return nil
 }
 
 // decodeNode parses a page image into a Node. All entry coordinates share

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -56,9 +57,17 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 			}
 			n.Entries = append(n.Entries, e)
 		}
-		buf, err := encodeNode(n, 4096, 3)
-		if err != nil {
+		buf := make([]byte, 4096)
+		if err := encodeNode(n, buf, 3); err != nil {
 			t.Fatal(err)
+		}
+		// A reused buffer's old bytes must not survive the encode.
+		dirty := bytes.Repeat([]byte{0xff}, len(buf))
+		if err := encodeNode(n, dirty, 3); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dirty, buf) {
+			t.Fatal("encoding into a used buffer differs from encoding into a fresh one")
 		}
 		got, err := decodeNode(7, buf, 3)
 		if err != nil {
@@ -88,7 +97,7 @@ func TestNodeCodecOverflowRejected(t *testing.T) {
 		p := geom.Point{0.5, 0.5}
 		n.Entries = append(n.Entries, Entry{Rect: geom.RectFromPoint(p), ID: uint64(i)})
 	}
-	if _, err := encodeNode(n, 512, 2); err == nil {
+	if err := encodeNode(n, make([]byte, 512), 2); err == nil {
 		t.Fatal("expected overflow error")
 	}
 }

@@ -27,6 +27,9 @@ type Tree struct {
 	// decode adapts decodeNode to the pool's decoded-cache hook; built
 	// once so warm reads allocate nothing.
 	decode func(pagestore.PageID, []byte) (any, error)
+	// page is writeNode's encode buffer: the pool copies every image it
+	// is given, so one page serves every write.
+	page []byte
 }
 
 // ErrNotFound is returned by Delete when the item is absent.
@@ -144,11 +147,13 @@ func (t *Tree) RootRect() (geom.Rect, error) {
 }
 
 func (t *Tree) writeNode(n *Node) error {
-	buf, err := encodeNode(n, t.pool.PageSize(), t.dims)
-	if err != nil {
+	if t.page == nil {
+		t.page = make([]byte, t.pool.PageSize())
+	}
+	if err := encodeNode(n, t.page, t.dims); err != nil {
 		return err
 	}
-	return t.pool.Put(n.Page, buf)
+	return t.pool.Put(n.Page, t.page)
 }
 
 func (t *Tree) allocNode(n *Node) (pagestore.PageID, error) {
