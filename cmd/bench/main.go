@@ -1,5 +1,5 @@
 // Command bench is the reproducible hot-path benchmark pipeline: it
-// measures warm node reads, BBS, kNN, TA top-1 and full SB solves with
+// measures warm node reads, BBS, TA top-1 and full SB solves with
 // the decoded-node cache disabled ("cold": the pre-cache behaviour) and
 // enabled ("warm"), and writes the comparison as machine-readable JSON
 // so every future PR has a perf trajectory to beat.

@@ -1,6 +1,7 @@
 package fairassign
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -85,6 +86,29 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 	objects, functions := figure1Problem()
 	if _, err := NewSolver(objects, functions, Options{Algorithm: "quantum"}); err == nil {
 		t.Fatal("unknown algorithm should be rejected")
+	}
+}
+
+// TestDuplicateIDsRejected checks that a solver or workspace given two
+// objects or two functions with one ID fails with ErrDuplicateID.
+func TestDuplicateIDsRejected(t *testing.T) {
+	objects, functions := figure1Problem()
+	dupObjects := append(objects, Object{ID: objects[0].ID, Attributes: []float64{0.1, 0.1}})
+	dupFunctions := append(functions, Function{ID: functions[0].ID, Weights: []float64{0.5, 0.5}})
+	for _, tc := range []struct {
+		name      string
+		objects   []Object
+		functions []Function
+	}{
+		{"objects", dupObjects, functions},
+		{"functions", objects, dupFunctions},
+	} {
+		if _, err := NewSolver(tc.objects, tc.functions, Options{}); !errors.Is(err, ErrDuplicateID) {
+			t.Errorf("NewSolver with duplicate %s: error = %v, want ErrDuplicateID", tc.name, err)
+		}
+		if _, err := NewWorkspace(tc.objects, tc.functions, Options{}); !errors.Is(err, ErrDuplicateID) {
+			t.Errorf("NewWorkspace with duplicate %s: error = %v, want ErrDuplicateID", tc.name, err)
+		}
 	}
 }
 

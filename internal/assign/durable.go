@@ -678,15 +678,10 @@ func restoreStore(cfg Config, si *snapshot.StoreImage, dims int) (*pagestore.Ver
 		return bad("tree root page %d not in image", si.Root)
 	}
 	pool := scfg.newBuildPool(vs)
-	if err := pool.Resize(pagestore.CapacityFromFraction(vs.NumPages(), cfg.bufferFrac())); err != nil {
+	if err := coldBuffer(pool, vs.NumPages(), cfg.bufferFrac()); err != nil {
 		vs.Close()
 		return nil, nil, nil, err
 	}
-	if err := pool.Clear(); err != nil {
-		vs.Close()
-		return nil, nil, nil, err
-	}
-	vs.IO().Reset()
 	tree, err := rtree.FromMeta(pool, dims, rtree.Meta{
 		Root:   pagestore.PageID(si.Root),
 		Height: si.Height,

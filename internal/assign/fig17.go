@@ -1,7 +1,7 @@
 package assign
 
 import (
-	"fairassign/internal/metrics"
+	"fairassign/internal/geom"
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
 	"fairassign/internal/ta"
@@ -35,105 +35,20 @@ func SBDiskFuncs(p *Problem, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer st.release()
-	fstore, fpool, err := cfg.newFuncStore()
+	dl, err := st.buildDiskLists()
 	if err != nil {
 		return nil, err
 	}
-	defer fstore.Close()
-	dl, err := ta.BuildDiskLists(fpool, taFuncs(p.Functions), p.Dims)
-	if err != nil {
-		return nil, err
-	}
-	if err := fpool.Resize(pagestore.CapacityFromFraction(dl.NumPages(), cfg.funcBufferFrac())); err != nil {
-		return nil, err
-	}
-	if err := fpool.Clear(); err != nil {
-		return nil, err
-	}
-	fstore.IO().Reset()
-
-	res := &Result{}
-	var timer metrics.Timer
-	timer.Start()
-
-	maint, err := st.buildMaintainer()
-	if err != nil {
-		return nil, err
-	}
-	st.buildCaps()
-	omega := cfg.omegaFor(len(p.Functions))
-	searches := make(map[uint64]*ta.Search)
-	drop := func(oid uint64) {
-		if s := searches[oid]; s != nil {
-			s.Release()
-		}
-		delete(searches, oid)
-	}
-	defer func() {
-		for oid := range searches {
-			drop(oid)
-		}
-	}()
-	step := pairStep{lists: diskLists{dl}, sky: maint, funcCaps: st.funcCaps, objCaps: st.objCaps, drop: drop}
-
-	for st.funcCaps.units > 0 && st.objCaps.units > 0 && maint.Size() > 0 {
-		res.Stats.Loops++
-		sky := maint.Skyline()
-		sortItemsByID(sky)
-
-		best := make([]bestFunc, 0, len(sky))
-		for _, o := range sky {
-			s := searches[o.ID]
-			if s == nil {
-				s = ta.NewDiskSearch(dl, o.Point, omega)
-				searches[o.ID] = s
-			}
-			fid, score, ok := s.Best()
-			res.Stats.TopKRuns++
-			if !ok {
-				if err := s.Err(); err != nil {
-					return nil, err
-				}
-				break
-			}
-			best = append(best, bestFunc{fid: fid, score: score, ok: true})
-		}
-		if len(best) < len(sky) {
-			break
-		}
-		if res.Pairs, err = step.pair(res.Pairs, sky, best); err != nil {
-			return nil, err
-		}
-		var searchBytes int64
-		for _, s := range searches {
-			searchBytes += s.Footprint()
-		}
-		if cur := st.mem.Current + searchBytes; cur > res.Stats.PeakMem {
-			res.Stats.PeakMem = cur
-		}
-	}
-
-	timer.Stop()
-	res.Stats.CPUTime = timer.Total
-	res.Stats.IO = *st.store.IO()
-	res.Stats.IO.Add(*fstore.IO())
-	res.Stats.Pairs = int64(len(res.Pairs))
-	res.Stats.TASorted = dl.Counters.SortedAccesses
-	res.Stats.TARandom = dl.Counters.RandomAccesses
-	res.Stats.NodeReads = maint.NodeReads
-	if st.mem.Peak > res.Stats.PeakMem {
-		res.Stats.PeakMem = st.mem.Peak
-	}
-	return res, nil
+	return st.runSB(sbVariant{source: func(st *solveState) (bestSource, pairLists, error) {
+		open := func(o geom.Point, omega int) *ta.Search { return ta.NewDiskSearch(dl, o, omega) }
+		return newTASearches(st, open, &dl.Counters, true), diskLists{dl}, nil
+	}})
 }
 
 // ChainDiskFuncs runs Chain with its function R-tree on the simulated
 // disk (buffered at the configured fraction): each reverse top-1 probe
 // against F now costs I/O, while the object tree is fully in memory.
 func ChainDiskFuncs(p *Problem, cfg Config) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	// Object tree fully buffered: in-memory side.
 	memCfg := cfg
 	memCfg.BufferFrac = 1.0
@@ -158,16 +73,9 @@ func ChainDiskFuncs(p *Problem, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fpool.Flush(); err != nil {
+	if err := coldBuffer(fpool, fx.ftree.NumPages(), cfg.funcBufferFrac()); err != nil {
 		return nil, err
 	}
-	if err := fpool.Resize(pagestore.CapacityFromFraction(fx.ftree.NumPages(), cfg.funcBufferFrac())); err != nil {
-		return nil, err
-	}
-	if err := fpool.Clear(); err != nil {
-		return nil, err
-	}
-	fstore.IO().Reset()
 
 	// Function tree on disk: only its buffer frames are memory-resident.
 	bufBytes := int64(fpool.Capacity()) * int64(fstore.PageSize())
@@ -184,9 +92,6 @@ func ChainDiskFuncs(p *Problem, cfg Config) (*Result, error) {
 // every per-function search operation pages that function's state through
 // a small buffer (one state page per function).
 func BruteForceDiskFuncs(p *Problem, cfg Config) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	memCfg := cfg
 	memCfg.BufferFrac = 1.0
 	st, err := newSolveState(p, memCfg)

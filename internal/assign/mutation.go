@@ -3,7 +3,6 @@ package assign
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"fairassign/internal/rtree"
@@ -246,16 +245,8 @@ func (b *batchView) validate(m *Mutation) error {
 	switch m.Kind {
 	case MutAddObject:
 		o := &m.Object
-		if len(o.Point) != dims {
-			return fmt.Errorf("assign: object %d has %d dims, want %d", o.ID, len(o.Point), dims)
-		}
-		for _, v := range o.Point {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: object %d", ErrBadPoint, o.ID)
-			}
-		}
-		if o.Capacity < 0 {
-			return fmt.Errorf("%w: object %d has capacity %d", ErrBadCapacity, o.ID, o.Capacity)
+		if err := validateObject(o, dims); err != nil {
+			return err
 		}
 		if b.objLive(o.ID) {
 			return fmt.Errorf("%w: object %d", ErrDuplicateID, o.ID)
@@ -266,25 +257,8 @@ func (b *batchView) validate(m *Mutation) error {
 		}
 	case MutAddFunction:
 		f := &m.Function
-		if len(f.Weights) != dims {
-			return fmt.Errorf("assign: function %d has %d weights, want %d", f.ID, len(f.Weights), dims)
-		}
-		for _, v := range f.Weights {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: function %d has non-finite weight", ErrBadWeight, f.ID)
-			}
-			if v < 0 {
-				return fmt.Errorf("%w: function %d has negative weight", ErrBadWeight, f.ID)
-			}
-		}
-		if math.IsNaN(f.Gamma) || math.IsInf(f.Gamma, 0) {
-			return fmt.Errorf("%w: function %d", ErrBadGamma, f.ID)
-		}
-		if f.Capacity < 0 {
-			return fmt.Errorf("%w: function %d has capacity %d", ErrBadCapacity, f.ID, f.Capacity)
-		}
-		if err := f.Fam.Validate(); err != nil {
-			return fmt.Errorf("assign: function %d: %w", f.ID, err)
+		if err := validateFunction(f, dims); err != nil {
+			return err
 		}
 		if b.funcLive(f.ID) {
 			return fmt.Errorf("%w: function %d", ErrDuplicateID, f.ID)

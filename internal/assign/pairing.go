@@ -14,11 +14,10 @@ import (
 
 // bestFunc is the outcome of one per-object reverse top-1 search
 // (Lines 9–11 of Algorithms 1/3): the best live preference function for a
-// skyline object. ok is false when no live function remains.
+// skyline object.
 type bestFunc struct {
 	fid   uint64
 	score float64
-	ok    bool
 }
 
 // bestObj is the outcome of one per-function best-object scan
@@ -26,17 +25,6 @@ type bestFunc struct {
 type bestObj struct {
 	oid   uint64
 	score float64
-}
-
-// allFound reports whether every skyline object has a best function;
-// when one has none, no live function is left and the loop ends.
-func allFound(best []bestFunc) bool {
-	for _, bf := range best {
-		if !bf.ok {
-			return false
-		}
-	}
-	return true
 }
 
 // pairLists is the function side of the pairing step: the scorer of a
@@ -68,10 +56,8 @@ func (l diskLists) scorer(fid uint64) (score.Scorer, error) {
 }
 
 // pairStep is Lines 12–17 of Algorithms 1 and 3, the one pairing step
-// of SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt and Progressive. The
-// callers differ only in how they answer Lines 9–11, how they discard
-// an exhausted object's search state, where the pairs go, and what
-// they count as search memory.
+// of SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt, SBTwoSkylines and
+// Progressive.
 type pairStep struct {
 	lists    pairLists
 	sky      skylineDriver
@@ -81,8 +67,23 @@ type pairStep struct {
 	drop     func(oid uint64) // discards an exhausted object's search state
 }
 
+// bestObject is the forward scan of Lines 12–13: the skyline object
+// maximizing sc, ties to the lowest ID. The UpdateSkyline maintainer
+// answers from its columnar mirror of the skyline; DeltaSky's skyline
+// is scanned row by row. Both select by the same (score, ID) order.
+func (ps *pairStep) bestObject(sc score.Scorer, sky []rtree.Item) bestObj {
+	var it rtree.Item
+	var s float64
+	if m, ok := ps.sky.(*skyline.Maintainer); ok {
+		it, s, _ = m.Best(sc)
+	} else {
+		it, s, _ = skyline.BestUnder(sc, sky)
+	}
+	return bestObj{oid: it.ID, score: s}
+}
+
 // pair takes the skyline in ascending ID order and each skyline object's
-// best live function (all found). It finds the best skyline object of
+// best live function. It finds the best skyline object of
 // every distinct best function in ascending function ID, appends the
 // mutual best pairs to out in that order (only the first when onePair),
 // and consumes their capacities: exhausted functions leave the lists,
@@ -100,8 +101,7 @@ func (ps *pairStep) pair(out []Pair, sky []rtree.Item, best []bestFunc) ([]Pair,
 		if err != nil {
 			return out, err
 		}
-		it, s, _ := skyline.BestUnder(sc, sky)
-		fBest[i] = bestObj{oid: it.ID, score: s}
+		fBest[i] = ps.bestObject(sc, sky)
 	}
 
 	var exhausted []uint64

@@ -7,8 +7,6 @@ import (
 	"fairassign/internal/geom"
 	"fairassign/internal/metrics"
 	"fairassign/internal/rtree"
-	"fairassign/internal/skyline"
-	"fairassign/internal/ta"
 )
 
 // Progressive is the dynamic variant sketched as future work in
@@ -34,26 +32,18 @@ import (
 // starts a new ordering epoch: pairs discovered before the arrival are
 // flushed first, and the guarantee restarts after them.
 type Progressive struct {
-	dims     int
-	st       *solveState
-	maint    *skyline.Maintainer
-	lists    *ta.Lists
-	searches *taSearches
-	step     pairStep
-	funcCaps *capTable
-	objCaps  *capTable
-	objSeen  map[uint64]bool
-	pending  []Pair // discovered, held for score ordering (sorted desc)
-	ready    []Pair // cleared for emission, in final order
-	// Cached step-1 results of the upcoming loop, produced while
+	st      *solveState
+	loop    *sbLoop
+	objSeen map[uint64]bool
+	pending []Pair // discovered, held for score ordering (sorted desc)
+	ready   []Pair // cleared for emission, in final order
+	// Cached Lines 9–11 results of the upcoming loop, produced while
 	// computing the release ceiling so the next runLoop does not repeat
 	// the searches.
 	nextSky  []rtree.Item
 	nextBest []bestFunc
 	haveNext bool
 	done     bool
-	stats    metrics.Stats
-	mem      metrics.MemTracker
 	timer    metrics.Timer
 }
 
@@ -64,27 +54,17 @@ func NewProgressive(p *Problem, cfg Config) (*Progressive, error) {
 		return nil, err
 	}
 	g := &Progressive{
-		dims:     p.Dims,
-		st:       st,
-		funcCaps: newFuncCaps(p.Functions),
-		objCaps:  newObjectCaps(p.Objects),
-		objSeen:  make(map[uint64]bool, len(p.Objects)),
+		st:      st,
+		objSeen: make(map[uint64]bool, len(p.Objects)),
 	}
 	for _, o := range p.Objects {
 		g.objSeen[o.ID] = true
 	}
 	g.timer.Start()
-	g.maint, err = skyline.NewMaintainer(st.tree, &g.mem)
-	if err != nil {
+	defer g.timer.Stop()
+	if g.loop, err = st.newLoop(sbOptimized); err != nil {
 		return nil, err
 	}
-	g.lists, err = ta.NewLists(taFuncs(p.Functions), p.Dims)
-	if err != nil {
-		return nil, err
-	}
-	g.searches = newTASearches(g.lists, modeOptimized, len(p.Functions), cfg.omegaFor(len(p.Functions)))
-	g.step = pairStep{lists: memLists{g.lists}, sky: g.maint, funcCaps: g.funcCaps, objCaps: g.objCaps, drop: g.searches.drop}
-	g.timer.Stop()
 	return g, nil
 }
 
@@ -92,22 +72,20 @@ func NewProgressive(p *Problem, cfg Config) (*Progressive, error) {
 // all pairs not yet discovered. Pairs discovered before the arrival are
 // released for emission ahead of anything the arrival can influence.
 func (g *Progressive) AddObject(o Object) error {
-	if len(o.Point) != g.dims {
-		return fmt.Errorf("assign: object %d has %d dims, want %d", o.ID, len(o.Point), g.dims)
+	if err := validateObject(&o, g.st.p.Dims); err != nil {
+		return err
 	}
 	if g.objSeen[o.ID] {
-		return fmt.Errorf("assign: duplicate object id %d", o.ID)
+		return fmt.Errorf("%w: object %d", ErrDuplicateID, o.ID)
 	}
 	g.timer.Start()
 	defer g.timer.Stop()
 	g.flushPending()
 	g.haveNext = false // the skyline is about to change
 	g.objSeen[o.ID] = true
-	g.objCaps.remaining[o.ID] = o.capacity()
-	g.objCaps.units += o.capacity()
-	g.objCaps.live++
+	g.st.objCaps.add(o.ID, o.capacity())
 	g.done = false
-	return g.maint.Insert(rtree.Item{ID: o.ID, Point: geom.Point(o.Point).Clone()})
+	return g.st.maint.Insert(rtree.Item{ID: o.ID, Point: geom.Point(o.Point).Clone()})
 }
 
 // Next returns the next stable pair, running the SB loop as needed.
@@ -117,7 +95,7 @@ func (g *Progressive) Next() (Pair, bool, error) {
 	g.timer.Start()
 	defer g.timer.Stop()
 	for len(g.ready) == 0 {
-		if g.done || g.funcCaps.units == 0 || g.objCaps.units == 0 || g.maint.Size() == 0 {
+		if g.done || !g.loop.live() {
 			g.done = true
 			if len(g.pending) == 0 {
 				return Pair{}, false, nil
@@ -140,26 +118,10 @@ func (g *Progressive) flushPending() {
 	g.pending = g.pending[:0]
 }
 
-// stepOne runs the per-object best-function phase over the current
-// skyline (Lines 9–11).
-func (g *Progressive) stepOne() ([]rtree.Item, []bestFunc) {
-	sky := g.maint.Skyline()
-	sortItemsByID(sky)
-	g.stats.TopKRuns += int64(len(sky))
-	return sky, g.searches.bestFunctions(sky)
-}
-
 // Stats returns a snapshot of the work performed so far.
 func (g *Progressive) Stats() metrics.Stats {
-	s := g.stats
+	s := g.loop.result()
 	s.CPUTime = g.timer.Total
-	s.IO = *g.st.store.IO()
-	if g.mem.Peak > s.PeakMem {
-		s.PeakMem = g.mem.Peak
-	}
-	s.TASorted = g.lists.Counters.SortedAccesses
-	s.TARandom = g.lists.Counters.RandomAccesses
-	s.NodeReads = g.maint.NodeReads
 	return s
 }
 
@@ -167,38 +129,41 @@ func (g *Progressive) Stats() metrics.Stats {
 // adding every discovered mutual pair to the pending buffer and
 // releasing the prefix that can no longer be outranked.
 func (g *Progressive) runLoop() error {
-	g.stats.Loops++
-	var sky []rtree.Item
-	var best []bestFunc
-	if g.haveNext {
-		sky, best, g.haveNext = g.nextSky, g.nextBest, false
-	} else {
-		sky, best = g.stepOne()
+	l := g.loop
+	l.stats.Loops++
+	sky, best := g.nextSky, g.nextBest
+	if !g.haveNext {
+		var err error
+		if sky, best, err = l.next(); err != nil {
+			return err
+		}
 	}
-	if !allFound(best) {
+	g.haveNext = false
+	if best == nil {
 		g.done = true
 		g.flushPending()
 		return nil
 	}
-	held := len(g.pending)
 	var err error
-	if g.pending, err = g.step.pair(g.pending, sky, best); err != nil {
+	if g.pending, err = l.emit(g.pending, sky, best); err != nil {
 		return err
 	}
-	g.stats.Pairs += int64(len(g.pending) - held)
 	// Keep the held pairs in the definitional greedy order.
 	sortPairsDefinitional(g.pending)
 
 	// Release gate: once a side is exhausted nothing more can be
 	// discovered, so everything held is final. Otherwise run the next
-	// loop's step 1 now — its maximum best-function score is the ceiling
-	// on every future pair — and release the pending prefix at or above
-	// it. The step-1 results are cached for the next runLoop.
-	if g.funcCaps.units == 0 || g.objCaps.units == 0 || g.maint.Size() == 0 {
+	// loop's Lines 9–11 now — its maximum best-function score is the
+	// ceiling on every future pair — and release the pending prefix at
+	// or above it. The results are cached for the next runLoop.
+	if !l.live() {
 		g.flushPending()
 	} else {
-		sky2, best2 := g.stepOne()
-		if !allFound(best2) {
+		sky2, best2, err := l.next()
+		if err != nil {
+			return err
+		}
+		if best2 == nil {
 			g.done = true
 			g.flushPending()
 		} else {
@@ -218,9 +183,6 @@ func (g *Progressive) runLoop() error {
 			g.pending = append(g.pending[:0], g.pending[n:]...)
 		}
 	}
-
-	if cur := g.mem.Current + g.searches.footprint(); cur > g.stats.PeakMem {
-		g.stats.PeakMem = cur
-	}
+	l.notePeak(sky)
 	return nil
 }

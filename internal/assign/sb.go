@@ -1,8 +1,10 @@
 package assign
 
 import (
+	"fairassign/internal/geom"
 	"fairassign/internal/metrics"
 	"fairassign/internal/rtree"
+	"fairassign/internal/skyline"
 	"fairassign/internal/ta"
 )
 
@@ -14,13 +16,41 @@ type skylineDriver interface {
 	Size() int
 }
 
-// sbMode selects the SB variant of Figure 8.
-type sbMode int
+// bestSource answers Lines 9–11 of Algorithms 1 and 3, the one part in
+// which the SB variants differ: the best live function of every
+// skyline object.
+type bestSource interface {
+	// best returns the best live function of every object of sky, in
+	// sky's order, or nil when some object has none: then no live
+	// function is left and the loop ends.
+	best(sky []rtree.Item) ([]bestFunc, error)
+	// drop discards the search state of an exhausted object.
+	drop(oid uint64)
+	// memory is the search memory held beside the skyline structures in
+	// a loop over sky, for the memory metric.
+	memory(sky []rtree.Item) int64
+	// count sets the source's search counters on s.
+	count(s *metrics.Stats)
+}
 
-const (
-	modeOptimized sbMode = iota // Algorithm 3: resume + multi-pair + UpdateSkyline
-	modeBasic                   // Algorithm 1 + UpdateSkyline, fresh TA, one pair/loop
-	modeDeltaSky                // Algorithm 1 + DeltaSky, fresh TA, one pair/loop
+// sbVariant is what one SB variant supplies to the shared loop: its
+// skyline maintenance, its pairs per loop, and its best-function source
+// with the function side of its pairing step.
+type sbVariant struct {
+	deltaSky bool // DeltaSky maintenance instead of UpdateSkyline
+	onePair  bool // Algorithm 1: one pair per loop
+	source   func(st *solveState) (bestSource, pairLists, error)
+}
+
+var (
+	// sbOptimized is Algorithm 3: UpdateSkyline, a resumable Ω-bounded
+	// TA search per skyline object, every mutual best pair per loop.
+	sbOptimized = sbVariant{source: memTA(true)}
+	// sbBasic is Algorithm 1 with UpdateSkyline: a fresh TA search per
+	// object and loop, one pair per loop.
+	sbBasic = sbVariant{onePair: true, source: memTA(false)}
+	// sbDeltaSky is sbBasic with DeltaSky maintenance.
+	sbDeltaSky = sbVariant{deltaSky: true, onePair: true, source: memTA(false)}
 )
 
 // SB runs the fully optimized skyline-based stable assignment
@@ -28,151 +58,229 @@ const (
 // Ω-bounded TA search per skyline object, and emission of every mutual
 // best pair in each loop.
 func SB(p *Problem, cfg Config) (*Result, error) {
-	return runSkylineBased(p, cfg, modeOptimized)
+	return solveSB(p, cfg, sbOptimized)
 }
 
 // SBBasic runs Algorithm 1 with the UpdateSkyline module but none of the
 // Section 5.1/5.3 CPU optimizations ("SB-UpdateSkyline" in Figure 8).
 func SBBasic(p *Problem, cfg Config) (*Result, error) {
-	return runSkylineBased(p, cfg, modeBasic)
+	return solveSB(p, cfg, sbBasic)
 }
 
 // SBDeltaSky runs Algorithm 1 with DeltaSky skyline maintenance
 // ("SB-DeltaSky" in Figure 8).
 func SBDeltaSky(p *Problem, cfg Config) (*Result, error) {
-	return runSkylineBased(p, cfg, modeDeltaSky)
+	return solveSB(p, cfg, sbDeltaSky)
 }
 
-func runSkylineBased(p *Problem, cfg Config, mode sbMode) (*Result, error) {
+func solveSB(p *Problem, cfg Config, v sbVariant) (*Result, error) {
 	st, err := newSolveState(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer st.release()
-	return st.runSB(mode)
+	return st.runSB(v)
 }
 
-// runSB executes the skyline-based loop on the shared state. On return
-// the state reflects the completed matching: the capacity tables hold
-// the remaining units, the TA lists have assigned functions tombstoned,
-// and the maintainer (non-DeltaSky modes) holds the skyline of the
+// memTA sources Lines 9–11 from TA searches over in-memory lists:
+// resumable Ω-bounded ones (Algorithm 3) or a fresh unbounded one per
+// object and loop (Algorithm 1).
+func memTA(resume bool) func(st *solveState) (bestSource, pairLists, error) {
+	return func(st *solveState) (bestSource, pairLists, error) {
+		lists, err := ta.NewLists(taFuncs(st.p.Functions), st.p.Dims)
+		if err != nil {
+			return nil, nil, err
+		}
+		open := func(o geom.Point, omega int) *ta.Search { return ta.NewSearch(lists, o, omega) }
+		return newTASearches(st, open, &lists.Counters, resume), memLists{lists}, nil
+	}
+}
+
+// runSB runs one SB variant to completion on the shared state. Inside
+// the timed region it builds the skyline structure, the capacity tables
+// and the variant's source, then iterates. On return the state reflects
+// the completed matching: the capacity tables hold the remaining units,
+// and the maintainer (UpdateSkyline variants) holds the skyline of the
 // objects that still have capacity — which is exactly the availability
 // frontier the incremental Workspace continues from.
-func (st *solveState) runSB(mode sbMode) (*Result, error) {
-	p, cfg := st.p, st.cfg
-	res := &Result{}
+func (st *solveState) runSB(v sbVariant) (*Result, error) {
 	var timer metrics.Timer
 	timer.Start()
-
-	if err := st.ensureLists(); err != nil {
+	l, err := st.newLoop(v)
+	if err != nil {
 		return nil, err
 	}
-	lists := st.lists
-	var driver skylineDriver
-	var maintReads *int64
-	switch mode {
-	case modeDeltaSky:
-		d, err := st.buildDeltaSky()
-		if err != nil {
-			return nil, err
-		}
-		driver, maintReads = d, &d.NodeReads
-	default:
-		m, err := st.buildMaintainer()
-		if err != nil {
-			return nil, err
-		}
-		driver, maintReads = m, &m.NodeReads
+	// TA searches are pooled: recycle the ones still open at the end.
+	if ts, ok := l.src.(*taSearches); ok {
+		defer ts.releaseAll()
 	}
-
-	st.buildCaps()
-	searches := newTASearches(lists, mode, len(p.Functions), cfg.omegaFor(len(p.Functions)))
-	defer searches.releaseAll()
-	step := pairStep{lists: memLists{lists}, sky: driver, funcCaps: st.funcCaps, objCaps: st.objCaps,
-		onePair: mode != modeOptimized, drop: searches.drop}
-
-	for st.funcCaps.units > 0 && st.objCaps.units > 0 && driver.Size() > 0 {
-		res.Stats.Loops++
-		sky := driver.Skyline()
-		sortItemsByID(sky)
-		// Lines 9–11: the best live function of every skyline object.
-		best := searches.bestFunctions(sky)
-		res.Stats.TopKRuns += int64(len(sky))
-		if !allFound(best) {
-			break
-		}
-		// Lines 12–17: emit the mutual best pairs.
-		var err error
-		if res.Pairs, err = step.pair(res.Pairs, sky, best); err != nil {
-			return nil, err
-		}
-
-		// Memory metric: maintainer structures plus live TA states.
-		if cur := st.mem.Current + searches.footprint(); cur > res.Stats.PeakMem {
-			res.Stats.PeakMem = cur
-		}
+	pairs, err := l.run()
+	if err != nil {
+		return nil, err
 	}
-
 	timer.Stop()
+	res := &Result{Pairs: pairs, Stats: l.result()}
 	res.Stats.CPUTime = timer.Total
-	res.Stats.IO = *st.store.IO()
-	res.Stats.Pairs = int64(len(res.Pairs))
-	res.Stats.TASorted = lists.Counters.SortedAccesses
-	res.Stats.TARandom = lists.Counters.RandomAccesses
-	res.Stats.NodeReads = *maintReads
-	if st.mem.Peak > res.Stats.PeakMem {
-		res.Stats.PeakMem = st.mem.Peak
-	}
 	return res, nil
 }
 
-// taSearches answers Lines 9–11 with in-memory TA for SB, SBBasic,
-// SBDeltaSky and Progressive. In optimized mode every skyline object
-// keeps a resumable Ω-bounded search across loops; otherwise each loop
-// runs a fresh unbounded search per object (Algorithm 1).
+// sbLoop is the iteration of Algorithms 1 and 3 that every SB variant
+// runs (SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt, SBTwoSkylines and
+// Progressive): take the skyline in ID order, find each skyline
+// object's best live function from the variant's source (Lines 9–11),
+// emit the mutual best pairs (Lines 12–17) and note the memory peak.
+type sbLoop struct {
+	pairStep
+	st        *solveState
+	src       bestSource
+	nodeReads *int64        // the skyline structure's node reads
+	stats     metrics.Stats // loops, pairs and search-memory peak so far
+}
+
+// newLoop builds the variant's skyline structure, the capacity tables
+// and its source over the state.
+func (st *solveState) newLoop(v sbVariant) (*sbLoop, error) {
+	l := &sbLoop{st: st}
+	if v.deltaSky {
+		d, err := skyline.NewDeltaSky(st.tree, &st.mem)
+		if err != nil {
+			return nil, err
+		}
+		l.sky, l.nodeReads = d, &d.NodeReads
+	} else {
+		m, err := skyline.NewMaintainer(st.tree, &st.mem)
+		if err != nil {
+			return nil, err
+		}
+		st.maint = m
+		l.sky, l.nodeReads = m, &m.NodeReads
+	}
+	st.buildCaps()
+	src, lists, err := v.source(st)
+	if err != nil {
+		return nil, err
+	}
+	l.src = src
+	l.lists, l.funcCaps, l.objCaps = lists, st.funcCaps, st.objCaps
+	l.onePair, l.drop = v.onePair, src.drop
+	return l, nil
+}
+
+// live reports whether another loop can pair anything.
+func (l *sbLoop) live() bool {
+	return l.funcCaps.units > 0 && l.objCaps.units > 0 && l.sky.Size() > 0
+}
+
+// next answers Lines 9–11 over the current skyline, taken in ID order.
+// best is nil when no live function is left.
+func (l *sbLoop) next() (sky []rtree.Item, best []bestFunc, err error) {
+	sky = l.sky.Skyline()
+	sortItemsByID(sky)
+	best, err = l.src.best(sky)
+	return sky, best, err
+}
+
+// emit runs Lines 12–17 on one loop's answers, appending the pairs to
+// out.
+func (l *sbLoop) emit(out []Pair, sky []rtree.Item, best []bestFunc) ([]Pair, error) {
+	n := len(out)
+	out, err := l.pair(out, sky, best)
+	l.stats.Pairs += int64(len(out) - n)
+	return out, err
+}
+
+// notePeak records the memory held after a loop over sky: the skyline
+// structures plus the source's search state.
+func (l *sbLoop) notePeak(sky []rtree.Item) {
+	if cur := l.st.mem.Current + l.src.memory(sky); cur > l.stats.PeakMem {
+		l.stats.PeakMem = cur
+	}
+}
+
+// run iterates until a side is exhausted or no live function is left,
+// and returns the pairs in emission order.
+func (l *sbLoop) run() ([]Pair, error) {
+	var out []Pair
+	for l.live() {
+		l.stats.Loops++
+		sky, best, err := l.next()
+		if err != nil || best == nil {
+			return out, err
+		}
+		if out, err = l.emit(out, sky, best); err != nil {
+			return out, err
+		}
+		l.notePeak(sky)
+	}
+	return out, nil
+}
+
+// result returns the run's cost counters so far, CPU time aside. I/O
+// counts the object index and, in the disk-resident setting, the
+// function lists.
+func (l *sbLoop) result() metrics.Stats {
+	s := l.stats
+	s.IO = *l.st.store.IO()
+	if l.st.fstore != nil {
+		s.IO.Add(*l.st.fstore.IO())
+	}
+	s.NodeReads = *l.nodeReads
+	s.PeakMem = max(s.PeakMem, l.st.mem.Peak)
+	l.src.count(&s)
+	return s
+}
+
+// taSearches answers Lines 9–11 with TA over in-memory or disk-resident
+// lists. With resume every skyline object keeps a resumable Ω-bounded
+// search across loops (Algorithm 3); otherwise each loop runs a fresh
+// unbounded search per object (Algorithm 1).
 type taSearches struct {
-	lists    *ta.Lists
+	open     func(o geom.Point, omega int) *ta.Search
+	counters *ta.Counters
 	searches map[uint64]*ta.Search
 	omega    int
-	numFuncs int
 	resume   bool
+	runs     int64
 }
 
-func newTASearches(lists *ta.Lists, mode sbMode, numFuncs, omega int) *taSearches {
+func newTASearches(st *solveState, open func(o geom.Point, omega int) *ta.Search, counters *ta.Counters, resume bool) *taSearches {
+	omega := len(st.p.Functions)
+	if resume {
+		omega = st.cfg.omegaFor(omega)
+	}
 	return &taSearches{
-		lists:    lists,
+		open:     open,
+		counters: counters,
 		searches: make(map[uint64]*ta.Search),
 		omega:    omega,
-		numFuncs: numFuncs,
-		resume:   mode == modeOptimized,
+		resume:   resume,
 	}
 }
 
-// bestFunctions returns the best live function of every skyline object,
-// in skyline order.
-func (c *taSearches) bestFunctions(sky []rtree.Item) []bestFunc {
+func (c *taSearches) best(sky []rtree.Item) ([]bestFunc, error) {
 	out := make([]bestFunc, len(sky))
 	for i, o := range sky {
-		var fid uint64
-		var score float64
-		var ok bool
-		if c.resume {
-			s := c.searches[o.ID]
-			if s == nil {
-				s = ta.NewSearch(c.lists, o.Point, c.omega)
+		s := c.searches[o.ID]
+		if s == nil {
+			s = c.open(o.Point, c.omega)
+			if c.resume {
 				c.searches[o.ID] = s
 			}
-			fid, score, ok = s.Best()
-		} else {
-			// A fresh search whose buffers go straight back to the pool,
-			// so the per-loop cost is near allocation-free.
-			s := ta.NewSearch(c.lists, o.Point, c.numFuncs)
-			fid, score, ok = s.Best()
+		}
+		fid, score, ok := s.Best()
+		err := s.Err()
+		if !c.resume {
+			// A fresh search's buffers go straight back to the pool, so
+			// the per-loop cost is near allocation-free.
 			s.Release()
 		}
-		out[i] = bestFunc{fid: fid, score: score, ok: ok}
+		c.runs++
+		if !ok {
+			return nil, err
+		}
+		out[i] = bestFunc{fid: fid, score: score}
 	}
-	return out
+	return out, nil
 }
 
 // drop discards the resumable search of an exhausted object.
@@ -190,11 +298,17 @@ func (c *taSearches) releaseAll() {
 	}
 }
 
-// footprint sums the live resumable searches for the memory metric.
-func (c *taSearches) footprint() int64 {
+// memory sums the live resumable searches.
+func (c *taSearches) memory([]rtree.Item) int64 {
 	var n int64
 	for _, s := range c.searches {
 		n += s.Footprint()
 	}
 	return n
+}
+
+func (c *taSearches) count(s *metrics.Stats) {
+	s.TopKRuns = c.runs
+	s.TASorted = c.counters.SortedAccesses
+	s.TARandom = c.counters.RandomAccesses
 }

@@ -2,7 +2,7 @@ package assign
 
 import (
 	"fairassign/internal/metrics"
-	"fairassign/internal/pagestore"
+	"fairassign/internal/rtree"
 	"fairassign/internal/ta"
 )
 
@@ -19,93 +19,63 @@ func SBAlt(p *Problem, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer st.release()
-
-	// Materialize the coefficient lists on their own simulated disk; the
-	// build is setup cost (like index construction) and is not charged.
-	fstore, fpool, err := cfg.newFuncStore()
+	dl, err := st.buildDiskLists()
 	if err != nil {
 		return nil, err
 	}
-	defer fstore.Close()
-	dl, err := ta.BuildDiskLists(fpool, taFuncs(p.Functions), p.Dims)
-	if err != nil {
-		return nil, err
-	}
-	if err := fpool.Resize(pagestore.CapacityFromFraction(dl.NumPages(), cfg.funcBufferFrac())); err != nil {
-		return nil, err
-	}
-	if err := fpool.Clear(); err != nil {
-		return nil, err
-	}
-	fstore.IO().Reset()
+	return st.runSB(sbVariant{source: func(*solveState) (bestSource, pairLists, error) {
+		return &batchSource{dl: dl, cache: make(map[uint64]ta.BatchResult)}, diskLists{dl}, nil
+	}})
+}
 
-	res := &Result{}
-	var timer metrics.Timer
-	timer.Start()
+// batchSource answers Lines 9–11 of SBAlt with one batch pass per loop
+// over the disk-resident lists. An object's cached best function stays
+// valid until that function is assigned away (only removals ever
+// happen), so each pass searches only the objects whose cache was
+// invalidated — the paper's "skip this object in the following
+// iterations".
+type batchSource struct {
+	dl     *ta.DiskLists
+	cache  map[uint64]ta.BatchResult
+	passes int64
+}
 
-	maint, err := st.buildMaintainer()
-	if err != nil {
-		return nil, err
-	}
-	st.buildCaps()
-
-	// An object's cached best function stays valid until that function is
-	// assigned away (only removals ever happen), so each loop batch-
-	// searches only the objects whose cache was invalidated — the paper's
-	// "skip this object in the following iterations".
-	bestCache := make(map[uint64]ta.BatchResult)
-	step := pairStep{lists: diskLists{dl}, sky: maint, funcCaps: st.funcCaps, objCaps: st.objCaps,
-		drop: func(oid uint64) { delete(bestCache, oid) }}
-
-	for st.funcCaps.units > 0 && st.objCaps.units > 0 && maint.Size() > 0 {
-		res.Stats.Loops++
-		sky := maint.Skyline()
-		sortItemsByID(sky)
-
-		var batch []ta.BatchObject
-		for _, o := range sky {
-			if r, ok := bestCache[o.ID]; ok && r.OK && !dl.Removed(r.FuncID) {
-				continue
-			}
-			batch = append(batch, ta.BatchObject{ID: o.ID, Point: o.Point})
+func (b *batchSource) best(sky []rtree.Item) ([]bestFunc, error) {
+	var batch []ta.BatchObject
+	for _, o := range sky {
+		if r, ok := b.cache[o.ID]; ok && r.OK && !b.dl.Removed(r.FuncID) {
+			continue
 		}
-		if len(batch) > 0 {
-			found, err := dl.BatchSearch(batch)
-			if err != nil {
-				return nil, err
-			}
-			res.Stats.TopKRuns++
-			for id, r := range found {
-				bestCache[id] = r
-			}
-		}
-
-		best := make([]bestFunc, len(sky))
-		for i, o := range sky {
-			r := bestCache[o.ID]
-			best[i] = bestFunc{fid: r.FuncID, score: r.Score, ok: r.OK}
-		}
-		if !allFound(best) {
-			break
-		}
-		if res.Pairs, err = step.pair(res.Pairs, sky, best); err != nil {
+		batch = append(batch, ta.BatchObject{ID: o.ID, Point: o.Point})
+	}
+	if len(batch) > 0 {
+		found, err := b.dl.BatchSearch(batch)
+		if err != nil {
 			return nil, err
 		}
-		if cur := st.mem.Current + int64(len(sky))*48; cur > res.Stats.PeakMem {
-			res.Stats.PeakMem = cur
+		b.passes++
+		for id, r := range found {
+			b.cache[id] = r
 		}
 	}
-
-	timer.Stop()
-	res.Stats.CPUTime = timer.Total
-	res.Stats.IO = *st.store.IO()
-	res.Stats.IO.Add(*fstore.IO())
-	res.Stats.Pairs = int64(len(res.Pairs))
-	res.Stats.TASorted = dl.Counters.SortedAccesses
-	res.Stats.TARandom = dl.Counters.RandomAccesses
-	res.Stats.NodeReads = maint.NodeReads
-	if st.mem.Peak > res.Stats.PeakMem {
-		res.Stats.PeakMem = st.mem.Peak
+	best := make([]bestFunc, len(sky))
+	for i, o := range sky {
+		r := b.cache[o.ID]
+		if !r.OK {
+			return nil, nil
+		}
+		best[i] = bestFunc{fid: r.FuncID, score: r.Score}
 	}
-	return res, nil
+	return best, nil
+}
+
+func (b *batchSource) drop(oid uint64) { delete(b.cache, oid) }
+
+// memory charges one cached result per skyline object.
+func (b *batchSource) memory(sky []rtree.Item) int64 { return int64(len(sky)) * 48 }
+
+func (b *batchSource) count(s *metrics.Stats) {
+	s.TopKRuns = b.passes
+	s.TASorted = b.dl.Counters.SortedAccesses
+	s.TARandom = b.dl.Counters.RandomAccesses
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // solveState is the shared problem state behind every solver: the
-// disk-resident object index, the TA coefficient lists, the capacity
-// tables, and the skyline maintenance structures. One-shot solvers build
+// disk-resident object index, the capacity tables, and the skyline
+// maintainer. One-shot solvers build
 // it, run, and release it; the long-lived Workspace keeps it alive and
 // mutates it in place across arrivals and departures.
 //
-// Lifecycle: newSolveState (build) → ensureLists / buildMaintainer /
-// buildDeltaSky (query-side structures, on demand) → algorithm loops
-// (query + mutate) → release.
+// Lifecycle: newSolveState (build) → the skyline structure, capacity
+// tables and search structures (inside the timed region) → algorithm
+// loops (query + mutate) → release.
 type solveState struct {
 	p   *Problem
 	cfg Config
@@ -27,10 +27,12 @@ type solveState struct {
 	pool  *pagestore.BufferPool
 	tree  *rtree.Tree
 
-	// Search-side structures, built on demand inside the timed region.
-	lists    *ta.Lists
-	maint    *skyline.Maintainer
-	delta    *skyline.DeltaSky
+	// fstore holds the function coefficient lists of the disk-resident
+	// setting (Section 7.6), when the solver builds them.
+	fstore pagestore.Store
+
+	// Search-side structures, built inside the timed region.
+	maint    *skyline.Maintainer // UpdateSkyline variants only
 	funcCaps *capTable
 	objCaps  *capTable
 
@@ -116,17 +118,41 @@ func newSolveState(p *Problem, cfg Config) (*solveState, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if err := pool.Flush(); err != nil {
+	if err := coldBuffer(pool, tree.NumPages(), cfg.bufferFrac()); err != nil {
 		return fail(err)
 	}
-	if err := pool.Resize(pagestore.CapacityFromFraction(tree.NumPages(), cfg.bufferFrac())); err != nil {
-		return fail(err)
+	return &solveState{p: p, cfg: cfg, store: store, pool: pool, tree: tree}, nil
+}
+
+// coldBuffer shrinks a freshly built index's buffer to frac of its
+// numPages pages, empties it and zeroes its store's I/O counters, so
+// that a run starts cold and the build is not charged to it.
+func coldBuffer(pool *pagestore.BufferPool, numPages int, frac float64) error {
+	if err := pool.Resize(pagestore.CapacityFromFraction(numPages, frac)); err != nil {
+		return err
 	}
 	if err := pool.Clear(); err != nil {
-		return fail(err)
+		return err
 	}
-	store.IO().Reset()
-	return &solveState{p: p, cfg: cfg, store: store, pool: pool, tree: tree}, nil
+	pool.Store().IO().Reset()
+	return nil
+}
+
+// buildDiskLists materializes the function coefficient lists on their
+// own simulated disk behind a cold buffer at the function fraction
+// (Section 7.6). Like index construction, the build is not charged;
+// release closes the lists' store.
+func (s *solveState) buildDiskLists() (*ta.DiskLists, error) {
+	store, pool, err := s.cfg.newFuncStore()
+	if err != nil {
+		return nil, err
+	}
+	s.fstore = store
+	dl, err := ta.BuildDiskLists(pool, taFuncs(s.p.Functions), s.p.Dims)
+	if err != nil {
+		return nil, err
+	}
+	return dl, coldBuffer(pool, dl.NumPages(), s.cfg.funcBufferFrac())
 }
 
 // buildCaps initializes the two capacity tables.
@@ -135,46 +161,16 @@ func (s *solveState) buildCaps() {
 	s.objCaps = newObjectCaps(s.p.Objects)
 }
 
-// ensureLists builds the TA coefficient lists on first use.
-func (s *solveState) ensureLists() error {
-	if s.lists != nil {
-		return nil
-	}
-	lists, err := ta.NewLists(taFuncs(s.p.Functions), s.p.Dims)
-	if err != nil {
-		return err
-	}
-	s.lists = lists
-	return nil
-}
-
-// buildMaintainer computes the initial skyline with the plist-tracking
-// BBS and retains the maintainer on the state.
-func (s *solveState) buildMaintainer() (*skyline.Maintainer, error) {
-	m, err := skyline.NewMaintainer(s.tree, &s.mem)
-	if err != nil {
-		return nil, err
-	}
-	s.maint = m
-	return m, nil
-}
-
-// buildDeltaSky computes the initial skyline with plain BBS for the
-// DeltaSky comparison baseline.
-func (s *solveState) buildDeltaSky() (*skyline.DeltaSky, error) {
-	d, err := skyline.NewDeltaSky(s.tree, &s.mem)
-	if err != nil {
-		return nil, err
-	}
-	s.delta = d
-	return d, nil
-}
-
-// release closes the object-index store. Results must be copied out
-// (they are: Stats.IO is a value copy) before releasing.
+// release closes the object-index store and the function lists' store.
+// Results must be copied out (they are: Stats.IO is a value copy) before
+// releasing.
 func (s *solveState) release() {
 	if s.store != nil {
 		s.store.Close()
 		s.store = nil
+	}
+	if s.fstore != nil {
+		s.fstore.Close()
+		s.fstore = nil
 	}
 }

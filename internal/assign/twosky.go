@@ -1,8 +1,6 @@
 package assign
 
 import (
-	"errors"
-	"slices"
 	"sort"
 
 	"fairassign/internal/metrics"
@@ -19,162 +17,104 @@ import (
 // lie in Fsky × Osky where Fsky is the union of per-family function
 // skylines — one skyline per distinct score.Family present, collapsing
 // to the single skyline of the paper in the all-linear setting. With
-// γ-scaled weights Fsky is small, and best pairs are found by
-// exhaustive scan of the two (small) sets — faster than TA whose
-// threshold goes loose for mixed priorities, and cheaper in memory (no
-// TA states are kept), matching Figure 15.
+// γ-scaled weights Fsky is small: each skyline object's best function
+// comes from a scan of Fsky, and the shared pairing step scans Osky for
+// each function's best object — faster than TA whose threshold goes
+// loose for mixed priorities, and cheaper in memory (no TA states are
+// kept), matching Figure 15.
 func SBTwoSkylines(p *Problem, cfg Config) (*Result, error) {
 	st, err := newSolveState(p, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer st.release()
-	res := &Result{}
-	var timer metrics.Timer
-	timer.Start()
+	return st.runSB(sbVariant{source: func(st *solveState) (bestSource, pairLists, error) {
+		fs := newFuncSkyline(st.p)
+		return fs, fs, nil
+	}})
+}
 
-	maint, err := st.buildMaintainer()
-	if err != nil {
-		return nil, err
+// funcSkyline answers Lines 9–11 of SBTwoSkylines by scanning the
+// function skyline Fsky in columnar blocks, and serves the pairing step
+// each live function's effective weights. Fsky is recomputed with SFS
+// in the loop after a function is assigned away: deletions are the
+// only updates, but removing a skyline function can surface functions
+// it was dominating.
+type funcSkyline struct {
+	dims    int
+	weights map[uint64][]float64 // live functions' effective weights
+	fams    map[uint64]score.Family
+	live    []rtree.Item // live functions as weight-space points
+	fsky    []rtree.Item
+	blocks  *score.FuncBlocks // Fsky in per-family weight columns
+	stale   bool
+}
+
+func newFuncSkyline(p *Problem) *funcSkyline {
+	fs := &funcSkyline{
+		dims:    p.Dims,
+		weights: make(map[uint64][]float64, len(p.Functions)),
+		fams:    make(map[uint64]score.Family, len(p.Functions)),
+		live:    make([]rtree.Item, 0, len(p.Functions)),
+		stale:   true,
 	}
-	st.buildCaps()
-	funcCaps, objCaps := st.funcCaps, st.objCaps
-
-	// Live functions as weight-space points; Fsky recomputed with SFS
-	// whenever a skyline function is assigned away (deletions are the
-	// only updates, but removing a skyline function can surface functions
-	// it was dominating).
-	weights := make(map[uint64][]float64, len(p.Functions))
-	fams := make(map[uint64]score.Family, len(p.Functions))
-	liveFuncs := make([]rtree.Item, 0, len(p.Functions))
 	for _, f := range p.Functions {
 		w := f.Effective()
-		weights[f.ID] = w
-		fams[f.ID] = f.Fam
-		liveFuncs = append(liveFuncs, rtree.Item{ID: f.ID, Point: w})
+		fs.weights[f.ID] = w
+		fs.fams[f.ID] = f.Fam
+		fs.live = append(fs.live, rtree.Item{ID: f.ID, Point: w})
 	}
-	fsky := functionSkylines(liveFuncs, fams)
-	fskyStale := false
-
-	// Columnar mirrors of the two skylines, rebuilt only when their row
-	// sets change: fblocks holds Fsky in per-family weight columns for
-	// the batched reverse scan; skyCols holds Osky in per-dimension
-	// columns for the batched forward scan. Both Best kernels are
-	// bit-identical to the row-wise Eval/Score with the same (score,
-	// lowest-ID) selection.
-	fblocks := funcBlocksOf(p.Dims, fsky, fams)
-	skyCols := skyline.NewColSet(p.Dims)
-
-	for funcCaps.units > 0 && objCaps.units > 0 && maint.Size() > 0 && len(liveFuncs) > 0 {
-		res.Stats.Loops++
-		if fskyStale {
-			fsky = functionSkylines(liveFuncs, fams)
-			fblocks = funcBlocksOf(p.Dims, fsky, fams)
-			fskyStale = false
-		}
-		sky := maint.Skyline()
-		sortItemsByID(sky)
-		sortItemsByID(fsky)
-		skyCols.Reset(p.Dims)
-		for _, o := range sky {
-			skyCols.Append(o.ID, o.Point)
-		}
-
-		// Best function in Fsky for every skyline object, and the
-		// reverse, by batched kernel scans of the (small) cross product.
-		byObj := make([]bestFunc, len(sky))
-		for i, o := range sky {
-			fid, s, ok := fblocks.Best(o.Point, o.ID)
-			byObj[i] = bestFunc{fid: fid, score: s, ok: ok}
-		}
-		oBest := make(map[uint64]bestFunc, len(sky))
-		for i, o := range sky {
-			if !byObj[i].ok {
-				break
-			}
-			oBest[o.ID] = byObj[i]
-		}
-		fids := make([]uint64, 0, len(sky))
-		seen := make(map[uint64]bool, len(sky))
-		for _, bf := range byObj {
-			if bf.ok && !seen[bf.fid] {
-				seen[bf.fid] = true
-				fids = append(fids, bf.fid)
-			}
-		}
-		slices.Sort(fids)
-		byFunc := make([]bestObj, len(fids))
-		for i, fid := range fids {
-			sc := score.Scorer{Fam: fams[fid], W: weights[fid]}
-			if j, s, ok := skyCols.Best(sc); ok {
-				byFunc[i] = bestObj{oid: skyCols.ID(j), score: s}
-			}
-		}
-		fBest := make(map[uint64]bestObj, len(fids))
-		for i, fid := range fids {
-			fBest[fid] = byFunc[i]
-		}
-
-		var removedObjs []uint64
-		removedFuncs := make(map[uint64]bool)
-		emitted := 0
-		for _, fid := range fids {
-			bo := fBest[fid]
-			if oBest[bo.oid].fid != fid {
-				continue
-			}
-			res.Pairs = append(res.Pairs, Pair{FuncID: fid, ObjectID: bo.oid, Score: bo.score})
-			emitted++
-			if funcCaps.consume(fid) {
-				removedFuncs[fid] = true
-			}
-			if objCaps.consume(bo.oid) {
-				removedObjs = append(removedObjs, bo.oid)
-			}
-		}
-		if emitted == 0 {
-			return nil, errors.New("assign: internal error: no stable pair emitted in a loop")
-		}
-		if len(removedFuncs) > 0 {
-			keep := liveFuncs[:0]
-			for _, f := range liveFuncs {
-				if !removedFuncs[f.ID] {
-					keep = append(keep, f)
-				}
-			}
-			liveFuncs = keep
-			fskyStale = true
-		}
-		if len(removedObjs) > 0 {
-			if err := maint.Remove(removedObjs...); err != nil {
-				return nil, err
-			}
-		}
-		if cur := st.mem.Current + int64(len(fsky)+len(sky))*48; cur > res.Stats.PeakMem {
-			res.Stats.PeakMem = cur
-		}
-	}
-
-	timer.Stop()
-	res.Stats.CPUTime = timer.Total
-	res.Stats.IO = *st.store.IO()
-	res.Stats.Pairs = int64(len(res.Pairs))
-	res.Stats.NodeReads = maint.NodeReads
-	if st.mem.Peak > res.Stats.PeakMem {
-		res.Stats.PeakMem = st.mem.Peak
-	}
-	return res, nil
+	return fs
 }
 
-// funcBlocksOf packs a function item set into per-family columnar
-// blocks for the batched reverse scan.
-func funcBlocksOf(dims int, items []rtree.Item, fams map[uint64]score.Family) *score.FuncBlocks {
-	fb := score.NewFuncBlocks(dims)
-	for _, f := range items {
-		fb.Add(f.ID, fams[f.ID], f.Point)
+func (fs *funcSkyline) best(sky []rtree.Item) ([]bestFunc, error) {
+	if fs.stale {
+		keep := fs.live[:0]
+		for _, f := range fs.live {
+			if _, ok := fs.weights[f.ID]; ok {
+				keep = append(keep, f)
+			}
+		}
+		fs.live = keep
+		fs.fsky = functionSkylines(fs.live, fs.fams)
+		fs.blocks = score.NewFuncBlocks(fs.dims)
+		for _, f := range fs.fsky {
+			fs.blocks.Add(f.ID, fs.fams[f.ID], f.Point)
+		}
+		fs.stale = false
 	}
-	return fb
+	best := make([]bestFunc, len(sky))
+	for i, o := range sky {
+		fid, s, ok := fs.blocks.Best(o.Point, o.ID)
+		if !ok {
+			return nil, nil
+		}
+		best[i] = bestFunc{fid: fid, score: s}
+	}
+	return best, nil
 }
+
+func (fs *funcSkyline) scorer(fid uint64) (score.Scorer, error) {
+	return score.Scorer{Fam: fs.fams[fid], W: fs.weights[fid]}, nil
+}
+
+// Remove takes an exhausted function out and marks Fsky stale.
+func (fs *funcSkyline) Remove(fid uint64) error {
+	delete(fs.weights, fid)
+	fs.stale = true
+	return nil
+}
+
+// drop is a no-op: the scan keeps no per-object state.
+func (fs *funcSkyline) drop(uint64) {}
+
+// memory charges both skylines' points.
+func (fs *funcSkyline) memory(sky []rtree.Item) int64 {
+	return int64(len(fs.fsky)+len(sky)) * 48
+}
+
+// count is a no-op: the scan runs no TA searches.
+func (fs *funcSkyline) count(*metrics.Stats) {}
 
 // functionSkylines computes the candidate function set of the two-
 // skyline loop: one weight-space skyline per distinct scoring family,

@@ -123,55 +123,77 @@ type Problem struct {
 // dimensionality, unique per-side IDs, finite attribute/weight/γ values
 // (non-finite inputs would silently corrupt the R-tree MBRs and the TA
 // bounds), and non-negative capacities — the same rules the CSV loaders
-// enforce, typed with the ErrBad* sentinels from mutation.go.
+// enforce, typed with the ErrBad* sentinels from mutation.go and
+// ErrDuplicateID.
 func (p *Problem) Validate() error {
 	if p.Dims < 1 {
 		return fmt.Errorf("assign: dims must be >= 1, got %d", p.Dims)
 	}
 	seenO := make(map[uint64]bool, len(p.Objects))
-	for _, o := range p.Objects {
-		if len(o.Point) != p.Dims {
-			return fmt.Errorf("assign: object %d has %d dims, want %d", o.ID, len(o.Point), p.Dims)
-		}
-		for _, v := range o.Point {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: object %d", ErrBadPoint, o.ID)
-			}
-		}
-		if o.Capacity < 0 {
-			return fmt.Errorf("%w: object %d has capacity %d", ErrBadCapacity, o.ID, o.Capacity)
+	for i := range p.Objects {
+		o := &p.Objects[i]
+		if err := validateObject(o, p.Dims); err != nil {
+			return err
 		}
 		if seenO[o.ID] {
-			return fmt.Errorf("assign: duplicate object id %d", o.ID)
+			return fmt.Errorf("%w: object %d", ErrDuplicateID, o.ID)
 		}
 		seenO[o.ID] = true
 	}
 	seenF := make(map[uint64]bool, len(p.Functions))
-	for _, f := range p.Functions {
-		if len(f.Weights) != p.Dims {
-			return fmt.Errorf("assign: function %d has %d weights, want %d", f.ID, len(f.Weights), p.Dims)
-		}
-		if err := f.Fam.Validate(); err != nil {
-			return fmt.Errorf("assign: function %d: %w", f.ID, err)
-		}
-		for _, w := range f.Weights {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return fmt.Errorf("%w: function %d has non-finite weight", ErrBadWeight, f.ID)
-			}
-			if w < 0 {
-				return fmt.Errorf("%w: function %d has negative weight", ErrBadWeight, f.ID)
-			}
-		}
-		if math.IsNaN(f.Gamma) || math.IsInf(f.Gamma, 0) {
-			return fmt.Errorf("%w: function %d", ErrBadGamma, f.ID)
-		}
-		if f.Capacity < 0 {
-			return fmt.Errorf("%w: function %d has capacity %d", ErrBadCapacity, f.ID, f.Capacity)
+	for i := range p.Functions {
+		f := &p.Functions[i]
+		if err := validateFunction(f, p.Dims); err != nil {
+			return err
 		}
 		if seenF[f.ID] {
-			return fmt.Errorf("assign: duplicate function id %d", f.ID)
+			return fmt.Errorf("%w: function %d", ErrDuplicateID, f.ID)
 		}
 		seenF[f.ID] = true
+	}
+	return nil
+}
+
+// validateObject checks one object on its own: its dimensionality,
+// finite attributes and a non-negative capacity.
+func validateObject(o *Object, dims int) error {
+	if len(o.Point) != dims {
+		return fmt.Errorf("assign: object %d has %d dims, want %d", o.ID, len(o.Point), dims)
+	}
+	for _, v := range o.Point {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: object %d", ErrBadPoint, o.ID)
+		}
+	}
+	if o.Capacity < 0 {
+		return fmt.Errorf("%w: object %d has capacity %d", ErrBadCapacity, o.ID, o.Capacity)
+	}
+	return nil
+}
+
+// validateFunction checks one function on its own: its dimensionality
+// and family, finite non-negative weights, a finite γ and a
+// non-negative capacity.
+func validateFunction(f *Function, dims int) error {
+	if len(f.Weights) != dims {
+		return fmt.Errorf("assign: function %d has %d weights, want %d", f.ID, len(f.Weights), dims)
+	}
+	if err := f.Fam.Validate(); err != nil {
+		return fmt.Errorf("assign: function %d: %w", f.ID, err)
+	}
+	for _, w := range f.Weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("%w: function %d has non-finite weight", ErrBadWeight, f.ID)
+		}
+		if w < 0 {
+			return fmt.Errorf("%w: function %d has negative weight", ErrBadWeight, f.ID)
+		}
+	}
+	if math.IsNaN(f.Gamma) || math.IsInf(f.Gamma, 0) {
+		return fmt.Errorf("%w: function %d", ErrBadGamma, f.ID)
+	}
+	if f.Capacity < 0 {
+		return fmt.Errorf("%w: function %d has capacity %d", ErrBadCapacity, f.ID, f.Capacity)
 	}
 	return nil
 }

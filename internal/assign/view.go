@@ -7,7 +7,6 @@ import (
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
 	"fairassign/internal/score"
-	"fairassign/internal/skyline"
 	"fairassign/internal/topk"
 )
 
@@ -231,13 +230,4 @@ func (v *View) TopKScorer(sc score.Scorer, k int) ([]rtree.Item, []float64, erro
 		return nil, nil, ErrViewClosed
 	}
 	return topk.TopKScorer(v.tree(), sc, k, nil)
-}
-
-// Skyline computes the skyline of the frozen object set: BBS over the
-// pinned index.
-func (v *View) Skyline() ([]rtree.Item, error) {
-	if v.closed.Load() {
-		return nil, ErrViewClosed
-	}
-	return skyline.Compute(v.tree(), nil)
 }

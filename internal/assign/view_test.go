@@ -100,7 +100,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beforeSky, err := v1.Skyline()
+	beforeSky, err := skyline.Compute(v1.tree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 				i, afterItems[i].ID, afterScores[i], beforeItems[i].ID, beforeScores[i])
 		}
 	}
-	afterSky, err := v1.Skyline()
+	afterSky, err := skyline.Compute(v1.tree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.runSB(modeOptimized)
+	res, err := st.runSB(sbOptimized)
 	if err != nil {
 		st.release()
 		return nil, err

@@ -1,6 +1,6 @@
 // Package bench is the reproducible performance pipeline behind
 // cmd/bench: it measures the hot paths of the SB family (warm node
-// reads, BBS skyline passes, kNN, TA reverse top-1 and full SB solves)
+// reads, BBS skyline passes, TA reverse top-1 and full SB solves)
 // with the decoded-node cache disabled ("cold", the pre-cache
 // behaviour) and enabled ("warm"), verifies that the two
 // configurations produce byte-identical matchings with identical
@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -19,10 +18,9 @@ import (
 
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
-	"fairassign/internal/geom"
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
-	"fairassign/internal/score"
+	"fairassign/internal/simd"
 	"fairassign/internal/skyline"
 	"fairassign/internal/ta"
 )
@@ -132,7 +130,7 @@ type Report struct {
 	// variable to control for.
 	GOAMD64 string `json:"goamd64,omitempty"`
 	// SIMDLevel is the kernel set dispatched while the report was
-	// generated: "avx2", "neon", or "portable".
+	// generated: "avx2" or "portable".
 	SIMDLevel string `json:"simd_level"`
 	// NumCPU, GOMAXPROCS and CPUModel record the host the numbers were
 	// measured on. CPUModel is the first "model name" in /proc/cpuinfo,
@@ -322,7 +320,7 @@ func Run(opts Options) (*Report, error) {
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		GOAMD64:     goamd64Level(),
-		SIMDLevel:   score.SIMDLevel(),
+		SIMDLevel:   simd.Level(),
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		CPUModel:    cpuModel(),
@@ -437,40 +435,6 @@ func runAll(n, dims int, opts Options) ([]Case, error) {
 			return err
 		}
 		return op, func() (int64, int64, error) { return env.ioDelta(op) }, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, c)
-
-	// 10-NN queries.
-	c, err = runCase("knn", n, dims, opts, func(cache bool) (func() error, func() (int64, int64, error), error) {
-		env, err := newTreeEnv(n, dims, opts.Seed, cache)
-		if err != nil {
-			return nil, nil, err
-		}
-		rng := rand.New(rand.NewSource(opts.Seed + 7))
-		queries := make([]geom.Point, 64)
-		for i := range queries {
-			q := make(geom.Point, dims)
-			for d := range q {
-				q[d] = rng.Float64()
-			}
-			queries[i] = q
-		}
-		i := 0
-		op := func() error {
-			_, _, err := env.tree.NearestNeighbors(queries[i%len(queries)], 10, nil)
-			i++
-			return err
-		}
-		// The I/O probe must be deterministic across configurations, so it
-		// pins one query instead of continuing the rotation.
-		ioOp := func() error {
-			_, _, err := env.tree.NearestNeighbors(queries[0], 10, nil)
-			return err
-		}
-		return op, func() (int64, int64, error) { return env.ioDelta(ioOp) }, nil
 	})
 	if err != nil {
 		return nil, err

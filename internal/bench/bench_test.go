@@ -18,8 +18,8 @@ func TestRunTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cases) != 5 {
-		t.Fatalf("got %d cases, want 5", len(rep.Cases))
+	if len(rep.Cases) != 4 {
+		t.Fatalf("got %d cases, want 4", len(rep.Cases))
 	}
 	for _, c := range rep.Cases {
 		if !c.IOIdentical {

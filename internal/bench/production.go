@@ -373,22 +373,22 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 
 	// SIMD kernel duels: the same columnar paths with the vector
 	// kernels dispatched vs forced onto the portable scalar fallback
-	// (score.SetSIMD(false)), outputs bit-compared. On hosts with no
+	// (simd.SetEnabled(false)), outputs bit-compared. On hosts with no
 	// assembly kernels both legs run the portable code and the speedup
 	// reads ~1x; the Detail names the dispatched level either way.
 	simdWasOn := simd.Enabled()
-	defer score.SetSIMD(simdWasOn)
-	level := score.SIMDDetected()
+	defer simd.SetEnabled(simdWasOn)
+	level := simd.DetectedLevel()
 
 	linSc := funcs[0].Scorer()
 	simdOut := make([]float64, n)
 	portOut := make([]float64, n)
-	score.SetSIMD(true)
+	simd.SetEnabled(true)
 	score.EvalBlock(linSc.Fam, linSc.W, cols, simdOut)
-	score.SetSIMD(false)
+	simd.SetEnabled(false)
 	score.EvalBlock(linSc.Fam, linSc.W, cols, portOut)
 	identical = bitsEqual(simdOut, portOut)
-	score.SetSIMD(true)
+	simd.SetEnabled(true)
 	mOn, err := measure(opts.Budget, func() error {
 		score.EvalBlock(linSc.Fam, linSc.W, cols, simdOut)
 		return nil
@@ -396,7 +396,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	score.SetSIMD(false)
+	simd.SetEnabled(false)
 	mOff, err := measure(opts.Budget, func() error {
 		score.EvalBlock(linSc.Fam, linSc.W, cols, portOut)
 		return nil
@@ -420,16 +420,16 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	}
 	identical = true
 	for _, o := range probes {
-		score.SetSIMD(true)
+		simd.SetEnabled(true)
 		id1, s1, ok1 := fb.Best(o.Point, o.ID)
-		score.SetSIMD(false)
+		simd.SetEnabled(false)
 		id2, s2, ok2 := fb.Best(o.Point, o.ID)
 		if id1 != id2 || ok1 != ok2 || math.Float64bits(s1) != math.Float64bits(s2) {
 			identical = false
 			break
 		}
 	}
-	score.SetSIMD(true)
+	simd.SetEnabled(true)
 	i = 0
 	mOn, err = measure(opts.Budget, func() error {
 		fb.Best(probes[i%len(probes)].Point, probes[i%len(probes)].ID)
@@ -439,7 +439,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	score.SetSIMD(false)
+	simd.SetEnabled(false)
 	i = 0
 	mOff, err = measure(opts.Budget, func() error {
 		fb.Best(probes[i%len(probes)].Point, probes[i%len(probes)].ID)
@@ -459,16 +459,16 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 
 	identical = true
 	for _, o := range domProbes {
-		score.SetSIMD(true)
+		simd.SetEnabled(true)
 		fd1 := cs.FirstDominator(o.Point)
-		score.SetSIMD(false)
+		simd.SetEnabled(false)
 		fd2 := cs.FirstDominator(o.Point)
 		if fd1 != fd2 {
 			identical = false
 			break
 		}
 	}
-	score.SetSIMD(true)
+	simd.SetEnabled(true)
 	i = 0
 	mOn, err = measure(opts.Budget, func() error {
 		cs.AnyDominates(domProbes[i%len(domProbes)].Point)
@@ -478,7 +478,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	score.SetSIMD(false)
+	simd.SetEnabled(false)
 	i = 0
 	mOff, err = measure(opts.Budget, func() error {
 		cs.AnyDominates(domProbes[i%len(domProbes)].Point)
@@ -495,7 +495,7 @@ func runProduction(opts Options) ([]ProductionCase, error) {
 		Identical:      identical,
 		Detail:         fmt.Sprintf("%s vs portable, %d-point skyline filter", level, len(sky)),
 	})
-	score.SetSIMD(simdWasOn)
+	simd.SetEnabled(simdWasOn)
 
 	return out, nil
 }

@@ -1,7 +1,7 @@
 // Package heaputil provides a boxing-free binary heap over a plain slice.
 //
 // container/heap moves every element through an `any`, which heap-allocates
-// one box per Push — on the hot best-first traversals (BBS, BRS, kNN) that
+// one box per Push — on the hot best-first traversals (BBS, BRS) that
 // is one allocation per R-tree entry visited and dominates the allocation
 // profile once nodes themselves are cached. These generic helpers keep
 // elements in the slice's own storage.

@@ -57,28 +57,3 @@ func BenchmarkReadNodeWarm(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkKNN measures a warm 10-NN search over 5k points.
-func BenchmarkKNN(b *testing.B) {
-	for _, cache := range []bool{true, false} {
-		name := "cache=on"
-		if !cache {
-			name = "cache=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			tr := benchTree(b, 5000, 3, cache)
-			rng := rand.New(rand.NewSource(7))
-			queries := make([]geom.Point, 64)
-			for i := range queries {
-				queries[i] = geom.Point{rng.Float64(), rng.Float64(), rng.Float64()}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.NearestNeighbors(queries[i%len(queries)], 10, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -80,7 +80,8 @@ func TestNodeCacheNeverStale(t *testing.T) {
 					live = live[:len(live)-1]
 				}
 				// Warm the cache with a few traversals between mutations.
-				if _, _, err := tr.NearestNeighbors(geom.Point{rng.Float64(), rng.Float64()}, 3, nil); err != nil {
+				q := geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{rng.Float64(), rng.Float64()}}
+				if err := tr.Search(q, func(Item) bool { return true }); err != nil {
 					t.Fatal(err)
 				}
 				if step%40 == 0 {
@@ -96,7 +97,7 @@ func TestNodeCacheNeverStale(t *testing.T) {
 }
 
 // TestSharedNodesConcurrentReaders hammers one tree from many goroutines
-// doing ReadNode walks, kNN, and window searches. The decoded nodes are
+// doing ReadNode walks and window searches. The decoded nodes are
 // shared across all of them; run with -race this verifies the cache layer
 // and the immutability contract (no reader ever writes a node).
 func TestSharedNodesConcurrentReaders(t *testing.T) {
@@ -119,14 +120,11 @@ func TestSharedNodesConcurrentReaders(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				q := geom.Point{r.Float64(), r.Float64(), r.Float64()}
-				if _, _, err := tr.NearestNeighbors(q, 5, nil); err != nil {
-					t.Error(err)
-					return
-				}
-				rect := geom.Rect{Min: geom.Point{0, 0, 0}, Max: q}
-				if err := tr.Search(rect, func(Item) bool { return true }); err != nil {
-					t.Error(err)
-					return
+				for _, rect := range []geom.Rect{{Min: geom.Point{0, 0, 0}, Max: q}, {Min: q, Max: geom.Point{1, 1, 1}}} {
+					if err := tr.Search(rect, func(Item) bool { return true }); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				if _, err := tr.ReadNode(tr.Root()); err != nil {
 					t.Error(err)

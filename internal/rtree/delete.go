@@ -7,12 +7,16 @@ import "fairassign/internal/pagestore"
 // Guttman's original algorithm. It returns ErrNotFound if the item is not
 // stored.
 func (t *Tree) Delete(item Item) error {
-	path, err := t.findLeaf(t.root, item, t.height, nil)
+	path, found, err := t.findLeaf(t.root, item, make([]pathElem, 0, t.height))
 	if err != nil {
 		return err
 	}
-	if path == nil {
+	if !found {
 		return ErrNotFound
+	}
+	// Condensation edits the path's nodes: give it private copies.
+	for i := range path {
+		path[i].node = path[i].node.clone()
 	}
 	leaf := path[len(path)-1].node
 	idx := -1
@@ -33,38 +37,36 @@ func (t *Tree) Delete(item Item) error {
 	return nil
 }
 
-// findLeaf locates the leaf containing the item, returning the access path
-// (root..leaf) or nil when absent. Unlike chooseSubtree it may explore
-// several branches whose MBRs contain the point.
-func (t *Tree) findLeaf(id pagestore.PageID, item Item, depth int, prefix []pathElem) ([]pathElem, error) {
-	// Path nodes are mutated during condensation — use private copies.
-	n, err := t.readNodeForUpdate(id)
+// findLeaf appends to path the access path from node id down to the
+// leaf containing the item, and reports whether it found one; on a miss
+// path is returned as given. Unlike chooseSubtree it may explore several
+// branches whose MBRs contain the point. It reads the shared cached
+// nodes and copies none.
+func (t *Tree) findLeaf(id pagestore.PageID, item Item, path []pathElem) ([]pathElem, bool, error) {
+	n, err := t.ReadNode(id)
 	if err != nil {
-		return nil, err
+		return path, false, err
 	}
-	path := append(append([]pathElem(nil), prefix...), pathElem{node: n})
+	path = append(path, pathElem{node: n})
 	if n.Leaf {
 		for _, e := range n.Entries {
 			if e.ID == item.ID && e.Rect.Min.Equal(item.Point) {
-				return path, nil
+				return path, true, nil
 			}
 		}
-		return nil, nil
+		return path[:len(path)-1], false, nil
 	}
 	for i, e := range n.Entries {
 		if !e.Rect.Contains(item.Point) {
 			continue
 		}
 		path[len(path)-1].entryIdx = i
-		found, err := t.findLeaf(e.Child, item, depth-1, path)
-		if err != nil {
-			return nil, err
-		}
-		if found != nil {
-			return found, nil
+		var found bool
+		if path, found, err = t.findLeaf(e.Child, item, path); found || err != nil {
+			return path, found, err
 		}
 	}
-	return nil, nil
+	return path[:len(path)-1], false, nil
 }
 
 // orphan is a subtree (or leaf entry) detached during condensation that

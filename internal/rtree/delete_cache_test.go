@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,4 +200,61 @@ func TestDeleteConcurrentRetainedReaders(t *testing.T) {
 	if tr.Len() != len(items)/2 {
 		t.Fatalf("tree holds %d items, want %d", tr.Len(), len(items)/2)
 	}
+}
+
+// TestDeleteCopiesOnlyItsPath checks that Delete copies only the
+// root-to-leaf path it edits. Every item sits at one point, so every
+// MBR holds it and the search for an item in the last leaves walks the
+// whole tree; a Delete that copied each node it visited would allocate
+// in proportion to the tree, not to its height.
+func TestDeleteCopiesOnlyItsPath(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	store := pagestore.NewMemStore(512)
+	pool := pagestore.NewBufferPool(store, 1<<12)
+	items := make([]Item, 3000)
+	for i := range items {
+		items[i] = Item{ID: uint64(i + 1), Point: geom.Point{0.5, 0.5}}
+	}
+	tr, err := BulkLoad(pool, 2, items, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []*Node
+	for _, n := range warmAllNodes(t, tr) {
+		if n.Leaf {
+			leaves = append(leaves, n)
+		}
+	}
+	const runs = 5
+	if len(leaves) < 10*(runs+1) {
+		t.Fatalf("%d leaves, want at least %d", len(leaves), 10*(runs+1))
+	}
+	next := len(leaves) - (runs + 1)
+	allocs := testing.AllocsPerRun(runs, func() {
+		e := leaves[next].Entries[0]
+		next++
+		if err := tr.Delete(Item{ID: e.ID, Point: e.Rect.Min}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(16 * tr.Height()); allocs > limit {
+		t.Fatalf("Delete allocates %.1f per call over %d leaves, want at most %.0f", allocs, len(leaves), limit)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

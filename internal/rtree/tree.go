@@ -129,9 +129,15 @@ func (t *Tree) readNodeForUpdate(id pagestore.PageID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	return n.clone(), nil
+}
+
+// clone returns a privately owned copy of a shared node, as
+// readNodeForUpdate describes.
+func (n *Node) clone() *Node {
 	c := &Node{Page: n.Page, Leaf: n.Leaf, Entries: make([]Entry, len(n.Entries), len(n.Entries)+1)}
 	copy(c.Entries, n.Entries)
-	return c, nil
+	return c
 }
 
 // RootRect returns the MBR of the whole tree (one root access).

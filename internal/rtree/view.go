@@ -3,15 +3,14 @@ package rtree
 import (
 	"fmt"
 
-	"fairassign/internal/geom"
 	"fairassign/internal/pagestore"
 )
 
 // NodeReader is the read substrate a tree traversal runs against. Both
 // the live *Tree (reading through its buffer pool) and the frozen *View
 // (reading a pagestore.Snapshot) implement it, so every read-only
-// search — window search, kNN, BRS ranked search, BBS skyline — can run
-// unchanged over either the writer's current state or a pinned epoch.
+// search — BRS ranked search, BBS skyline — can run unchanged over
+// either the writer's current state or a pinned epoch.
 type NodeReader interface {
 	// Dims returns the dimensionality of indexed points.
 	Dims() int
@@ -101,9 +100,6 @@ func (v *View) Dims() int { return v.dims }
 // Len implements NodeReader.
 func (v *View) Len() int { return v.meta.Size }
 
-// Height returns the frozen tree height.
-func (v *View) Height() int { return v.meta.Height }
-
 // Root implements NodeReader.
 func (v *View) Root() pagestore.PageID { return v.meta.Root }
 
@@ -115,25 +111,4 @@ func (v *View) ReadNode(id pagestore.PageID) (*Node, error) {
 		return nil, err
 	}
 	return obj.(*Node), nil
-}
-
-// Search visits every frozen item inside rect (see Tree.Search).
-func (v *View) Search(rect geom.Rect, fn func(Item) bool) error {
-	if v.meta.Size == 0 {
-		return nil
-	}
-	_, err := searchReader(v, v.meta.Root, rect, fn)
-	return err
-}
-
-// All visits every frozen item. Returning false stops.
-func (v *View) All(fn func(Item) bool) error { return allItems(v, fn) }
-
-// Items returns every frozen item as a slice.
-func (v *View) Items() ([]Item, error) { return readerItems(v, v.meta.Size) }
-
-// NearestNeighbors returns the k frozen items closest to q (see
-// Tree.NearestNeighbors).
-func (v *View) NearestNeighbors(q geom.Point, k int, skip func(uint64) bool) ([]Item, []float64, error) {
-	return nearestNeighbors(v, q, k, skip)
 }

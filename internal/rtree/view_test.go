@@ -41,8 +41,8 @@ func sameItems(t *testing.T, label string, got, want []Item) {
 }
 
 // A frozen view keeps answering with the tree as of its epoch — window
-// search, full scan, and kNN — while the live tree absorbs physical
-// inserts, deletes, splits, and root changes.
+// search and full scan — while the live tree absorbs physical inserts,
+// deletes, splits, and root changes.
 func TestViewFrozenAcrossMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vs := pagestore.NewVersioned(pagestore.NewMemStore(256))
@@ -62,11 +62,6 @@ func TestViewFrozenAcrossMutations(t *testing.T) {
 	frozen := append([]Item(nil), live...)
 	view, snap := freeze(t, tree, vs)
 	defer snap.Release()
-
-	frozenKNN, _, err := tree.NearestNeighbors(geom.Point{0.5, 0.5}, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Churn the live tree hard enough to split, shrink, and relocate
 	// nodes: delete half, insert a new generation.
@@ -89,7 +84,7 @@ func TestViewFrozenAcrossMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gotFrozen, err := view.Items()
+	gotFrozen, err := readerItems(view, view.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,20 +95,6 @@ func TestViewFrozenAcrossMutations(t *testing.T) {
 	}
 	sameItems(t, "live tree", gotLive, live)
 
-	// kNN over the view reproduces the pre-mutation answer exactly.
-	viewKNN, _, err := view.NearestNeighbors(geom.Point{0.5, 0.5}, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viewKNN) != len(frozenKNN) {
-		t.Fatalf("view kNN %d results, want %d", len(viewKNN), len(frozenKNN))
-	}
-	for i := range viewKNN {
-		if viewKNN[i].ID != frozenKNN[i].ID {
-			t.Fatalf("view kNN[%d] = %d, want %d", i, viewKNN[i].ID, frozenKNN[i].ID)
-		}
-	}
-
 	// Window search over the view sees only frozen items.
 	q := geom.Rect{Min: geom.Point{0.2, 0.2}, Max: geom.Point{0.8, 0.8}}
 	want := 0
@@ -123,7 +104,7 @@ func TestViewFrozenAcrossMutations(t *testing.T) {
 		}
 	}
 	got := 0
-	if err := view.Search(q, func(Item) bool { got++; return true }); err != nil {
+	if _, err := searchReader(view, view.Root(), q, func(Item) bool { got++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -156,11 +137,11 @@ func TestViewMultiEpoch(t *testing.T) {
 	if v1.Len() != 50 || v2.Len() != 120 {
 		t.Fatalf("view sizes %d/%d, want 50/120", v1.Len(), v2.Len())
 	}
-	i1, err := v1.Items()
+	i1, err := readerItems(v1, v1.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := v2.Items()
+	i2, err := readerItems(v2, v2.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

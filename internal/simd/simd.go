@@ -4,11 +4,11 @@
 // dominance filter (skyline.ColSet), and the (score, lowest-ID) argmax
 // reduction under ColSet.Best / Maintainer.Best.
 //
-// Each kernel exists three times — hand-written AVX2 assembly (amd64),
-// hand-written NEON assembly (arm64), and a portable pure-Go
-// implementation — behind one exported entry point that dispatches on
-// one-time runtime CPU-feature detection (hand-rolled CPUID on amd64,
-// HWCAP on linux/arm64; no dependencies). The contract, which the
+// Each kernel exists twice — hand-written AVX2 assembly (amd64) and a
+// portable pure-Go implementation — behind one exported entry point that
+// dispatches on one-time runtime CPU-feature detection (hand-rolled
+// CPUID; no dependencies). Every other architecture builds the portable
+// kernels only. The contract, which the
 // entire conformance and benchmark gate stack depends on, is that every
 // implementation is bit-for-bit identical on every input, NaN, ±Inf,
 // denormals and signed zeros included. Two design rules enforce it:
@@ -29,33 +29,24 @@
 //     uses a fixed 4-lane strided scan order (see SelectBest) that the
 //     portable implementation follows lane for lane.
 //
-// Dispatch can be disabled three ways: building with the `purego` tag
-// (no assembly is compiled at all), setting FAIRASSIGN_NOSIMD=1 in the
-// environment (detection still runs, dispatch starts disabled), or
-// calling SetEnabled(false) at runtime. All three leave results
-// bit-identical — only wall-clock changes.
+// Dispatch can be disabled two ways: building with the `purego` tag (no
+// assembly is compiled at all), or calling SetEnabled(false) at runtime.
+// Both leave results bit-identical — only wall-clock changes.
 package simd
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // enabled gates dispatch to the assembly kernels at runtime. Atomic so
-// tests and the kill switch may flip it while concurrent readers are
-// inside the kernels (-race clean); the Load is a plain MOV on every
-// supported architecture.
+// tests and the benchmark duels may flip it while concurrent readers are
+// inside the kernels (-race clean); the Load is a plain MOV.
 var enabled atomic.Bool
 
-func init() {
-	v := os.Getenv("FAIRASSIGN_NOSIMD")
-	enabled.Store(hasAsm && !(v != "" && v != "0"))
-}
+func init() { enabled.Store(hasAsm) }
 
 // SetEnabled turns dispatch to the assembly kernels on or off at
 // runtime. Enabling is a no-op when the binary has no assembly for this
 // CPU (purego builds, unsupported architectures, missing CPU features).
-// Results are bit-identical either way; this is a kill switch and a
+// Results are bit-identical either way; this is the in-process
 // differential-testing hook, not a semantics knob.
 func SetEnabled(on bool) { enabled.Store(on && hasAsm) }
 
@@ -66,7 +57,7 @@ func Enabled() bool { return enabled.Load() }
 // CPU, regardless of the runtime switch.
 func Available() bool { return hasAsm }
 
-// Level names the active kernel set: "avx2" or "neon" when assembly is
+// Level names the active kernel set: "avx2" when assembly is
 // dispatched, "portable" otherwise.
 func Level() string {
 	if enabled.Load() {
@@ -75,8 +66,8 @@ func Level() string {
 	return "portable"
 }
 
-// DetectedLevel names the kernel set the CPU supports ("avx2", "neon",
-// or "portable"), ignoring the runtime switch — what Level would report
+// DetectedLevel names the kernel set the CPU supports ("avx2" or
+// "portable"), ignoring the runtime switch — what Level would report
 // with dispatch enabled.
 func DetectedLevel() string {
 	if hasAsm {
