@@ -1,29 +1,36 @@
 // Command bench is the reproducible hot-path benchmark pipeline: it
-// measures warm node reads, BBS, TA top-1 and full SB solves with
-// the decoded-node cache disabled ("cold": the pre-cache behaviour) and
-// enabled ("warm"), and writes the comparison as machine-readable JSON
-// so every future PR has a perf trajectory to beat.
+// measures warm node reads, BBS, TA top-1 and full SB solves, the
+// workspace's repair, read, durability and serving paths, and the
+// batched kernels against their twins, and writes the rows as
+// machine-readable JSON so every future change has a perf trajectory
+// to beat. Every timed metric is the median of at least five samples
+// with its min and max.
 //
 // Before measuring anything it runs the conformance harness as a
-// pre-flight check (the cached paths must produce the oracle matching on
-// the full differential sweep), and it fails if cold and warm runs ever
-// diverge in matching or physical I/O.
+// pre-flight check, and it fails if any row's identical gate breaks: a
+// duel's paths diverge, or a repaired, recovered or served matching
+// differs from its reference.
 //
 // Usage:
 //
 //	bench [-out BENCH_hotpath.json] [-sizes 2000,10000] [-dims 2,4]
 //	      [-budget 200ms] [-seed 20090824] [-preflight 1] [-quick]
+//	      [-prodsize 1000000] [-baseline BENCH_hotpath.json] [-maxregress 0]
 //
 // -preflight sets the conformance seeds per grid cell (0 skips the
 // sweep); -quick is a CI smoke preset (tiny sizes, short budget, one-cell
-// preflight).
+// preflight). -baseline adds every row's median deltas against a prior
+// report, and -maxregress fails the run when a wall-time median rose by
+// more than that percent.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,13 +43,13 @@ func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "output JSON path")
 	sizes := flag.String("sizes", "2000,10000", "comma-separated object counts")
 	dims := flag.String("dims", "2,4", "comma-separated dimensionalities")
-	budget := flag.Duration("budget", 200*time.Millisecond, "time budget per measurement")
+	budget := flag.Duration("budget", 200*time.Millisecond, "time budget per measured operation, split over its samples")
 	seed := flag.Int64("seed", 20090824, "random seed for data generation")
 	preflight := flag.Int("preflight", 1, "conformance seeds per grid cell (0 skips the sweep)")
 	quick := flag.Bool("quick", false, "CI smoke preset: tiny sizes, short budget")
 	prodSize := flag.Int("prodsize", 1_000_000, "object count for the production-scale section (0 skips it)")
-	baseline := flag.String("baseline", "", "prior report (e.g. BENCH_hotpath.json) to compute before/after deltas against")
-	maxRegress := flag.Float64("maxregress", 0, "fail if any warm case regresses vs the baseline by more than this percent (0 disables)")
+	baseline := flag.String("baseline", "", "prior report (e.g. BENCH_hotpath.json) to compute every row's median deltas against")
+	maxRegress := flag.Float64("maxregress", 0, "fail if any row's wall-time median rises vs the baseline by more than this percent (0 disables)")
 	flag.Parse()
 
 	opts := bench.Options{
@@ -116,111 +123,29 @@ func main() {
 		bench.ApplyBaseline(rep, &base)
 	}
 
-	diverged := false
-	for _, c := range rep.Cases {
-		iox := "io=identical"
-		if !c.IOIdentical {
-			iox = "IO DIVERGED"
-		}
-		fmt.Printf("%-14s n=%-6d d=%d  cold %10d ns/op %7d allocs/op | warm %10d ns/op %7d allocs/op | allocs -%5.1f%% ns -%5.1f%% %s\n",
-			c.Name, c.N, c.Dims,
-			c.Cold.NsPerOp, c.Cold.AllocsPerOp,
-			c.Warm.NsPerOp, c.Warm.AllocsPerOp,
-			c.AllocsReductionPct, c.NsReductionPct, iox)
-		if c.VsBaseline != nil {
-			fmt.Printf("%-14s %-12s vs baseline: allocs %d -> %d (-%.1f%%), ns %d -> %d (-%.1f%%)\n",
-				"", "",
-				c.VsBaseline.BaselineAllocsPerOp, c.Warm.AllocsPerOp, c.VsBaseline.AllocsReductionPct,
-				c.VsBaseline.BaselineNsPerOp, c.Warm.NsPerOp, c.VsBaseline.NsReductionPct)
-		}
-		if !c.IOIdentical {
-			diverged = true
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d): cold/warm I/O diverged (cold %d/%d, warm %d/%d)\n",
-				c.Name, c.N, c.Dims, c.Cold.LogicalReads, c.Cold.PhysicalIO, c.Warm.LogicalReads, c.Warm.PhysicalIO)
-		}
-	}
-	regressed := false
-	if *maxRegress > 0 {
-		for _, c := range rep.Cases {
-			if c.VsBaseline != nil && c.VsBaseline.NsReductionPct < -*maxRegress {
-				regressed = true
-				fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d) regressed %.1f%% vs baseline (limit %.1f%%)\n",
-					c.Name, c.N, c.Dims, -c.VsBaseline.NsReductionPct, *maxRegress)
+	diverged, regressed := false, false
+	for _, sec := range rep.Sections() {
+		for _, r := range sec.Rows {
+			gate := "identical"
+			if !r.Identical {
+				gate = "DIVERGED"
+				diverged = true
+				fmt.Fprintf(os.Stderr, "bench: %s/%s(n=%d,dims=%d): identical gate failed\n", sec.Key, r.Name, r.N, r.Dims)
 			}
-		}
-	}
-	for _, c := range rep.Incremental {
-		match := "matching=identical"
-		if !c.Identical {
-			match = "MATCHING DIVERGED"
-		}
-		fmt.Printf("%-22s n=%-6d d=%d  repair %10d ns/op | resolve %12d ns/op | %8.1fx faster | %.1f chain steps, %.1f searches/op %s\n",
-			c.Name, c.N, c.Dims, c.RepairNsPerOp, c.ResolveNsPerOp, c.SpeedupX, c.ChainStepsPerOp, c.SearchesPerOp, match)
-		if !c.Identical {
-			diverged = true
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d): repaired matching differs from a cold solve\n", c.Name, c.N, c.Dims)
-		}
-	}
-
-	for _, c := range rep.Concurrent {
-		fmt.Printf("%-22s n=%-6d d=%d  readers=%-3d %10.0f reads/s | repair %10d ns/op under load | %d mutations, %d epochs observed\n",
-			c.Name, c.N, c.Dims, c.Readers, c.ReadsPerSec, c.RepairNsPerOp, c.Mutations, c.ReaderEpochSpread)
-	}
-
-	for _, c := range rep.ScorerFamilies {
-		fmt.Printf("%-26s n=%-6d d=%d  solve %12d ns/op (%d pairs) | topk %10d ns/op (%8.0f /s)\n",
-			c.Name, c.N, c.Dims, c.SolveNsPerOp, c.Pairs, c.TopKNsPerOp, c.TopKPerSec)
-	}
-
-	for _, c := range rep.Durability {
-		match := "matching=identical"
-		if !c.Identical {
-			match = "MATCHING DIVERGED"
-		}
-		fmt.Printf("%-22s n=%-6d d=%d  batch=%d  apply off %8d | fsync %8d ns/mut | save %8.2fms (%d B) | recover %d batches %8.2fms | warm start %8.2fms %s\n",
-			c.Name, c.N, c.Dims, c.BatchSize,
-			c.ApplyNsPerMutOff, c.ApplyNsPerMutFsync,
-			float64(c.SnapshotSaveNs)/1e6, c.SnapshotBytes,
-			c.RecoveryBatches, float64(c.RecoveryNs)/1e6, float64(c.WarmStartNs)/1e6, match)
-		if !c.Identical {
-			diverged = true
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d): recovered matching differs from the in-memory twin\n", c.Name, c.N, c.Dims)
-		}
-	}
-
-	for _, c := range rep.Production {
-		match := "identical"
-		if !c.Identical {
-			match = "OUTPUT DIVERGED"
-		}
-		if c.RowwiseNsPerOp > 0 {
-			fmt.Printf("%-26s n=%-8d d=%d  kernel %12d ns/op | rowwise %12d ns/op | %6.2fx | %s %s\n",
-				c.Name, c.N, c.Dims, c.NsPerOp, c.RowwiseNsPerOp, c.SpeedupX, match, c.Detail)
-		} else {
-			fmt.Printf("%-26s n=%-8d d=%d  %12d ns/op (%d iters) %s\n",
-				c.Name, c.N, c.Dims, c.NsPerOp, c.Iterations, c.Detail)
-		}
-		if !c.Identical {
-			diverged = true
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d,dims=%d): optimized path diverged from its definitional twin\n",
-				c.Name, c.N, c.Dims)
-		}
-	}
-
-	for _, c := range rep.ServingScale {
-		match := "identical to cold solve"
-		if !c.Identical {
-			match = "OUTPUT DIVERGED"
-		}
-		fmt.Printf("%-26s n=%-8d d=%d  %8.1f muts/s (apply %9d ns, snap %9d ns) | topk p50 %9d p99 %9d ns | %s\n",
-			c.Name, c.N, c.Dims, c.MutationsPerSec, c.ApplyNsPerOp, c.SnapNsPerOp,
-			c.TopKP50NS, c.TopKP99NS, match)
-		sa := c.SlowestApply
-		fmt.Printf("%-26s longest repair cascade: step %d, %d chain steps, %d searches, %.2f ms\n",
-			"", sa.Step, sa.ChainSteps, sa.Searches, sa.MS)
-		if !c.Identical {
-			diverged = true
-			fmt.Fprintf(os.Stderr, "bench: %s(n=%d): final matching differs from a cold solve\n", c.Name, c.N)
+			fmt.Printf("%-22s %-32s n=%-8d d=%d  %s  %s\n", sec.Key, r.Name, r.N, r.Dims, gate, r.Detail)
+			for _, name := range slices.Sorted(maps.Keys(r.Metrics)) {
+				m := r.Metrics[name]
+				line := fmt.Sprintf("    %-28s %14.6g  [%.6g, %.6g] over %d", name, m.Median, m.Min, m.Max, m.Samples)
+				if d, ok := r.VsBaseline[name]; ok {
+					line += fmt.Sprintf("  (%+.1f%% vs baseline)", d)
+					if *maxRegress > 0 && strings.Contains(name, "ns_per_") && d > *maxRegress {
+						regressed = true
+						fmt.Fprintf(os.Stderr, "bench: %s/%s(n=%d,dims=%d) %s regressed %.1f%% vs baseline (limit %.1f%%)\n",
+							sec.Key, r.Name, r.N, r.Dims, name, d, *maxRegress)
+					}
+				}
+				fmt.Println(line)
+			}
 		}
 	}
 
@@ -236,7 +161,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%d cases, conformance: %s)\n", *out, len(rep.Cases), rep.Conformance)
+	fmt.Printf("wrote %s (conformance: %s)\n", *out, rep.Conformance)
 	if diverged || regressed {
 		os.Exit(1)
 	}

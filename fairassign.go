@@ -182,9 +182,10 @@ type Solver struct {
 	run     func(*assign.Problem, assign.Config) (*assign.Result, error)
 }
 
-// NewSolver validates the inputs and prepares a solver. All objects and
-// functions must share one dimensionality; IDs must be unique per side.
-func NewSolver(objects []Object, functions []Function, opts Options) (*Solver, error) {
+// buildProblem maps the public inputs onto one internal problem: the
+// shared dimensionality, a copy of every object, and every function
+// resolved under opts. NewSolver and NewWorkspace both start here.
+func buildProblem(objects []Object, functions []Function, opts Options) (*assign.Problem, error) {
 	if len(objects) == 0 && len(functions) == 0 {
 		return nil, fmt.Errorf("fairassign: nothing to assign")
 	}
@@ -206,6 +207,16 @@ func NewSolver(objects []Object, functions []Function, opts Options) (*Solver, e
 			return nil, err
 		}
 		p.Functions = append(p.Functions, af)
+	}
+	return p, nil
+}
+
+// NewSolver validates the inputs and prepares a solver. All objects and
+// functions must share one dimensionality; IDs must be unique per side.
+func NewSolver(objects []Object, functions []Function, opts Options) (*Solver, error) {
+	p, err := buildProblem(objects, functions, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

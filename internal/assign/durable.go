@@ -285,9 +285,6 @@ func capsFromEntries(entries []snapshot.CapEntry) *capTable {
 	for _, e := range entries {
 		t.remaining[e.ID] = int(e.Remaining)
 		t.units += int(e.Remaining)
-		if e.Remaining > 0 {
-			t.live++
-		}
 	}
 	return t
 }
@@ -677,7 +674,7 @@ func restoreStore(cfg Config, si *snapshot.StoreImage, dims int) (*pagestore.Ver
 	if !rootSeen {
 		return bad("tree root page %d not in image", si.Root)
 	}
-	pool := scfg.newBuildPool(vs)
+	pool := newBuildPool(vs)
 	if err := coldBuffer(pool, vs.NumPages(), cfg.bufferFrac()); err != nil {
 		vs.Close()
 		return nil, nil, nil, err

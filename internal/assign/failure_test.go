@@ -64,9 +64,8 @@ func faultyWorkspace(t *testing.T) (*Workspace, *faultSwitch) {
 	}
 	sw := &faultSwitch{}
 	ws, err := NewWorkspace(p, Config{
-		PageSize:         512,
-		BufferFrac:       -1, // no buffering: reads hit the store
-		DisableNodeCache: true,
+		PageSize:   512,
+		BufferFrac: -1, // no buffering: every read reaches the store
 		StoreFactory: func(pageSize int) (pagestore.Store, error) {
 			return &faultyStore{Store: pagestore.NewMemStore(pageSize), sw: sw}, nil
 		},

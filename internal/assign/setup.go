@@ -43,11 +43,9 @@ func taFuncs(funcs []Function) []ta.Func {
 	return out
 }
 
-// capTable tracks remaining capacities and liveness for one side of the
-// problem.
+// capTable tracks remaining capacities for one side of the problem.
 type capTable struct {
 	remaining map[uint64]int
-	live      int // entities with remaining capacity > 0
 	units     int // total remaining units
 }
 
@@ -57,7 +55,6 @@ func newFuncCaps(funcs []Function) *capTable {
 		t.remaining[f.ID] = f.capacity()
 		t.units += f.capacity()
 	}
-	t.live = len(funcs)
 	return t
 }
 
@@ -67,7 +64,6 @@ func newObjectCaps(objs []Object) *capTable {
 		t.remaining[o.ID] = o.capacity()
 		t.units += o.capacity()
 	}
-	t.live = len(objs)
 	return t
 }
 
@@ -76,11 +72,7 @@ func newObjectCaps(objs []Object) *capTable {
 func (t *capTable) consume(id uint64) bool {
 	t.remaining[id]--
 	t.units--
-	if t.remaining[id] == 0 {
-		t.live--
-		return true
-	}
-	return false
+	return t.remaining[id] == 0
 }
 
 func (t *capTable) exhausted(id uint64) bool { return t.remaining[id] <= 0 }
@@ -89,9 +81,6 @@ func (t *capTable) exhausted(id uint64) bool { return t.remaining[id] <= 0 }
 func (t *capTable) add(id uint64, capacity int) {
 	t.remaining[id] = capacity
 	t.units += capacity
-	if capacity > 0 {
-		t.live++
-	}
 }
 
 // restore gives one unit back (a partner departed); it reports whether
@@ -99,18 +88,13 @@ func (t *capTable) add(id uint64, capacity int) {
 func (t *capTable) restore(id uint64) bool {
 	t.remaining[id]++
 	t.units++
-	if t.remaining[id] == 1 {
-		t.live++
-		return true
-	}
-	return false
+	return t.remaining[id] == 1
 }
 
 // drop forgets a departing entity, discarding its remaining units.
 func (t *capTable) drop(id uint64) {
 	if r := t.remaining[id]; r > 0 {
 		t.units -= r
-		t.live--
 	}
 	delete(t.remaining, id)
 }

@@ -51,26 +51,22 @@ func (c Config) newStore() (pagestore.Store, error) {
 	return pagestore.NewMemStore(c.pageSize()), nil
 }
 
-// newBuildPool wraps a store with a construction-sized buffer pool,
-// honoring the decoded-node-cache knob. Callers that simulate a small
-// buffer shrink it to the experiment's fraction after building.
-func (c Config) newBuildPool(store pagestore.Store) *pagestore.BufferPool {
-	pool := pagestore.NewBufferPool(store, 1<<20)
-	if c.DisableNodeCache {
-		pool.SetDecodedCache(false)
-	}
-	return pool
+// newBuildPool wraps a store with a construction-sized buffer pool.
+// Callers that simulate a small buffer shrink it to the experiment's
+// fraction after building.
+func newBuildPool(store pagestore.Store) *pagestore.BufferPool {
+	return pagestore.NewBufferPool(store, 1<<20)
 }
 
 // newFuncStore builds a function-side store + pool pair (Chain's weight
 // R-tree, SBAlt's coefficient lists, BruteForce's paged states) through
-// the same factory and knobs as the object index.
+// the same factory as the object index.
 func (c Config) newFuncStore() (pagestore.Store, *pagestore.BufferPool, error) {
 	store, err := c.newStore()
 	if err != nil {
 		return nil, nil, err
 	}
-	return store, c.newBuildPool(store), nil
+	return store, newBuildPool(store), nil
 }
 
 // versioned returns the config with its store factory wrapped so every
@@ -105,7 +101,7 @@ func newSolveState(p *Problem, cfg Config) (*solveState, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := cfg.newBuildPool(store)
+	pool := newBuildPool(store)
 	items := make([]rtree.Item, len(p.Objects))
 	for i, o := range p.Objects {
 		items[i] = rtree.Item{ID: o.ID, Point: o.Point}

@@ -222,13 +222,6 @@ type Config struct {
 	// FuncBufferFrac sizes the buffer over disk-resident function lists
 	// for SBAlt (default = BufferFrac).
 	FuncBufferFrac float64
-	// DisableNodeCache turns off the buffer pool's decoded-node tier on
-	// every index store (object index and function-side structures),
-	// forcing every node access to re-parse its page bytes. The matching
-	// and all I/O counts are identical either way — only CPU time and
-	// allocations change. Used by the benchmark pipeline to measure the
-	// cache's effect.
-	DisableNodeCache bool
 	// Durable enables the workspace write-ahead log: every Apply batch
 	// is encoded, checksummed, and fsynced into WALDir before its epoch
 	// publishes, and an initial snapshot is written at construction so a

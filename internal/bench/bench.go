@@ -1,11 +1,15 @@
 // Package bench is the reproducible performance pipeline behind
-// cmd/bench: it measures the hot paths of the SB family (warm node
-// reads, BBS skyline passes, TA reverse top-1 and full SB solves)
-// with the decoded-node cache disabled ("cold", the pre-cache
-// behaviour) and enabled ("warm"), verifies that the two
-// configurations produce byte-identical matchings with identical
-// physical I/O, and emits the numbers as machine-readable JSON
-// (BENCH_*.json) so future optimization work has a trajectory to beat.
+// cmd/bench. It measures the hot paths of the SB family (warm node
+// reads, BBS skyline passes, TA reverse top-1 and full SB solves), the
+// workspace's repair, read, durability and serving paths, and the
+// batched kernels against the code they replace, and emits the numbers
+// as machine-readable JSON (BENCH_*.json).
+//
+// Every section of the report is a list of rows of one shape (Row), and
+// every timed metric comes from one sampler (sample): the median of at
+// least five samples with their min and max. A sample is one window of
+// repeated operations, or one operation where a single operation
+// outlasts the window.
 package bench
 
 import (
@@ -13,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,69 +59,33 @@ func cpuModel() string {
 	return ""
 }
 
-// Metrics is one measured configuration of one case.
-type Metrics struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	// LogicalReads and PhysicalIO are per-op page-level counts (the
-	// paper's I/O metric is the physical number); they are measured on a
-	// dedicated instrumented run, not averaged over the timing loop.
-	LogicalReads int64 `json:"logical_reads"`
-	PhysicalIO   int64 `json:"physical_io"`
-	Iterations   int64 `json:"iterations"`
+// Stat is one metric of a row: the median over its samples and their
+// range.
+type Stat struct {
+	Median  float64 `json:"median"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+	Samples int     `json:"samples"`
 }
 
-// Case compares one workload cold (decoded-node cache off) vs warm (on).
-type Case struct {
-	Name string  `json:"name"`
-	N    int     `json:"n"`
-	Dims int     `json:"dims"`
-	Cold Metrics `json:"cold"`
-	Warm Metrics `json:"warm"`
-	// AllocsReductionPct is 100·(1 − warm/cold) on allocs/op.
-	AllocsReductionPct float64 `json:"allocs_reduction_pct"`
-	NsReductionPct     float64 `json:"ns_reduction_pct"`
-	// IOIdentical records that cold and warm performed exactly the same
-	// logical and physical I/O — the cache must be invisible to the
-	// paper's metrics.
-	IOIdentical bool `json:"io_identical"`
-	// VsBaseline compares Warm against the matching case of a baseline
-	// report (typically captured on the main branch before this
-	// optimization landed). Nil when no baseline was supplied or the
-	// case is absent from it.
-	VsBaseline *BaselineDelta `json:"vs_baseline,omitempty"`
-}
-
-// BaselineDelta is the before/after comparison against a prior report.
-type BaselineDelta struct {
-	BaselineNsPerOp     int64   `json:"baseline_ns_per_op"`
-	BaselineAllocsPerOp int64   `json:"baseline_allocs_per_op"`
-	AllocsReductionPct  float64 `json:"allocs_reduction_pct"`
-	NsReductionPct      float64 `json:"ns_reduction_pct"`
-}
-
-// ApplyBaseline fills VsBaseline on every case of rep that has a
-// matching (name, n, dims) case in base, comparing rep's warm numbers to
-// the baseline's warm numbers.
-func ApplyBaseline(rep, base *Report) {
-	byKey := make(map[string]Case, len(base.Cases))
-	for _, c := range base.Cases {
-		byKey[fmt.Sprintf("%s/%d/%d", c.Name, c.N, c.Dims)] = c
-	}
-	for i := range rep.Cases {
-		c := &rep.Cases[i]
-		b, ok := byKey[fmt.Sprintf("%s/%d/%d", c.Name, c.N, c.Dims)]
-		if !ok {
-			continue
-		}
-		c.VsBaseline = &BaselineDelta{
-			BaselineNsPerOp:     b.Warm.NsPerOp,
-			BaselineAllocsPerOp: b.Warm.AllocsPerOp,
-			AllocsReductionPct:  reductionPct(b.Warm.AllocsPerOp, c.Warm.AllocsPerOp),
-			NsReductionPct:      reductionPct(b.Warm.NsPerOp, c.Warm.NsPerOp),
-		}
-	}
+// Row is one measured workload. Every section of the report is a list
+// of rows.
+type Row struct {
+	Name string `json:"name"`
+	N    int    `json:"n"`
+	Dims int    `json:"dims"`
+	// Identical is the row's output gate: a duel's two paths produced
+	// bit-equal output, or a repaired, recovered or served matching
+	// equals its reference. A row that times one path with nothing to
+	// compare reads true. cmd/bench fails when any gate is false.
+	Identical bool   `json:"identical"`
+	Detail    string `json:"detail,omitempty"`
+	// Metrics holds every measured figure by name. A name containing
+	// "ns_per_" is a wall time, lower is better.
+	Metrics map[string]Stat `json:"metrics"`
+	// VsBaseline is each metric's median change against the same row of
+	// a baseline report, in percent (see ApplyBaseline).
+	VsBaseline map[string]float64 `json:"vs_baseline_pct,omitempty"`
 }
 
 // Report is the emitted BENCH_*.json payload.
@@ -143,29 +112,77 @@ type Report struct {
 	// Conformance summarizes the pre-flight differential run ("skipped"
 	// when disabled).
 	Conformance string `json:"conformance"`
-	Cases       []Case `json:"cases"`
+	// Cases are the SB family's hot paths on the warm index.
+	Cases []Row `json:"cases"`
 	// Incremental compares Workspace chain repair against from-scratch
 	// re-solves for single-mutation updates.
-	Incremental []IncrementalCase `json:"incremental,omitempty"`
-	// Concurrent measures snapshot-view read throughput and repair
-	// latency while a writer churns the workspace (1/4/16 readers).
-	Concurrent []ConcurrentCase `json:"concurrent_read_churn,omitempty"`
-	// ScorerFamilies compares solve latency and TopK throughput across
-	// the preference families (linear vs OWA/minimax vs Chebyshev vs Lp)
-	// on identical data.
-	ScorerFamilies []ScorerFamilyCase `json:"scorer_families,omitempty"`
-
-	// Durability measures the WAL tax on Apply (off / fsync)
-	// and the snapshot save, replay-recovery, and warm-start times.
-	Durability []DurabilityCase `json:"durability,omitempty"`
+	Incremental []Row `json:"incremental,omitempty"`
+	// Concurrent measures snapshot-view reads and repair latency while
+	// a writer churns the workspace (1/4/16 readers).
+	Concurrent []Row `json:"concurrent_read_churn,omitempty"`
+	// ScorerFamilies compares solve and top-k latency across the
+	// preference families on identical data.
+	ScorerFamilies []Row `json:"scorer_families,omitempty"`
+	// Durability measures the WAL tax on Apply (off / fsync) and the
+	// snapshot save, replay-recovery and warm-start times.
+	Durability []Row `json:"durability,omitempty"`
 	// Production is the production-scale matrix (n = 10⁶ by default):
-	// the cold bulk-load duel, a full SB solve, per-family top-k, and
-	// the batched kernels racing their row-wise twins.
-	Production []ProductionCase `json:"production_scale,omitempty"`
+	// the bulk-load duel, a full SB solve, per-family top-k, and the
+	// batched kernels racing their row-wise twins.
+	Production []Row `json:"production_scale,omitempty"`
 	// ServingScale is the mutate→snapshot→top-k serving loop on the
-	// production-scale instance, with its final matching compared
-	// against a cold solve.
-	ServingScale []ServingScaleCase `json:"serving_scale,omitempty"`
+	// production-scale instance.
+	ServingScale []Row `json:"serving_scale,omitempty"`
+}
+
+// Section is one keyed list of a report's rows; Rows shares the
+// report's backing array.
+type Section struct {
+	Key  string
+	Rows []Row
+}
+
+// Sections lists the report's rows under their JSON keys, in report
+// order.
+func (r *Report) Sections() []Section {
+	return []Section{
+		{"cases", r.Cases},
+		{"incremental", r.Incremental},
+		{"concurrent_read_churn", r.Concurrent},
+		{"scorer_families", r.ScorerFamilies},
+		{"durability", r.Durability},
+		{"production_scale", r.Production},
+		{"serving_scale", r.ServingScale},
+	}
+}
+
+// ApplyBaseline sets VsBaseline on every row of rep that base has a row
+// for (same section, name, n and dims): each metric both carry gets its
+// median's change in percent, positive when rep's is larger.
+func ApplyBaseline(rep, base *Report) {
+	key := func(section string, r Row) string {
+		return fmt.Sprintf("%s/%s/%d/%d", section, r.Name, r.N, r.Dims)
+	}
+	prior := map[string]Row{}
+	for _, s := range base.Sections() {
+		for _, r := range s.Rows {
+			prior[key(s.Key, r)] = r
+		}
+	}
+	for _, s := range rep.Sections() {
+		for i := range s.Rows {
+			r := &s.Rows[i]
+			b := prior[key(s.Key, *r)]
+			for name, m := range r.Metrics {
+				if bm, ok := b.Metrics[name]; ok && bm.Median > 0 {
+					if r.VsBaseline == nil {
+						r.VsBaseline = map[string]float64{}
+					}
+					r.VsBaseline[name] = 100 * (m.Median/bm.Median - 1)
+				}
+			}
+		}
+	}
 }
 
 // Options tunes a pipeline run.
@@ -175,132 +192,122 @@ type Options struct {
 	Sizes []int
 	// Dims is the dimensionalities to sweep.
 	Dims []int
-	// Budget is the per-measurement time budget.
+	// Budget is the time one measured operation gets; its samples split
+	// it into equal windows.
 	Budget time.Duration
-	// Funcs is the function count for the solver-level cases (0 derives
-	// n/20, min 16).
-	Funcs int
 	// ProdSize is the object count for the production-scale section
 	// (0 skips it; cmd/bench defaults it to 10⁶, scaled down by -quick).
 	ProdSize int
 }
 
-func (o Options) funcsFor(n int) int {
-	if o.Funcs > 0 {
-		return o.Funcs
-	}
-	f := n / 20
-	if f < 16 {
-		f = 16
-	}
-	return f
+// funcsFor is the function count of the solver-level workloads at n
+// objects.
+func funcsFor(n int) int { return max(n/20, 16) }
+
+// samples is how many samples every timed metric takes.
+const samples = 5
+
+// window is the length of one sample window.
+func (o Options) window() time.Duration { return o.Budget / samples }
+
+// window is one sample of an operation: ops runs in ns nanoseconds, the
+// allocations they made, and the deltas of the caller's counters.
+type window struct {
+	ops, ns       int64
+	allocs, bytes uint64
+	counts        []int64
 }
 
-// measure times op repeatedly within the budget (at least 3 iterations)
-// and reports per-op wall clock and allocation figures.
-func measure(budget time.Duration, op func() error) (Metrics, error) {
-	if err := op(); err != nil { // warm-up, excluded
-		return Metrics{}, err
-	}
+// sample is the one sampler behind every timed metric. It runs rounds
+// rounds, and each round gives every op one window, in order: the sides
+// of a duel alternate, so a drift of the host hits both. A window
+// repeats its op until d has elapsed, at least once, so it is a single
+// operation wherever one outlasts d (d = 0 times every operation on its
+// own). counters are cumulative; every window records their deltas.
+// The heap is collected first so that no window pays for the caller's
+// garbage.
+func sample(d time.Duration, rounds int, counters []func() int64, ops ...func() error) ([][]window, error) {
 	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var iters int64
-	for {
-		if err := op(); err != nil {
-			return Metrics{}, err
-		}
-		iters++
-		if iters >= 3 && time.Since(start) >= budget {
-			break
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return Metrics{
-		NsPerOp:     elapsed.Nanoseconds() / iters,
-		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / iters,
-		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / iters,
-		Iterations:  iters,
-	}, nil
-}
-
-// treeEnv is a bulk-loaded index whose pool holds the whole tree (the
-// warm-cache regime the tentpole targets).
-type treeEnv struct {
-	store *pagestore.MemStore
-	pool  *pagestore.BufferPool
-	tree  *rtree.Tree
-}
-
-func newTreeEnv(n, dims int, seed int64, cache bool) (*treeEnv, error) {
-	store := pagestore.NewMemStore(4096)
-	pool := pagestore.NewBufferPool(store, 1<<20)
-	pool.SetDecodedCache(cache)
-	objs := datagen.Objects(datagen.AntiCorrelated, n, dims, seed)
-	items := make([]rtree.Item, len(objs))
-	for i, o := range objs {
-		items[i] = rtree.Item{ID: o.ID, Point: o.Point}
-	}
-	tree, err := rtree.BulkLoad(pool, dims, items, 0.9)
-	if err != nil {
-		return nil, err
-	}
-	store.IO().Reset()
-	return &treeEnv{store: store, pool: pool, tree: tree}, nil
-}
-
-// ioDelta runs op once and returns the logical/physical page counts it
-// incurred.
-func (e *treeEnv) ioDelta(op func() error) (logical, physical int64, err error) {
-	before := e.store.IO().Snapshot()
-	if err := op(); err != nil {
-		return 0, 0, err
-	}
-	after := e.store.IO().Snapshot()
-	return after.LogicalReads - before.LogicalReads,
-		(after.PhysicalReads - before.PhysicalReads) + (after.PhysicalWrites - before.PhysicalWrites),
-		nil
-}
-
-// runCase measures one workload in both cache configurations.
-func runCase(name string, n, dims int, opts Options,
-	build func(cache bool) (op func() error, io func() (int64, int64, error), err error)) (Case, error) {
-	c := Case{Name: name, N: n, Dims: dims}
-	for _, cache := range []bool{false, true} {
-		op, io, err := build(cache)
-		if err != nil {
-			return c, fmt.Errorf("%s(n=%d,dims=%d): %w", name, n, dims, err)
-		}
-		m, err := measure(opts.Budget, op)
-		if err != nil {
-			return c, fmt.Errorf("%s(n=%d,dims=%d): %w", name, n, dims, err)
-		}
-		if io != nil {
-			lg, ph, err := io()
-			if err != nil {
-				return c, err
+	out := make([][]window, len(ops))
+	var ms runtime.MemStats
+	for range rounds {
+		for i, op := range ops {
+			w := window{counts: make([]int64, len(counters))}
+			for j, c := range counters {
+				w.counts[j] = -c()
 			}
-			m.LogicalReads, m.PhysicalIO = lg, ph
-		}
-		if cache {
-			c.Warm = m
-		} else {
-			c.Cold = m
+			runtime.ReadMemStats(&ms)
+			allocs, bytes := ms.Mallocs, ms.TotalAlloc
+			start := time.Now()
+			for w.ops == 0 || time.Since(start) < d {
+				if err := op(); err != nil {
+					return nil, err
+				}
+				w.ops++
+			}
+			w.ns = time.Since(start).Nanoseconds()
+			runtime.ReadMemStats(&ms)
+			w.allocs, w.bytes = ms.Mallocs-allocs, ms.TotalAlloc-bytes
+			for j, c := range counters {
+				w.counts[j] += c()
+			}
+			out[i] = append(out[i], w)
 		}
 	}
-	c.AllocsReductionPct = reductionPct(c.Cold.AllocsPerOp, c.Warm.AllocsPerOp)
-	c.NsReductionPct = reductionPct(c.Cold.NsPerOp, c.Warm.NsPerOp)
-	c.IOIdentical = c.Cold.LogicalReads == c.Warm.LogicalReads && c.Cold.PhysicalIO == c.Warm.PhysicalIO
-	return c, nil
+	return out, nil
 }
 
-func reductionPct(cold, warm int64) float64 {
-	if cold <= 0 {
-		return 0
+// stat summarizes one value per sample.
+func stat(xs []float64) Stat {
+	s := slices.Sorted(slices.Values(xs))
+	n := len(s)
+	return Stat{Median: (s[(n-1)/2] + s[n/2]) / 2, Min: s[0], Max: s[n-1], Samples: n}
+}
+
+// per summarizes f over the windows of one op.
+func per(ws []window, f func(window) float64) Stat {
+	xs := make([]float64, len(ws))
+	for i, w := range ws {
+		xs[i] = f(w)
 	}
-	return 100 * (1 - float64(warm)/float64(cold))
+	return stat(xs)
+}
+
+func nsPerOp(w window) float64 { return float64(w.ns) / float64(w.ops) }
+
+// countPerOp is counter j's delta per operation.
+func countPerOp(j int) func(window) float64 {
+	return func(w window) float64 { return float64(w.counts[j]) / float64(w.ops) }
+}
+
+// speedup is b's speedup over a, round by round: a's wall time per
+// operation over b's.
+func speedup(a, b []window) Stat {
+	xs := make([]float64, len(a))
+	for i := range a {
+		xs[i] = nsPerOp(a[i]) / nsPerOp(b[i])
+	}
+	return stat(xs)
+}
+
+// timing is the metric set of an op sampled on its own: wall time,
+// allocations and bytes per operation.
+func timing(ws []window) map[string]Stat {
+	return map[string]Stat{
+		"ns_per_op":     per(ws, nsPerOp),
+		"allocs_per_op": per(ws, func(w window) float64 { return float64(w.allocs) / float64(w.ops) }),
+		"bytes_per_op":  per(ws, func(w window) float64 { return float64(w.bytes) / float64(w.ops) }),
+	}
+}
+
+// solo samples op on its own and returns its row: the timing metrics
+// and a gate that reads true, as there is nothing to compare.
+func (o Options) solo(name string, op func() error) (Row, error) {
+	w, err := sample(o.window(), samples, nil, op)
+	if err != nil {
+		return Row{}, fmt.Errorf("%s: %w", name, err)
+	}
+	return Row{Name: name, Identical: true, Metrics: timing(w[0])}, nil
 }
 
 // Run executes the full pipeline and returns the report (without the
@@ -329,203 +336,168 @@ func Run(opts Options) (*Report, error) {
 	}
 	for _, n := range opts.Sizes {
 		for _, dims := range opts.Dims {
-			cases, err := runAll(n, dims, opts)
+			rows, err := runCases(n, dims, opts)
 			if err != nil {
 				return nil, err
 			}
-			rep.Cases = append(rep.Cases, cases...)
+			rep.Cases = append(rep.Cases, rows...)
 		}
 	}
-	// Incremental scenario: repair-vs-resolve at the largest size per
-	// dimensionality (single-mutation latency is what a serving system
-	// pays; the large instance is where re-solving hurts).
-	maxN := 0
-	for _, n := range opts.Sizes {
-		if n > maxN {
-			maxN = n
-		}
-	}
+	// The workspace scenarios run at the largest size: single-mutation
+	// latency is what a serving system pays, and the large instance is
+	// where re-solving hurts.
+	maxN := slices.Max(opts.Sizes)
 	for _, dims := range opts.Dims {
-		inc, err := runIncremental(maxN, dims, opts)
+		rows, err := runIncremental(maxN, dims, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.Incremental = append(rep.Incremental, inc...)
+		rep.Incremental = append(rep.Incremental, rows...)
 	}
-	// Concurrent read-churn: snapshot readers against the churn writer,
-	// at the largest size on the first dimensionality (the reader path
-	// is dimension-insensitive; one sweep keeps the pipeline fast).
-	conc, err := runConcurrent(maxN, opts.Dims[0], opts)
+	// Concurrent read-churn on the first dimensionality only: the
+	// reader path is dimension-insensitive.
+	rows, err := runConcurrent(maxN, opts.Dims[0], opts)
 	if err != nil {
 		return nil, err
 	}
-	rep.Concurrent = append(rep.Concurrent, conc...)
-	// Scorer families: linear vs OWA/minimax vs Chebyshev vs Lp, at the
-	// largest size per dimensionality.
+	rep.Concurrent = rows
 	for _, dims := range opts.Dims {
-		sf, err := runScorerFamilies(maxN, dims, opts)
+		rows, err := runScorerFamilies(maxN, dims, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.ScorerFamilies = append(rep.ScorerFamilies, sf...)
+		rep.ScorerFamilies = append(rep.ScorerFamilies, rows...)
 	}
-	// Durability: the WAL tax and the recovery/warm-start times at the
-	// largest size on the first dimensionality. The in-memory hot paths
-	// above never touch the durability layer — this scenario is where
-	// its cost is measured instead.
+	// Durability: the in-memory hot paths above never touch the WAL;
+	// this scenario is where its cost is measured instead.
 	dur, err := runDurability(maxN, opts.Dims[0], 32, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep.Durability = append(rep.Durability, dur)
-	// Production scale: the n = 10⁶ matrix (kernel duels, cold build,
-	// solve, top-k). Last because it is the heaviest section.
+	rep.Durability = []Row{dur}
+	// Production scale last: it is the heaviest section.
 	if opts.ProdSize > 0 {
-		prod, err := runProduction(opts)
-		if err != nil {
+		if rep.Production, err = runProduction(opts); err != nil {
 			return nil, err
 		}
-		rep.Production = prod
-		// The serving loop at the same production cardinality.
 		ss, err := runServingScale(opts)
 		if err != nil {
 			return nil, err
 		}
-		rep.ServingScale = []ServingScaleCase{ss}
+		rep.ServingScale = []Row{ss}
 	}
 	return rep, nil
 }
 
-func runAll(n, dims int, opts Options) ([]Case, error) {
-	var out []Case
+// runCases measures the SB family's hot paths at one (n, dims) on an
+// index whose pool holds the whole tree, each after one warm-up run:
+// a warm node read sweep over every page, a BBS skyline pass, a TA
+// reverse top-1 over in-memory lists, and a full SB solve (index build
+// and solve per operation, as a caller sees it). The rows on the index
+// also count their logical reads and physical I/O per operation.
+func runCases(n, dims int, o Options) ([]Row, error) {
+	objs := datagen.Objects(datagen.AntiCorrelated, n, dims, o.Seed)
+	tree, store, err := warmTree(objs, dims)
+	if err != nil {
+		return nil, err
+	}
+	pages := collectPages(tree)
+	io := store.IO()
+	treeIO := []func() int64{
+		func() int64 { return io.Snapshot().LogicalReads },
+		func() int64 { s := io.Snapshot(); return s.PhysicalReads + s.PhysicalWrites },
+	}
 
-	// Warm node read: round-robin over every page of the index.
-	c, err := runCase("readnode_warm", n, dims, opts, func(cache bool) (func() error, func() (int64, int64, error), error) {
-		env, err := newTreeEnv(n, dims, opts.Seed, cache)
-		if err != nil {
-			return nil, nil, err
-		}
-		pages := collectPages(env.tree)
-		i := 0
-		op := func() error {
-			for range pages { // one op = one full sweep
-				_, err := env.tree.ReadNode(pages[i%len(pages)])
-				if err != nil {
+	nf := funcsFor(n)
+	funcs := datagen.Functions(nf, dims, o.Seed+3)
+	taf := make([]ta.Func, len(funcs))
+	for i, f := range funcs {
+		taf[i] = ta.Func{ID: f.ID, Weights: f.Effective()}
+	}
+	lists, err := ta.NewLists(taf, dims)
+	if err != nil {
+		return nil, err
+	}
+	probes := datagen.Objects(datagen.Independent, 64, dims, o.Seed+5)
+	probe := 0
+
+	sbProblem := &assign.Problem{Dims: dims, Objects: objs, Functions: funcs}
+	var sbIO [2]int64
+	sbCounters := []func() int64{
+		func() int64 { return sbIO[0] },
+		func() int64 { return sbIO[1] },
+	}
+
+	cases := []struct {
+		name     string
+		counters []func() int64
+		op       func() error
+	}{
+		{"readnode_warm", treeIO, func() error {
+			for _, id := range pages {
+				if _, err := tree.ReadNode(id); err != nil {
 					return err
 				}
-				i++
 			}
 			return nil
-		}
-		return op, func() (int64, int64, error) { return env.ioDelta(op) }, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, c)
-
-	// BBS skyline pass.
-	c, err = runCase("bbs", n, dims, opts, func(cache bool) (func() error, func() (int64, int64, error), error) {
-		env, err := newTreeEnv(n, dims, opts.Seed, cache)
-		if err != nil {
-			return nil, nil, err
-		}
-		op := func() error {
-			_, err := skyline.Compute(env.tree, nil)
+		}},
+		{"bbs", treeIO, func() error {
+			_, err := skyline.Compute(tree, nil)
 			return err
-		}
-		return op, func() (int64, int64, error) { return env.ioDelta(op) }, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, c)
-
-	// TA reverse top-1 (in-memory lists; the node cache is not involved,
-	// so cold ≈ warm — the case tracks the search-scratch reuse instead).
-	c, err = runCase("ta_top1", n, dims, opts, func(bool) (func() error, func() (int64, int64, error), error) {
-		nf := opts.funcsFor(n)
-		funcs := datagen.Functions(nf, dims, opts.Seed+3)
-		taf := make([]ta.Func, len(funcs))
-		for i, f := range funcs {
-			taf[i] = ta.Func{ID: f.ID, Weights: f.Effective()}
-		}
-		lists, err := ta.NewLists(taf, dims)
-		if err != nil {
-			return nil, nil, err
-		}
-		objs := datagen.Objects(datagen.Independent, 64, dims, opts.Seed+5)
-		i := 0
-		op := func() error {
-			s := ta.NewSearch(lists, objs[i%len(objs)].Point, max(1, nf/40))
+		}},
+		{"ta_top1", nil, func() error {
+			s := ta.NewSearch(lists, probes[probe%len(probes)].Point, max(1, nf/40))
 			_, _, _ = s.Best()
 			s.Release()
-			i++
+			probe++
 			return nil
-		}
-		return op, nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, c)
-
-	// Full SB solve (index build + solve per op, as a caller sees it).
-	sbProblem := &assign.Problem{
-		Dims:      dims,
-		Objects:   datagen.Objects(datagen.AntiCorrelated, n, dims, opts.Seed),
-		Functions: datagen.Functions(opts.funcsFor(n), dims, opts.Seed+3),
-	}
-	var sbRes [2]*assign.Result
-	c, err = runCase("sb_solve", n, dims, opts, func(cache bool) (func() error, func() (int64, int64, error), error) {
-		cfg := assign.Config{DisableNodeCache: !cache}
-		op := func() error {
-			_, err := assign.SB(sbProblem, cfg)
-			return err
-		}
-		io := func() (int64, int64, error) {
-			r, err := assign.SB(sbProblem, cfg)
+		}},
+		{"sb_solve", sbCounters, func() error {
+			r, err := assign.SB(sbProblem, assign.Config{})
 			if err != nil {
-				return 0, 0, err
+				return err
 			}
-			idx := 0
-			if cache {
-				idx = 1
-			}
-			sbRes[idx] = r
-			s := r.Stats.IO
-			return s.LogicalReads, s.PhysicalReads + s.PhysicalWrites, nil
+			sbIO[0] += r.Stats.IO.LogicalReads
+			sbIO[1] += r.Stats.IO.PhysicalReads + r.Stats.IO.PhysicalWrites
+			return nil
+		}},
+	}
+	var rows []Row
+	for _, c := range cases {
+		if err := c.op(); err != nil { // warm-up, excluded
+			return nil, fmt.Errorf("%s(n=%d,dims=%d): %w", c.name, n, dims, err)
 		}
-		return op, io, nil
-	})
-	if err != nil {
-		return nil, err
+		ws, err := sample(o.window(), samples, c.counters, c.op)
+		if err != nil {
+			return nil, fmt.Errorf("%s(n=%d,dims=%d): %w", c.name, n, dims, err)
+		}
+		m := timing(ws[0])
+		if c.counters != nil {
+			m["logical_reads_per_op"] = per(ws[0], countPerOp(0))
+			m["physical_io_per_op"] = per(ws[0], countPerOp(1))
+		}
+		rows = append(rows, Row{Name: c.name, N: n, Dims: dims, Identical: true, Metrics: m})
 	}
-	if err := verifyIdentical(sbRes[0], sbRes[1]); err != nil {
-		return nil, fmt.Errorf("sb_solve(n=%d,dims=%d) cache on/off diverged: %w", n, dims, err)
-	}
-	out = append(out, c)
-
-	return out, nil
+	return rows, nil
 }
 
-// verifyIdentical asserts two SB runs emitted bit-identical pair
-// sequences — the cache must not change the matching.
-func verifyIdentical(a, b *assign.Result) error {
-	if a == nil || b == nil {
-		return fmt.Errorf("missing result")
+func itemsOf(objs []assign.Object) []rtree.Item {
+	items := make([]rtree.Item, len(objs))
+	for i, o := range objs {
+		items[i] = rtree.Item{ID: o.ID, Point: o.Point}
 	}
-	if len(a.Pairs) != len(b.Pairs) {
-		return fmt.Errorf("%d pairs vs %d", len(a.Pairs), len(b.Pairs))
-	}
-	for i := range a.Pairs {
-		if a.Pairs[i] != b.Pairs[i] {
-			return fmt.Errorf("pair %d: %+v vs %+v", i, a.Pairs[i], b.Pairs[i])
-		}
-	}
-	return nil
+	return items
 }
 
+// warmTree bulk-loads objs into an index whose pool holds the whole
+// tree.
+func warmTree(objs []assign.Object, dims int) (*rtree.Tree, *pagestore.MemStore, error) {
+	store := pagestore.NewMemStore(4096)
+	tree, err := rtree.BulkLoad(pagestore.NewBufferPool(store, 1<<20), dims, itemsOf(objs), 0.9)
+	return tree, store, err
+}
+
+// collectPages lists every page of the tree, root first.
 func collectPages(t *rtree.Tree) []pagestore.PageID {
 	var pages []pagestore.PageID
 	var walk func(id pagestore.PageID)

@@ -5,67 +5,43 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fairassign/internal/assign"
 )
-
-// ConcurrentCase measures the snapshot-isolated Workspace under
-// combined load: one churn writer applying single-mutation updates
-// while N reader goroutines continuously take snapshot views and
-// query them. ReadsPerSec is the aggregate sustained view-read rate;
-// RepairNsPerOp is the writer's mean mutation latency while the
-// readers run (repair latency under read load — the number a serving
-// system cares about).
-type ConcurrentCase struct {
-	Name    string `json:"name"`
-	N       int    `json:"n"`
-	Dims    int    `json:"dims"`
-	Readers int    `json:"readers"`
-	// Totals over the measured window.
-	Mutations int64 `json:"mutations"`
-	Reads     int64 `json:"reads"`
-	// Rates and latencies.
-	ReadsPerSec   float64 `json:"reads_per_sec"`
-	RepairNsPerOp int64   `json:"repair_ns_per_op"`
-	// ReaderEpochSpread is the number of distinct epochs readers
-	// observed — evidence the readers really interleaved with the
-	// writer rather than hammering one frozen state.
-	ReaderEpochSpread int64 `json:"reader_epoch_spread"`
-}
 
 // readerFailure wraps reader errors in one concrete type so concurrent
 // stores into the shared atomic slot can never mismatch.
 type readerFailure struct{ err error }
 
-// runConcurrent measures the read-churn scenario for one (n, dims) at
-// 1, 4, and 16 readers.
-func runConcurrent(n, dims int, opts Options) ([]ConcurrentCase, error) {
-	var out []ConcurrentCase
+// runConcurrent measures the snapshot-isolated Workspace under combined
+// load, at 1, 4 and 16 readers: one churn writer applies single-mutation
+// updates while the reader goroutines continuously take snapshot views
+// and query them. Each sample window times the writer's mutations
+// (repair latency under read load, the number a serving system cares
+// about) and counts the reads the readers completed meanwhile. The gate
+// checks the final matching against a cold solve.
+func runConcurrent(n, dims int, o Options) ([]Row, error) {
+	var rows []Row
 	for _, readers := range []int{1, 4, 16} {
-		c, err := runConcurrentCase(n, dims, readers, opts)
+		r, err := concurrentRow(n, dims, readers, o)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("concurrent_read_churn (readers=%d): %w", readers, err)
 		}
-		out = append(out, c)
+		rows = append(rows, r)
 	}
-	return out, nil
+	return rows, nil
 }
 
-func runConcurrentCase(n, dims, readers int, opts Options) (ConcurrentCase, error) {
-	c := ConcurrentCase{Name: "concurrent_read_churn", N: n, Dims: dims, Readers: readers}
-	base := incrementalProblem(n, dims, opts)
+func concurrentRow(n, dims, readers int, o Options) (Row, error) {
+	base := incrementalProblem(n, dims, o)
 	ws, err := assign.NewWorkspace(base, assign.Config{})
 	if err != nil {
-		return c, fmt.Errorf("%s: workspace: %w", c.Name, err)
+		return Row{}, err
 	}
 	defer ws.Close()
-	churn, err := churnOp("obj_churn", ws, base, opts)
+	churn, err := churnOp("obj_churn", ws, base)
 	if err != nil {
-		return c, err
-	}
-	if err := churn(); err != nil { // warm-up, excluded
-		return c, err
+		return Row{}, err
 	}
 
 	var (
@@ -74,41 +50,21 @@ func runConcurrentCase(n, dims, readers int, opts Options) (ConcurrentCase, erro
 		readerErr atomic.Pointer[readerFailure]
 		wg        sync.WaitGroup
 	)
+	topW := base.Functions[0].Effective()
 	epochs := make([]map[uint64]struct{}, readers)
-	for r := 0; r < readers; r++ {
+	for r := range readers {
 		epochs[r] = make(map[uint64]struct{})
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			fid := base.Functions[r%len(base.Functions)].ID
-			i := 0
-			for !done.Load() {
-				v, err := ws.Snapshot()
-				if err != nil {
+			for i := 0; !done.Load(); i++ {
+				if err := readView(ws, fid, topW, i%8 == 0, epochs[r]); err != nil {
 					readerErr.Store(&readerFailure{err: err})
 					return
 				}
-				epochs[r][v.Epoch()] = struct{}{}
-				st := v.Stats()
-				pairs := v.Pairs()
-				if len(pairs) != st.AssignedUnits {
-					readerErr.Store(&readerFailure{err: fmt.Errorf("view inconsistent: %d pairs vs %d units", len(pairs), st.AssignedUnits)})
-					v.Close()
-					return
-				}
-				_ = v.PairsOf(fid)
-				if i%8 == 0 {
-					// A ranked query against the pinned index epoch.
-					if _, _, err := v.TopK(base.Functions[0].Effective(), 5); err != nil {
-						readerErr.Store(&readerFailure{err: err})
-						v.Close()
-						return
-					}
-				}
-				v.Close()
 				reads.Add(1)
-				i++
-				if i%16 == 0 {
+				if i%16 == 15 {
 					// Keep the scenario honest on few-core machines:
 					// without an occasional yield a reader can own a
 					// core for a whole scheduler quantum and the
@@ -118,32 +74,22 @@ func runConcurrentCase(n, dims, readers int, opts Options) (ConcurrentCase, erro
 			}
 		}(r)
 	}
-
-	start := time.Now()
-	var muts int64
-	for time.Since(start) < opts.Budget || muts < 3 {
-		if err := churn(); err != nil {
-			done.Store(true)
-			wg.Wait()
-			return c, err
-		}
+	muts := 0
+	writer := func() error {
 		muts++
 		if muts%4 == 0 {
 			runtime.Gosched() // see the reader-side note
 		}
+		return churn()
 	}
-	elapsed := time.Since(start)
+	w, err := sample(o.window(), samples, []func() int64{reads.Load}, writer)
 	done.Store(true)
 	wg.Wait()
-	if f := readerErr.Load(); f != nil {
-		return c, fmt.Errorf("%s (readers=%d): reader failed: %w", c.Name, readers, f.err)
+	if err != nil {
+		return Row{}, err
 	}
-
-	c.Mutations = muts
-	c.Reads = reads.Load()
-	c.ReadsPerSec = float64(c.Reads) / elapsed.Seconds()
-	if muts > 0 {
-		c.RepairNsPerOp = elapsed.Nanoseconds() / muts
+	if f := readerErr.Load(); f != nil {
+		return Row{}, fmt.Errorf("reader failed: %w", f.err)
 	}
 	seen := make(map[uint64]struct{})
 	for _, m := range epochs {
@@ -151,6 +97,39 @@ func runConcurrentCase(n, dims, readers int, opts Options) (ConcurrentCase, erro
 			seen[e] = struct{}{}
 		}
 	}
-	c.ReaderEpochSpread = int64(len(seen))
-	return c, nil
+	cold, err := assign.SB(ws.ProblemSnapshot(), assign.Config{})
+	if err != nil {
+		return Row{}, err
+	}
+	return Row{Name: fmt.Sprintf("concurrent_read_churn/readers=%d", readers), N: n, Dims: dims,
+		Identical: matchingEqual(ws.Pairs(), cold.Pairs),
+		Detail:    fmt.Sprintf("%d mutations, %d reads, %d distinct epochs read", muts, reads.Load(), len(seen)),
+		Metrics: map[string]Stat{
+			"repair_ns_per_op": per(w[0], nsPerOp),
+			"ns_per_read":      per(w[0], func(w window) float64 { return float64(w.ns) / float64(max(w.counts[0], 1)) }),
+		}}, nil
+}
+
+// readView takes one snapshot view, checks it is self-consistent, reads
+// one function's pairs and, when ranked is set, runs a top-5 query
+// against the pinned index epoch. The distinct epochs seen are evidence
+// the readers interleaved with the writer rather than reading one
+// frozen state.
+func readView(ws *assign.Workspace, fid uint64, weights []float64, ranked bool, epochs map[uint64]struct{}) error {
+	v, err := ws.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer v.Close()
+	epochs[v.Epoch()] = struct{}{}
+	if pairs, units := len(v.Pairs()), v.Stats().AssignedUnits; pairs != units {
+		return fmt.Errorf("view inconsistent: %d pairs vs %d units", pairs, units)
+	}
+	_ = v.PairsOf(fid)
+	if ranked {
+		if _, _, err := v.TopK(weights, 5); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -6,157 +6,129 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"fairassign/internal/assign"
 )
 
-// DurabilityCase measures what the durability layer costs and what
-// recovery buys. Two twin workspaces consume the identical churn
-// stream: one purely in-memory (the baseline the hot-path cases gate)
-// and one with the full fsync-before-ack barrier — the per-mutation
-// delta is the WAL encode, write and disk flush. The fsync twin then
-// exercises the recovery paths: a timed snapshot save, a timed
-// replay-on-open over the post-snapshot batches, and a timed
-// warm-start open (snapshot only, zero replay). Identical gates the
-// scenario: the recovered matching must equal the in-memory twin's.
-type DurabilityCase struct {
-	Name      string `json:"name"`
-	N         int    `json:"n"`
-	Dims      int    `json:"dims"`
-	BatchSize int    `json:"batch_size"`
-	// Per-mutation Apply latency over the shared measured stream.
-	ApplyNsPerMutOff   int64 `json:"apply_ns_per_mut_wal_off"`
-	ApplyNsPerMutFsync int64 `json:"apply_ns_per_mut_wal_fsync"`
-	// SnapshotSaveNs times one SaveSnapshot (encode + write + fsync +
-	// rename + log rotation); SnapshotBytes is the resulting file size.
-	SnapshotSaveNs int64 `json:"snapshot_save_ns"`
-	SnapshotBytes  int64 `json:"snapshot_bytes"`
-	// RecoveryNs times OpenWorkspace when RecoveryBatches committed
-	// batches must be replayed past the snapshot; WarmStartNs times it
-	// when the snapshot alone is current (no replay, no re-solve).
-	RecoveryNs      int64 `json:"recovery_ns"`
-	RecoveryBatches int   `json:"recovery_batches"`
-	WarmStartNs     int64 `json:"warm_start_ns"`
-	Identical       bool  `json:"identical"`
-}
-
-// runDurability measures the WAL tax and the recovery times for one
-// (n, dims) at the given batch size.
-func runDurability(n, dims, batchSize int, opts Options) (DurabilityCase, error) {
-	c := DurabilityCase{Name: "durability", N: n, Dims: dims, BatchSize: batchSize}
-	const (
-		measuredBatches = 8
-		replayBatches   = 8
-	)
-	p := incrementalProblem(n, dims, opts)
-
-	// Identical streams: one generator per twin, same seed.
-	type twin struct {
-		ws  *assign.Workspace
-		gen *churnScript
-		t   time.Duration
+// runDurability measures what the durability layer costs and what
+// recovery buys, for one (n, dims) at the given batch size. Two twin
+// workspaces consume the identical churn stream in lockstep: one purely
+// in-memory and one with the full fsync-before-ack barrier, so the
+// per-mutation delta is the WAL encode, write and disk flush. Each
+// Apply sample is one batch. The fsync twin then prices the recovery
+// paths: a snapshot save, a reopen that replays the batches applied
+// after it, and a warm-start reopen from a current snapshot (no replay,
+// no re-solve). The gate checks that both reopened workspaces hold the
+// in-memory twin's matching.
+func runDurability(n, dims, batchSize int, o Options) (Row, error) {
+	const batches = 8 // Apply samples, and batches to replay
+	row := Row{Name: "durability", N: n, Dims: dims}
+	dir, err := os.MkdirTemp("", "fairassign-bench-dur-*")
+	if err != nil {
+		return row, err
 	}
-	dir := ""
-	var tmpDirs []string
-	defer func() {
-		for _, d := range tmpDirs {
-			os.RemoveAll(d)
+	defer os.RemoveAll(dir)
+	p := incrementalProblem(n, dims, o)
+	cfg := assign.Config{PageSize: 512, BufferFrac: 0.05}
+	off, err := assign.NewWorkspace(p, cfg)
+	if err != nil {
+		return row, fmt.Errorf("durability: wal-off twin: %w", err)
+	}
+	defer off.Close()
+	cfg.Durable, cfg.WALDir = true, filepath.Join(dir, "wal")
+	fsync, err := assign.NewWorkspace(incrementalProblem(n, dims, o), cfg)
+	if err != nil {
+		return row, fmt.Errorf("durability: fsync twin: %w", err)
+	}
+	defer fsync.Close()
+	apply := func(ws *assign.Workspace) func() error {
+		gen := newChurnScript(p, o.Seed+43)
+		return func() error { return ws.Apply(gen.batch(batchSize)) }
+	}
+	applyOff, applyFsync := apply(off), apply(fsync)
+	for _, op := range []func() error{applyOff, applyFsync} {
+		if err := op(); err != nil { // warm-up batch, excluded
+			return row, err
 		}
-	}()
-	newTwin := func(durable bool) (*twin, error) {
-		cfg := assign.Config{PageSize: 512, BufferFrac: 0.05}
-		if durable {
-			d, err := os.MkdirTemp("", "fairassign-bench-dur-*")
-			if err != nil {
-				return nil, err
+	}
+	wApply, err := sample(0, batches, nil, applyOff, applyFsync)
+	if err != nil {
+		return row, fmt.Errorf("durability: apply: %w", err)
+	}
+	wSave, err := sample(o.window(), samples, nil, fsync.SaveSnapshot)
+	if err != nil {
+		return row, fmt.Errorf("durability: save snapshot: %w", err)
+	}
+	snapBytes := newestSnapshotSize(cfg.WALDir)
+	for range batches {
+		if err := applyOff(); err != nil {
+			return row, err
+		}
+		if err := applyFsync(); err != nil {
+			return row, err
+		}
+	}
+	fsync.Close()
+
+	// open reopens the durability directory; with check set it also
+	// verifies the replayed batch count and the matching.
+	row.Identical = true
+	open := func(replay int, check bool) error {
+		ws, err := assign.OpenWorkspace(cfg)
+		if err != nil {
+			return err
+		}
+		defer ws.Close()
+		if check {
+			if got := ws.Recovery().BatchesReplayed; got != replay {
+				return fmt.Errorf("replayed %d batches, want %d", got, replay)
 			}
-			tmpDirs = append(tmpDirs, d)
-			cfg.Durable, cfg.WALDir = true, filepath.Join(d, "wal")
-			dir = cfg.WALDir
+			row.Identical = row.Identical && matchingEqual(ws.Pairs(), off.Pairs())
 		}
-		ws, err := assign.NewWorkspace(incrementalProblem(n, dims, opts), cfg)
+		return nil
+	}
+	reopen := func(replay int) ([]window, error) {
+		if err := open(replay, true); err != nil {
+			return nil, err
+		}
+		w, err := sample(o.window(), samples, nil, func() error { return open(replay, false) })
 		if err != nil {
 			return nil, err
 		}
-		return &twin{ws: ws, gen: newChurnScript(p, opts.Seed+43)}, nil
+		return w[0], nil
 	}
-	off, err := newTwin(false)
+	wRecover, err := reopen(batches)
 	if err != nil {
-		return c, fmt.Errorf("%s: wal-off twin: %w", c.Name, err)
+		return row, fmt.Errorf("durability: recovery: %w", err)
 	}
-	defer off.ws.Close()
-	fsync, err := newTwin(true)
-	if err != nil {
-		return c, fmt.Errorf("%s: fsync twin: %w", c.Name, err)
-	}
-	defer fsync.ws.Close()
-	twins := []*twin{off, fsync}
-
-	// Warm-up batch, then the measured stream, applied in lockstep.
-	for bi := 0; bi < 1+measuredBatches; bi++ {
-		for _, tw := range twins {
-			bb := tw.gen.batch(batchSize)
-			start := time.Now()
-			if err := tw.ws.Apply(bb); err != nil {
-				return c, fmt.Errorf("%s: batch %d: %w", c.Name, bi, err)
-			}
-			if bi > 0 {
-				tw.t += time.Since(start)
-			}
-		}
-	}
-	muts := int64(measuredBatches * batchSize)
-	c.ApplyNsPerMutOff = off.t.Nanoseconds() / muts
-	c.ApplyNsPerMutFsync = fsync.t.Nanoseconds() / muts
-
-	// Snapshot save on the fsync twin, then replayBatches more applied
-	// to every twin so the final states stay in lockstep.
-	start := time.Now()
-	if err := fsync.ws.SaveSnapshot(); err != nil {
-		return c, fmt.Errorf("%s: save snapshot: %w", c.Name, err)
-	}
-	c.SnapshotSaveNs = time.Since(start).Nanoseconds()
-	c.SnapshotBytes = newestSnapshotSize(dir)
-	for bi := 0; bi < replayBatches; bi++ {
-		for _, tw := range twins {
-			if err := tw.ws.Apply(tw.gen.batch(batchSize)); err != nil {
-				return c, fmt.Errorf("%s: replay batch %d: %w", c.Name, bi, err)
-			}
-		}
-	}
-	fsync.ws.Close()
-
-	// Recovery: snapshot restore + WAL replay of the tail batches.
-	cfg := assign.Config{PageSize: 512, BufferFrac: 0.05, Durable: true, WALDir: dir}
-	start = time.Now()
+	// Warm start: save at the current epoch so a reopen replays nothing.
 	rec, err := assign.OpenWorkspace(cfg)
-	if err != nil {
-		return c, fmt.Errorf("%s: recovery open: %w", c.Name, err)
-	}
-	c.RecoveryNs = time.Since(start).Nanoseconds()
-	c.RecoveryBatches = rec.Recovery().BatchesReplayed
-	c.Identical = matchingEqual(rec.Pairs(), off.ws.Pairs())
-
-	// Warm start: save at the current epoch, reopen — no replay at all.
-	if err := rec.SaveSnapshot(); err != nil {
+	if err == nil {
+		err = rec.SaveSnapshot()
 		rec.Close()
-		return c, fmt.Errorf("%s: warm-start save: %w", c.Name, err)
 	}
-	rec.Close()
-	start = time.Now()
-	warm, err := assign.OpenWorkspace(cfg)
 	if err != nil {
-		return c, fmt.Errorf("%s: warm-start open: %w", c.Name, err)
+		return row, fmt.Errorf("durability: warm-start save: %w", err)
 	}
-	c.WarmStartNs = time.Since(start).Nanoseconds()
-	if br := warm.Recovery().BatchesReplayed; br != 0 {
-		warm.Close()
-		return c, fmt.Errorf("%s: warm start replayed %d batches, want 0", c.Name, br)
+	wWarm, err := reopen(0)
+	if err != nil {
+		return row, fmt.Errorf("durability: warm start: %w", err)
 	}
-	c.Identical = c.Identical && matchingEqual(warm.Pairs(), off.ws.Pairs())
-	warm.Close()
-	return c, nil
+	perMut := func(w window) float64 { return nsPerOp(w) / float64(batchSize) }
+	row.Detail = fmt.Sprintf("batches of %d mutations; %d-byte snapshot; recovery replays %d batches",
+		batchSize, snapBytes, batches)
+	row.Metrics = map[string]Stat{
+		"wal_off_ns_per_mutation":   per(wApply[0], perMut),
+		"wal_fsync_ns_per_mutation": per(wApply[1], perMut),
+		// Both twins apply the same batch in a round, so the per-round
+		// ratio separates the WAL's cost from how much repair a batch
+		// needs.
+		"fsync_over_off_x":     speedup(wApply[1], wApply[0]),
+		"save_ns_per_op":       per(wSave[0], nsPerOp),
+		"recovery_ns_per_op":   per(wRecover, nsPerOp),
+		"warm_start_ns_per_op": per(wWarm, nsPerOp),
+	}
+	return row, nil
 }
 
 // churnScript is a deterministic, self-contained object-churn stream:

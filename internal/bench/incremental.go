@@ -8,29 +8,6 @@ import (
 	"fairassign/internal/datagen"
 )
 
-// IncrementalCase compares single-mutation updates applied two ways: in
-// place on a long-lived Workspace (chain repair), and by mutating the
-// input and re-running a from-scratch SB solve — the only option the
-// one-shot API offers. Identical records that the repaired matching
-// equals a cold solve of the final snapshot, so the speedup is not
-// bought with a different answer.
-type IncrementalCase struct {
-	Name string `json:"name"`
-	N    int    `json:"n"`
-	Dims int    `json:"dims"`
-	// Repair / Resolve are ns per single-mutation update.
-	RepairNsPerOp  int64   `json:"repair_ns_per_op"`
-	ResolveNsPerOp int64   `json:"resolve_ns_per_op"`
-	SpeedupX       float64 `json:"speedup_x"`
-	RepairIters    int64   `json:"repair_iterations"`
-	ResolveIters   int64   `json:"resolve_iterations"`
-	Identical      bool    `json:"identical"`
-	// ChainSteps / Searches per op on the repair side (how much work a
-	// mutation actually costs the workspace).
-	ChainStepsPerOp float64 `json:"chain_steps_per_op"`
-	SearchesPerOp   float64 `json:"searches_per_op"`
-}
-
 // incrementalProblem builds the dynamic-workload instance: n
 // independently distributed objects, n/20 preference functions.
 // Independent (not anti-correlated) data keeps the identity gate
@@ -44,92 +21,85 @@ func incrementalProblem(n, dims int, opts Options) *assign.Problem {
 	return &assign.Problem{
 		Dims:      dims,
 		Objects:   datagen.Objects(datagen.Independent, n, dims, opts.Seed),
-		Functions: datagen.Functions(opts.funcsFor(n), dims, opts.Seed+3),
+		Functions: datagen.Functions(funcsFor(n), dims, opts.Seed+3),
 	}
 }
 
-// runIncremental measures the two churn scenarios for one (n, dims).
-func runIncremental(n, dims int, opts Options) ([]IncrementalCase, error) {
-	var out []IncrementalCase
+// runIncremental compares single-mutation updates applied two ways, for
+// both churn kinds at one (n, dims): in place on a long-lived Workspace
+// (chain repair), and by mutating a mirror instance and re-running a
+// from-scratch SB solve, the only option the one-shot API offers. The
+// two are sampled in alternating windows. The gate checks that the
+// repaired matching equals a cold solve of the final population, so the
+// speedup is not bought with a different answer.
+func runIncremental(n, dims int, o Options) ([]Row, error) {
+	var rows []Row
 	for _, kind := range []string{"obj_churn", "func_churn"} {
-		c, err := runIncrementalCase(kind, n, dims, opts)
+		r, err := incrementalRow(kind, n, dims, o)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("incremental_%s: %w", kind, err)
 		}
-		out = append(out, c)
+		rows = append(rows, r)
 	}
-	return out, nil
+	return rows, nil
 }
 
-func runIncrementalCase(kind string, n, dims int, opts Options) (IncrementalCase, error) {
-	c := IncrementalCase{Name: "incremental_" + kind, N: n, Dims: dims}
-	cfg := assign.Config{}
-
-	// Repair side: one long-lived workspace absorbs every mutation.
-	base := incrementalProblem(n, dims, opts)
-	ws, err := assign.NewWorkspace(base, cfg)
+func incrementalRow(kind string, n, dims int, o Options) (Row, error) {
+	base := incrementalProblem(n, dims, o)
+	ws, err := assign.NewWorkspace(base, assign.Config{})
 	if err != nil {
-		return c, fmt.Errorf("%s: workspace: %w", c.Name, err)
+		return Row{}, err
 	}
 	defer ws.Close()
-	statsBefore := ws.Stats()
-	repairOp, err := churnOp(kind, ws, base, opts)
+	repair, err := churnOp(kind, ws, base)
 	if err != nil {
-		return c, err
+		return Row{}, err
 	}
-	repair, err := measure(opts.Budget, repairOp)
+	// The mirror workspace only supplies mutation targets, kept in step
+	// by the same churn; the measured work is the solve.
+	mirror := incrementalProblem(n, dims, o)
+	mirrorWS, err := assign.NewWorkspace(mirror, assign.Config{})
 	if err != nil {
-		return c, fmt.Errorf("%s repair: %w", c.Name, err)
+		return Row{}, err
 	}
-	statsAfter := ws.Stats()
-
-	// The repaired matching must equal a cold solve of the snapshot.
-	snap := ws.ProblemSnapshot()
-	cold, err := assign.SB(snap, cfg)
-	if err != nil {
-		return c, err
-	}
-	c.Identical = matchingEqual(ws.Pairs(), cold.Pairs)
-
-	// Resolve side: the same mutation stream, answered by full solves on
-	// a mirror instance.
-	mirror := incrementalProblem(n, dims, opts)
-	mirrorWS, err := assign.NewWorkspace(mirror, cfg)
-	if err != nil {
-		return c, err
-	}
-	// The mirror workspace only supplies mutation targets (kept in sync
-	// by applying the same churn); the measured work is the solve.
 	defer mirrorWS.Close()
-	churn, err := churnOp(kind, mirrorWS, mirror, opts)
+	churn, err := churnOp(kind, mirrorWS, mirror)
 	if err != nil {
-		return c, err
+		return Row{}, err
 	}
-	resolveOp := func() error {
+	resolve := func() error {
 		if err := churn(); err != nil {
 			return err
 		}
-		_, err := assign.SB(mirrorWS.ProblemSnapshot(), cfg)
+		_, err := assign.SB(mirrorWS.ProblemSnapshot(), assign.Config{})
 		return err
 	}
-	resolve, err := measure(opts.Budget, resolveOp)
+	counters := []func() int64{
+		func() int64 { return ws.Stats().Mutations },
+		func() int64 { return ws.Stats().ChainSteps },
+		func() int64 { return ws.Stats().Searches },
+	}
+	w, err := sample(o.window(), samples, counters, repair, resolve)
 	if err != nil {
-		return c, fmt.Errorf("%s resolve: %w", c.Name, err)
+		return Row{}, err
 	}
-
-	c.RepairNsPerOp = repair.NsPerOp
-	c.ResolveNsPerOp = resolve.NsPerOp
-	c.RepairIters = repair.Iterations
-	c.ResolveIters = resolve.Iterations
-	if repair.NsPerOp > 0 {
-		c.SpeedupX = float64(resolve.NsPerOp) / float64(repair.NsPerOp)
+	perMutation := func(j int) func(window) float64 {
+		return func(w window) float64 { return float64(w.counts[j]) / float64(w.counts[0]) }
 	}
-	ops := statsAfter.Mutations - statsBefore.Mutations
-	if ops > 0 {
-		c.ChainStepsPerOp = float64(statsAfter.ChainSteps-statsBefore.ChainSteps) / float64(ops)
-		c.SearchesPerOp = float64(statsAfter.Searches-statsBefore.Searches) / float64(ops)
+	cold, err := assign.SB(ws.ProblemSnapshot(), assign.Config{})
+	if err != nil {
+		return Row{}, err
 	}
-	return c, nil
+	return Row{Name: "incremental_" + kind, N: n, Dims: dims,
+		Identical: matchingEqual(ws.Pairs(), cold.Pairs),
+		Detail:    "one departure and one arrival per operation",
+		Metrics: map[string]Stat{
+			"repair_ns_per_op":         per(w[0], nsPerOp),
+			"resolve_ns_per_op":        per(w[1], nsPerOp),
+			"speedup_x":                speedup(w[1], w[0]),
+			"chain_steps_per_mutation": per(w[0], perMutation(1)),
+			"searches_per_mutation":    per(w[0], perMutation(2)),
+		}}, nil
 }
 
 // churnOp returns an op applying one departure + one arrival to the
@@ -137,7 +107,7 @@ func runIncrementalCase(kind string, n, dims int, opts Options) (IncrementalCase
 // the object currently assigned to a rotating function (forcing a
 // re-chain) and lists an identical replacement under a fresh ID;
 // function churn rotates a user out and back in.
-func churnOp(kind string, ws *assign.Workspace, base *assign.Problem, opts Options) (func() error, error) {
+func churnOp(kind string, ws *assign.Workspace, base *assign.Problem) (func() error, error) {
 	nextID := uint64(1 << 40)
 	switch kind {
 	case "obj_churn":

@@ -12,17 +12,16 @@ import (
 // where stale index references would surface) and checks the repaired
 // matching against a cold solve throughout.
 func TestChurnOpsMatchColdSolve(t *testing.T) {
-	opts := Options{Seed: 20090824}
 	cfg := assign.Config{PageSize: 512}
 	for _, kind := range []string{"obj_churn", "func_churn"} {
 		t.Run(kind, func(t *testing.T) {
-			base := incrementalProblem(1500, 2, opts)
+			base := incrementalProblem(1500, 2, Options{Seed: 20090824})
 			ws, err := assign.NewWorkspace(base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ws.Close()
-			churn, err := churnOp(kind, ws, base, opts)
+			churn, err := churnOp(kind, ws, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,23 +48,22 @@ func TestChurnOpsMatchColdSolve(t *testing.T) {
 // TestIncrementalCaseRuns smoke-tests the pipeline scenario end to end
 // at a small size and checks its invariants.
 func TestIncrementalCaseRuns(t *testing.T) {
-	opts := Options{Seed: 7, Budget: 30 * time.Millisecond}
-	cases, err := runIncremental(800, 3, opts)
+	rows, err := runIncremental(800, 3, Options{Seed: 7, Budget: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cases) != 2 {
-		t.Fatalf("got %d cases, want 2", len(cases))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	for _, c := range cases {
-		if !c.Identical {
-			t.Errorf("%s: repaired matching diverged from cold solve", c.Name)
+	for _, r := range rows {
+		if !r.Identical {
+			t.Errorf("%s: repaired matching diverged from cold solve", r.Name)
 		}
-		if c.RepairNsPerOp <= 0 || c.ResolveNsPerOp <= 0 {
-			t.Errorf("%s: missing timings: %+v", c.Name, c)
+		if r.Metrics["repair_ns_per_op"].Min <= 0 || r.Metrics["resolve_ns_per_op"].Min <= 0 {
+			t.Errorf("%s: missing timings: %+v", r.Name, r.Metrics)
 		}
-		if c.SearchesPerOp <= 0 {
-			t.Errorf("%s: repair issued no searches", c.Name)
+		if r.Metrics["searches_per_mutation"].Median <= 0 {
+			t.Errorf("%s: repair issued no searches", r.Name)
 		}
 	}
 }

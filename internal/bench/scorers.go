@@ -5,91 +5,74 @@ import (
 
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
+	"fairassign/internal/rtree"
 	"fairassign/internal/score"
 	"fairassign/internal/topk"
 )
-
-// ScorerFamilyCase measures one scoring family on identical data: the
-// full SB stable-assignment solve, and single-user BRS TopK throughput
-// over a warm index. The linear row is the paper's workload — its solve
-// must stay on the committed hot-path trajectory (the Cases section and
-// the -maxregress gate cover that); the non-linear rows price what the
-// generalization costs when it is actually used.
-type ScorerFamilyCase struct {
-	Name   string `json:"name"`
-	Family string `json:"family"` // linear | owa | minimax | chebyshev | lp
-	N      int    `json:"n"`
-	Dims   int    `json:"dims"`
-
-	SolveNsPerOp int64 `json:"solve_ns_per_op"`
-	SolveIters   int64 `json:"solve_iterations"`
-	Pairs        int   `json:"pairs"`
-
-	TopKNsPerOp int64   `json:"topk_ns_per_op"`
-	TopKPerSec  float64 `json:"topk_per_sec"`
-}
 
 // scorerBenchFamilies is the measured sweep: the paper's linear model
 // against the order-weighted average (and its egalitarian minimax
 // special case), the Chebyshev max, and the L2 norm.
 var scorerBenchFamilies = []string{"linear", "owa", "minimax", "chebyshev", "lp"}
 
-// runScorerFamilies measures every family at one (n, dims) point.
-func runScorerFamilies(n, dims int, opts Options) ([]ScorerFamilyCase, error) {
-	baseObjs := datagen.Objects(datagen.AntiCorrelated, n, dims, opts.Seed)
-	baseFuncs := datagen.Functions(opts.funcsFor(n), dims, opts.Seed+3)
-	env, err := newTreeEnv(n, dims, opts.Seed, true)
+// familyFuncs returns funcs re-parameterized into one scoring family
+// (linear keeps them as they are), with their scorers.
+func familyFuncs(funcs []assign.Function, fam string, seed int64) ([]assign.Function, []score.Scorer) {
+	if fam != "linear" {
+		funcs = datagen.WithScorerFamilies(funcs, fam, seed+7)
+	}
+	scorers := make([]score.Scorer, len(funcs))
+	for i, f := range funcs {
+		scorers[i] = f.Scorer()
+	}
+	return funcs, scorers
+}
+
+// topKOp returns an op answering one top-10 query over the tree per
+// call, rotating through the scorers.
+func topKOp(tree *rtree.Tree, scorers []score.Scorer) func() error {
+	i := 0
+	return func() error {
+		_, _, err := topk.TopKScorer(tree, scorers[i%len(scorers)], 10, nil)
+		i++
+		return err
+	}
+}
+
+// runScorerFamilies measures every scoring family on identical data at
+// one (n, dims): the full SB stable-assignment solve, and single-user
+// BRS top-10 queries over a warm index. The linear row is the paper's
+// workload; the non-linear rows price what the generalization costs
+// when it is actually used.
+func runScorerFamilies(n, dims int, o Options) ([]Row, error) {
+	objs := datagen.Objects(datagen.AntiCorrelated, n, dims, o.Seed)
+	baseFuncs := datagen.Functions(funcsFor(n), dims, o.Seed+3)
+	tree, _, err := warmTree(objs, dims)
 	if err != nil {
 		return nil, err
 	}
-	var out []ScorerFamilyCase
+	var rows []Row
 	for _, fam := range scorerBenchFamilies {
-		c := ScorerFamilyCase{
-			Name:   "scorer_families/" + fam,
-			Family: fam,
-			N:      n,
-			Dims:   dims,
-		}
-		funcs := baseFuncs
-		if fam != "linear" {
-			funcs = datagen.WithScorerFamilies(baseFuncs, fam, opts.Seed+7)
-		}
-		p := &assign.Problem{Dims: dims, Objects: baseObjs, Functions: funcs}
-
-		var pairs int
-		m, err := measure(opts.Budget, func() error {
+		funcs, scorers := familyFuncs(baseFuncs, fam, o.Seed)
+		p := &assign.Problem{Dims: dims, Objects: objs, Functions: funcs}
+		pairs := 0
+		solve := func() error {
 			res, err := assign.SB(p, assign.Config{})
-			if err != nil {
-				return err
+			if err == nil {
+				pairs = len(res.Pairs)
 			}
-			pairs = len(res.Pairs)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scorer_families/%s solve: %w", fam, err)
-		}
-		c.SolveNsPerOp, c.SolveIters, c.Pairs = m.NsPerOp, m.Iterations, pairs
-
-		// TopK throughput: one ranked top-10 per op, rotating through the
-		// function set, over the shared warm index.
-		scorers := make([]score.Scorer, len(funcs))
-		for i, f := range funcs {
-			scorers[i] = f.Scorer()
-		}
-		i := 0
-		m, err = measure(opts.Budget, func() error {
-			_, _, err := topk.TopKScorer(env.tree, scorers[i%len(scorers)], 10, nil)
-			i++
 			return err
-		})
+		}
+		w, err := sample(o.window(), samples, nil, solve, topKOp(tree, scorers))
 		if err != nil {
-			return nil, fmt.Errorf("scorer_families/%s topk: %w", fam, err)
+			return nil, fmt.Errorf("scorer_families/%s: %w", fam, err)
 		}
-		c.TopKNsPerOp = m.NsPerOp
-		if m.NsPerOp > 0 {
-			c.TopKPerSec = 1e9 / float64(m.NsPerOp)
-		}
-		out = append(out, c)
+		rows = append(rows, Row{Name: "scorer_families/" + fam, N: n, Dims: dims, Identical: true,
+			Detail: fmt.Sprintf("%d pairs", pairs),
+			Metrics: map[string]Stat{
+				"solve_ns_per_op": per(w[0], nsPerOp),
+				"topk_ns_per_op":  per(w[1], nsPerOp),
+			}})
 	}
-	return out, nil
+	return rows, nil
 }

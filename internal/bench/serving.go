@@ -3,56 +3,15 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
-	"time"
 
 	"fairassign/internal/assign"
 	"fairassign/internal/datagen"
 	"fairassign/internal/geom"
+	"fairassign/internal/score"
 )
 
-// ServingScaleCase is the serving loop (mutate → snapshot → top-k) on
-// the production-scale instance. MutationsPerSec is the sustained
-// throughput of that loop: each mutation's true serving cost includes
-// the snapshot capture it forces and a query on the new epoch.
-// Identical asserts the final matching equals a cold SB solve of the
-// final population, pair for pair.
-type ServingScaleCase struct {
-	Name string `json:"name"`
-	N    int    `json:"n"`
-	Dims int    `json:"dims"`
-
-	Steps           int     `json:"steps"`
-	MutationsPerSec float64 `json:"mutations_per_sec"`
-	// ApplyNsPerOp isolates the Apply call (repair + commit) from the
-	// serving loop; the gap to 1/MutationsPerSec is snapshot + query.
-	ApplyNsPerOp int64 `json:"apply_ns_per_op"`
-	TopKP50NS    int64 `json:"topk_p50_ns"`
-	TopKP99NS    int64 `json:"topk_p99_ns"`
-	SnapNsPerOp  int64 `json:"snapshot_ns_per_op"`
-	// SlowestApply is the loop's Apply with the longest repair cascade
-	// (most chain steps, ties to the earlier step) and its wall time, so
-	// the cost per chain step of the worst vacancy chain can be read off
-	// the report. It is chosen by chain steps, not by wall time, so host
-	// noise cannot pick a mutation that ran no cascade.
-	SlowestApply SlowApply `json:"slowest_apply"`
-
-	Identical bool   `json:"identical"`
-	Detail    string `json:"detail,omitempty"`
-}
-
-// SlowApply is one Apply of the serving loop: its step index, the chain
-// steps and top-1 searches its repair ran, and its wall time.
-type SlowApply struct {
-	Step       int     `json:"step"`
-	ChainSteps int64   `json:"chain_steps"`
-	Searches   int64   `json:"searches"`
-	MS         float64 `json:"ms"`
-}
-
-// servingScaleSteps bounds the serving loop: enough iterations for
-// stable percentiles, few enough to stay affordable at n = 10⁶.
+// servingScaleSteps bounds the serving loop: enough steps, one sample
+// each, for a stable median, few enough to stay affordable at n = 10⁶.
 func servingScaleSteps(n int) int {
 	if n >= 200_000 {
 		return 48
@@ -91,86 +50,78 @@ func servingMutationScript(objs []assign.Object, dims, steps int, seed int64) []
 
 // runServingScale measures the serving loop on the production-scale
 // instance: every step applies one mutation, acquires a snapshot, and
-// answers one top-10 query on it.
-func runServingScale(opts Options) (ServingScaleCase, error) {
-	n, dims := opts.ProdSize, 2
-	objs := datagen.Objects(datagen.AntiCorrelated, n, dims, opts.Seed)
-	funcs := datagen.Functions(prodFuncsFor(n), dims, opts.Seed+3)
-	p := &assign.Problem{Dims: dims, Objects: objs, Functions: funcs}
+// answers one top-10 query on it. Each step is one sample of each of
+// the three, and of their sum. The gate checks the final matching
+// against a cold SB solve of the final population, pair for pair.
+func runServingScale(o Options) (Row, error) {
+	n, dims := o.ProdSize, 2
+	objs := datagen.Objects(datagen.AntiCorrelated, n, dims, o.Seed)
+	funcs := datagen.Functions(prodFuncsFor(n), dims, o.Seed+3)
 	steps := servingScaleSteps(n)
-	muts := servingMutationScript(objs, dims, steps, opts.Seed+11)
-	queryScorers := make([]assign.Function, 8)
-	copy(queryScorers, funcs)
-
-	c := ServingScaleCase{Name: "serving_scale", N: n, Dims: dims, Steps: steps,
-		Detail: "serving loop: mutate, snapshot, top-10"}
-	e, err := assign.NewWorkspace(p, assign.Config{})
+	muts := servingMutationScript(objs, dims, steps, o.Seed+11)
+	row := Row{Name: "serving_scale", N: n, Dims: dims}
+	e, err := assign.NewWorkspace(&assign.Problem{Dims: dims, Objects: objs, Functions: funcs}, assign.Config{})
 	if err != nil {
-		return c, fmt.Errorf("serving_scale: %w", err)
+		return row, fmt.Errorf("serving_scale: %w", err)
 	}
 	defer e.Close()
-	// Settle the heap first, as measure does, so the loop does not pay
-	// for collecting what construction and earlier sections left behind.
-	runtime.GC()
 
-	var applyNS, snapNS int64
-	topkNS := make([]time.Duration, 0, steps)
-	prev := e.Stats()
-	loopStart := time.Now()
-	for i, m := range muts {
-		t0 := time.Now()
-		if err := e.Apply([]assign.Mutation{m}); err != nil {
-			return c, fmt.Errorf("serving_scale: step %d: %w", i, err)
-		}
-		d := time.Since(t0)
-		applyNS += d.Nanoseconds()
-		st := e.Stats()
-		if chain := st.ChainSteps - prev.ChainSteps; i == 0 || chain > c.SlowestApply.ChainSteps {
-			c.SlowestApply = SlowApply{Step: i, ChainSteps: chain,
-				Searches: st.Searches - prev.Searches, MS: float64(d.Nanoseconds()) / 1e6}
-		}
-		prev = st
-		t1 := time.Now()
-		v, err := e.Snapshot()
-		if err != nil {
-			return c, err
-		}
-		snapNS += time.Since(t1).Nanoseconds()
-		q := queryScorers[i%len(queryScorers)].Scorer()
-		t2 := time.Now()
-		_, _, err = v.TopKScorer(q, 10)
-		topkNS = append(topkNS, time.Since(t2))
-		v.Close()
-		if err != nil {
-			return c, err
-		}
+	queries := make([]score.Scorer, 8)
+	for i := range queries {
+		queries[i] = funcs[i].Scorer()
 	}
-	wall := time.Since(loopStart)
+	step := 0
+	var v *assign.View
+	apply := func() error { return e.Apply(muts[step : step+1]) }
+	snapshot := func() (err error) {
+		v, err = e.Snapshot()
+		return err
+	}
+	query := func() error { // the view closes before the next Apply
+		defer v.Close()
+		_, _, err := v.TopKScorer(queries[step%len(queries)], 10)
+		step++
+		return err
+	}
+	counters := []func() int64{
+		func() int64 { return e.Stats().ChainSteps },
+		func() int64 { return e.Stats().Searches },
+	}
+	w, err := sample(0, steps, counters, apply, snapshot, query)
+	if err != nil {
+		return row, fmt.Errorf("serving_scale: step %d: %w", step, err)
+	}
 
 	final := e.Pairs()
 	snap := e.ProblemSnapshot()
 	e.Close()
 	cold, err := assign.SB(snap, assign.Config{})
 	if err != nil {
-		return c, fmt.Errorf("serving_scale: cold solve: %w", err)
+		return row, fmt.Errorf("serving_scale: cold solve: %w", err)
 	}
-	c.Identical = matchingEqual(final, cold.Pairs)
+	row.Identical = matchingEqual(final, cold.Pairs)
 
-	sort.Slice(topkNS, func(i, j int) bool { return topkNS[i] < topkNS[j] })
-	rank := func(p float64) int64 {
-		i := int(p*float64(len(topkNS))+0.9999999) - 1
-		if i < 0 {
-			i = 0
+	// The Apply with the longest repair cascade (most chain steps, ties
+	// to the earlier step), so the cost per chain step of the worst
+	// vacancy chain can be read off the report. It is chosen by chain
+	// steps, not by wall time, so host noise cannot pick a mutation that
+	// ran no cascade.
+	slow := 0
+	loop := make([]float64, steps)
+	for i := range steps {
+		if w[0][i].counts[0] > w[0][slow].counts[0] {
+			slow = i
 		}
-		if i >= len(topkNS) {
-			i = len(topkNS) - 1
-		}
-		return topkNS[i].Nanoseconds()
+		loop[i] = float64(w[0][i].ns + w[1][i].ns + w[2][i].ns)
 	}
-	c.MutationsPerSec = float64(steps) / wall.Seconds()
-	c.ApplyNsPerOp = applyNS / int64(steps)
-	c.SnapNsPerOp = snapNS / int64(steps)
-	c.TopKP50NS = rank(0.50)
-	c.TopKP99NS = rank(0.99)
-	return c, nil
+	sw := w[0][slow]
+	row.Detail = fmt.Sprintf("%d steps of mutate, snapshot, top-10; longest repair cascade: step %d, %d chain steps, %d searches, %.2f ms",
+		steps, slow, sw.counts[0], sw.counts[1], float64(sw.ns)/1e6)
+	row.Metrics = map[string]Stat{
+		"step_ns_per_op":     stat(loop),
+		"apply_ns_per_op":    per(w[0], nsPerOp),
+		"snapshot_ns_per_op": per(w[1], nsPerOp),
+		"topk_ns_per_op":     per(w[2], nsPerOp),
+	}
+	return row, nil
 }

@@ -14,6 +14,7 @@ import (
 	"fairassign/internal/geom"
 	"fairassign/internal/metrics"
 	"fairassign/internal/pagestore"
+	"fairassign/internal/vfs"
 )
 
 // The conformance sweep: run a fixed mutation script against a durable
@@ -75,7 +76,7 @@ func sweepBatches() [][]assign.Mutation {
 // applied batches). Two saves exercise rotation and prune.
 var savePoints = map[int]bool{2: true, 4: true}
 
-func sweepCfg(fs *FS, factory func(int) (pagestore.Store, error)) assign.Config {
+func sweepCfg(fs *vfs.MemFS, factory func(int) (pagestore.Store, error)) assign.Config {
 	return assign.Config{
 		PageSize:     256,
 		BufferFrac:   0.1,
@@ -135,7 +136,7 @@ func sameState(a, b twinState) error {
 // runScript drives the workspace lifecycle against fs until the crash
 // point kills it. Returns the number of acknowledged batches (-1 if
 // construction itself failed) and the number of batches issued.
-func runScript(fs *FS, factory func(int) (pagestore.Store, error)) (acked, issued int) {
+func runScript(fs *vfs.MemFS, factory func(int) (pagestore.Store, error)) (acked, issued int) {
 	p := sweepProblem()
 	w, err := assign.NewWorkspace(p, sweepCfg(fs, factory))
 	if err != nil {
@@ -167,7 +168,7 @@ type region struct {
 // returns the labeled write regions plus the total bytes written.
 func recordRegions(t *testing.T, factory func(int) (pagestore.Store, error)) ([]region, int64) {
 	t.Helper()
-	fs := New()
+	fs := vfs.NewMem()
 	p := sweepProblem()
 	var regs []region
 	mark := func(label string, start int64) {
@@ -282,10 +283,10 @@ func runSweep(t *testing.T, backend string, factory func(int) (pagestore.Store, 
 		return "boundary"
 	}
 	for pi, k := range pts {
-		fs := New()
+		fs := vfs.NewMem()
 		fs.Arm(k)
 		acked, issued := runScript(fs, factory)
-		for _, policy := range []Policy{FlushPrefix, DropUnsynced} {
+		for _, policy := range []vfs.Policy{vfs.FlushPrefix, vfs.DropUnsynced} {
 			img := fs.Reboot(policy)
 			r, err := assign.OpenWorkspace(sweepCfg(img, factory))
 			if err != nil {
@@ -312,7 +313,7 @@ func runSweep(t *testing.T, backend string, factory func(int) (pagestore.Store, 
 				t.Fatalf("crash@%d [%s] policy %s: recovered %d batches, acked %d, issued %d",
 					k, labelOf(k), policy, m, acked, issued)
 			}
-			if policy == DropUnsynced && m < acked {
+			if policy == vfs.DropUnsynced && m < acked {
 				r.Close()
 				t.Fatalf("crash@%d [%s]: drop-unsynced lost %d acked batches", k, labelOf(k), acked-m)
 			}
@@ -326,7 +327,7 @@ func runSweep(t *testing.T, backend string, factory func(int) (pagestore.Store, 
 			report.ByRegion[labelOf(k)]++
 			// On a subset of trials, keep mutating after recovery and
 			// check the workspace still tracks the twin.
-			if pi%7 == 0 && policy == FlushPrefix {
+			if pi%7 == 0 && policy == vfs.FlushPrefix {
 				batches := sweepBatches()
 				ok := true
 				for _, b := range batches[m:] {
@@ -377,7 +378,7 @@ func TestCrashSweepFileStore(t *testing.T) {
 
 // TestRebootPolicies pins the fault model itself.
 func TestRebootPolicies(t *testing.T) {
-	fs := New()
+	fs := vfs.NewMem()
 	if err := fs.MkdirAll("d"); err != nil {
 		t.Fatal(err)
 	}
@@ -390,56 +391,46 @@ func TestRebootPolicies(t *testing.T) {
 	f.Write([]byte("-tail"))
 	f.Close()
 
-	img := fs.Reboot(FlushPrefix)
+	img := fs.Reboot(vfs.FlushPrefix)
 	if got := readAll(t, img, "d/f"); got != "synced-tail" {
 		t.Fatalf("flush-prefix image = %q", got)
 	}
-	img = fs.Reboot(DropUnsynced)
+	img = fs.Reboot(vfs.DropUnsynced)
 	if got := readAll(t, img, "d/f"); got != "synced" {
 		t.Fatalf("drop-unsynced image = %q", got)
 	}
 }
 
 func TestArmTearsWrites(t *testing.T) {
-	fs := New()
+	fs := vfs.NewMem()
 	fs.MkdirAll("d")
 	f, _ := fs.Create("d/f")
 	if _, err := f.Write([]byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	fs.Arm(5)
-	if _, err := f.Write([]byte("defg")); !errors.Is(err, ErrInjectedCrash) {
+	if _, err := f.Write([]byte("defg")); !errors.Is(err, vfs.ErrInjectedCrash) {
 		t.Fatalf("straddling write: %v", err)
 	}
 	if !fs.Crashed() {
 		t.Fatal("crash not flagged")
 	}
-	if err := f.Sync(); !errors.Is(err, ErrInjectedCrash) {
+	if err := f.Sync(); !errors.Is(err, vfs.ErrInjectedCrash) {
 		t.Fatalf("post-crash sync: %v", err)
 	}
-	if got := readAll(t, fs.Reboot(FlushPrefix), "d/f"); got != "abcde" {
+	if got := readAll(t, fs.Reboot(vfs.FlushPrefix), "d/f"); got != "abcde" {
 		t.Fatalf("torn image = %q, want abcde", got)
 	}
-	if got := readAll(t, fs.Reboot(DropUnsynced), "d/f"); got != "" {
+	if got := readAll(t, fs.Reboot(vfs.DropUnsynced), "d/f"); got != "" {
 		t.Fatalf("unsynced image = %q, want empty", got)
 	}
 }
 
-func readAll(t *testing.T, fs *FS, name string) string {
+func readAll(t *testing.T, fs *vfs.MemFS, name string) string {
 	t.Helper()
-	f, err := fs.Open(name)
+	data, err := fs.ReadAll(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var out []byte
-	buf := make([]byte, 64)
-	for {
-		n, err := f.Read(buf)
-		out = append(out, buf[:n]...)
-		if err != nil {
-			break
-		}
-	}
-	return string(out)
+	return string(data)
 }

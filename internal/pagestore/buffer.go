@@ -36,10 +36,6 @@ type BufferPool struct {
 	// after the byte-tier access for its page has been accounted, so
 	// pinning changes CPU/allocation cost, never I/O counts.
 	pinned map[PageID]*pinEntry
-
-	// noDecoded disables the decoded tier (every GetDecoded re-parses),
-	// used by benchmarks to measure the cache's effect.
-	noDecoded bool
 }
 
 type frame struct {
@@ -231,9 +227,7 @@ func (b *BufferPool) GetDecoded(id PageID, decode func(PageID, []byte) (any, err
 		if err != nil {
 			return nil, err
 		}
-		if !b.noDecoded {
-			f.obj = obj
-		}
+		f.obj = obj
 		return obj, nil
 	}
 	if b.capacity == 0 {
@@ -249,7 +243,7 @@ func (b *BufferPool) GetDecoded(id PageID, decode func(PageID, []byte) (any, err
 		return nil, err
 	}
 	obj, decErr := b.decodeLocked(id, f.data, decode)
-	if decErr == nil && !b.noDecoded {
+	if decErr == nil {
 		f.obj = obj
 	}
 	// Cache the page bytes even when decode failed — Get would have, and
@@ -269,14 +263,14 @@ func (b *BufferPool) GetDecoded(id PageID, decode func(PageID, []byte) (any, err
 // object is mirrored into the pinned slot so it survives frame eviction.
 func (b *BufferPool) decodeLocked(id PageID, data []byte, decode func(PageID, []byte) (any, error)) (any, error) {
 	pe := b.pinned[id]
-	if pe != nil && pe.obj != nil && !b.noDecoded {
+	if pe != nil && pe.obj != nil {
 		return pe.obj, nil
 	}
 	obj, err := decode(id, data)
 	if err != nil {
 		return nil, err
 	}
-	if pe != nil && !b.noDecoded {
+	if pe != nil {
 		pe.obj = obj
 	}
 	return obj, nil
@@ -296,7 +290,7 @@ func (b *BufferPool) Pin(id PageID) {
 		b.pinned[id] = pe
 	}
 	pe.refs++
-	if pe.obj == nil && !b.noDecoded {
+	if pe.obj == nil {
 		if f, ok := b.frames[id]; ok {
 			pe.obj = f.obj
 		}
@@ -315,24 +309,6 @@ func (b *BufferPool) Unpin(id PageID) {
 	pe.refs--
 	if pe.refs <= 0 {
 		delete(b.pinned, id)
-	}
-}
-
-// SetDecodedCache enables or disables the decoded-object tier. Disabling
-// purges all cached objects; every subsequent GetDecoded re-parses its
-// page. Byte-tier behaviour (and therefore all I/O counts) is unchanged
-// either way. Used by benchmarks to measure the tier's effect.
-func (b *BufferPool) SetDecodedCache(enabled bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.noDecoded = !enabled
-	if !enabled {
-		for _, f := range b.frames {
-			f.obj = nil
-		}
-		for _, pe := range b.pinned {
-			pe.obj = nil
-		}
 	}
 }
 

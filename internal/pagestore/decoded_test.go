@@ -203,30 +203,6 @@ func TestGetDecodedIOEquivalence(t *testing.T) {
 	}
 }
 
-func TestSetDecodedCacheDisables(t *testing.T) {
-	pool, ids := newDecodedPool(t, 4, 1)
-	putU64(t, pool, ids[0], 9)
-	pool.SetDecodedCache(false)
-	var d decodeCounter
-	for i := 0; i < 3; i++ {
-		if _, err := pool.GetDecoded(ids[0], d.decode); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.calls != 3 {
-		t.Fatalf("decode calls with cache disabled = %d, want 3", d.calls)
-	}
-	pool.SetDecodedCache(true)
-	for i := 0; i < 3; i++ {
-		if _, err := pool.GetDecoded(ids[0], d.decode); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.calls != 4 {
-		t.Fatalf("decode calls after re-enable = %d, want 4", d.calls)
-	}
-}
-
 func TestClearDropsUnpinnedDecoded(t *testing.T) {
 	pool, ids := newDecodedPool(t, 4, 1)
 	putU64(t, pool, ids[0], 3)

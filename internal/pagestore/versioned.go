@@ -15,12 +15,12 @@ import (
 // consistent page images pinned to the epoch at which they were taken.
 //
 // Model. Time is divided into epochs. The writer is always building
-// epoch W (= Published()+1); Publish() seals W and starts W+1. A
-// Snapshot acquired between publishes pins the latest published epoch
-// and resolves every page to the newest version written at or before
-// it. Versions of published epochs are immutable, so snapshot reads
-// need no copying, no buffer pool, and no coordination beyond a brief
-// read-lock to resolve the version chain.
+// epoch W, one past the latest published epoch; Publish() seals W and
+// starts W+1. A Snapshot acquired between publishes pins the latest
+// published epoch and resolves every page to the newest version
+// written at or before it. Versions of published epochs are immutable,
+// so snapshot reads need no copying, no buffer pool, and no
+// coordination beyond a brief read-lock to resolve the version chain.
 //
 // Copy-on-write. The first write to a page in a new epoch checks
 // whether any live snapshot can still observe the page's current
@@ -36,8 +36,7 @@ import (
 // unchanged — every ReadPage/WritePage performs (and counts) exactly
 // one inner access, so the paper's physical I/O metric is identical to
 // running on the inner store directly. Snapshot reads are served from
-// the in-memory version chains and tallied on per-snapshot counters,
-// never on the writer's.
+// the in-memory version chains and never counted on the writer's.
 //
 // Concurrency contract: one writer (Allocate/ReadPage/WritePage/Free/
 // Publish) serialized by the caller; snapshot reads, Acquire, and
@@ -174,10 +173,17 @@ func (s *VersionedStore) WritePage(id PageID, data []byte) error {
 		ch.versions = append(ch.versions, nv)
 		s.retired = append(s.retired, retiredRef{id: id, epoch: s.writer})
 	default:
-		// Nobody can observe the old bytes: recycle the version.
+		// Nobody can observe the old bytes: recycle the version. Older
+		// versions kept for live snapshots are queued again at the
+		// writer epoch: a release before the next Publish can consume
+		// the page's earlier entry while this version is unpublished,
+		// and nothing else would prune them.
 		fillPage(last.data, data)
 		last.epoch = s.writer
 		last.decoded.Store(nil)
+		if len(ch.versions) > 1 {
+			s.retired = append(s.retired, retiredRef{id: id, epoch: s.writer})
+		}
 	}
 	s.mu.Unlock()
 	return s.inner.WritePage(id, data)
@@ -307,14 +313,6 @@ func (s *VersionedStore) Publish() uint64 {
 	return s.current
 }
 
-// Published returns the latest published epoch (0 before the first
-// Publish).
-func (s *VersionedStore) Published() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.current
-}
-
 // Acquire pins the latest published epoch and returns a read view on
 // it. Must be serialized with the writer (see the concurrency
 // contract); the returned Snapshot is then free-threaded.
@@ -406,14 +404,12 @@ func (s *VersionedStore) DebugStats() VersionedStats {
 // Snapshot is an immutable read view of a VersionedStore pinned to one
 // published epoch. It is safe for concurrent use and remains valid —
 // including after the store is closed — until Release is called.
-// Reads are served from retained version buffers and counted on the
-// snapshot's own counters, never on the writer's I/O metric.
+// Reads are served from retained version buffers and never touch the
+// writer's I/O metric.
 type Snapshot struct {
 	store    *VersionedStore
 	epoch    uint64
 	released atomic.Bool
-	reads    atomic.Int64 // page resolutions served
-	decodes  atomic.Int64 // cold decodes performed (GetDecoded misses)
 }
 
 // Epoch returns the published epoch this snapshot pins.
@@ -421,15 +417,6 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 
 // PageSize returns the page size of the underlying store.
 func (sn *Snapshot) PageSize() int { return sn.store.inner.PageSize() }
-
-// Reads returns the number of page resolutions this snapshot served
-// (the read view's logical I/O).
-func (sn *Snapshot) Reads() int64 { return sn.reads.Load() }
-
-// Decodes returns how many GetDecoded calls had to parse page bytes
-// (cold reads); the rest were served from the per-version decoded
-// cache.
-func (sn *Snapshot) Decodes() int64 { return sn.decodes.Load() }
 
 // resolve finds the newest version of a page visible at the snapshot's
 // epoch.
@@ -461,7 +448,6 @@ func (sn *Snapshot) ReadPage(id PageID, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	sn.reads.Add(1)
 	copy(buf, v.data)
 	return nil
 }
@@ -478,7 +464,6 @@ func (sn *Snapshot) GetDecoded(id PageID, decode func(PageID, []byte) (any, erro
 	if err != nil {
 		return nil, err
 	}
-	sn.reads.Add(1)
 	if d := v.decoded.Load(); d != nil {
 		return d.obj, nil
 	}
@@ -486,7 +471,6 @@ func (sn *Snapshot) GetDecoded(id PageID, decode func(PageID, []byte) (any, erro
 	if err != nil {
 		return nil, err
 	}
-	sn.decodes.Add(1)
 	boxed := &decodedObj{obj: obj}
 	if !v.decoded.CompareAndSwap(nil, boxed) {
 		// A concurrent reader decoded first; share its object.

@@ -139,6 +139,33 @@ func TestVersionedReclamation(t *testing.T) {
 	}
 }
 
+// A view released mid-epoch, after the writer recycled a page's newest
+// version in place, leaves no history behind: the next Publish prunes
+// the superseded version the view had pinned.
+func TestVersionedReleaseAfterRecycle(t *testing.T) {
+	vs := newVersionedMem(t, 128)
+	vs.SetSerializedAcquire(true)
+	id, err := vs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeByte(t, vs, id, 0x01)
+	vs.Publish()
+	s1 := vs.Acquire()
+	writeByte(t, vs, id, 0x02) // copy-on-write: s1 pins the old bytes
+	vs.Publish()
+	writeByte(t, vs, id, 0x03) // recycle: no live view pins the newest version
+	s1.Release()
+	vs.Publish()
+	st := vs.DebugStats()
+	if st.LivePages != 1 || st.TotalVersions != 1 || st.RetiredQueue != 0 || st.LiveSnapshots != 0 {
+		t.Fatalf("history leaked after release: %+v", st)
+	}
+	if got := readByte(t, vs.ReadPage, vs.PageSize(), id); got != 0x03 {
+		t.Fatalf("writer reads %x, want 03", got)
+	}
+}
+
 // A page allocated and freed in the same unpublished epoch vanishes
 // immediately even while older snapshots are live.
 func TestVersionedEphemeralPage(t *testing.T) {
@@ -190,10 +217,6 @@ func TestVersionedDecodedCache(t *testing.T) {
 	}
 	if decodes != 1 {
 		t.Fatalf("decode ran %d times, want 1", decodes)
-	}
-	if s1.Decodes()+s2.Decodes() != 1 || s1.Reads()+s2.Reads() != 6 {
-		t.Fatalf("snapshot counters off: decodes %d/%d reads %d/%d",
-			s1.Decodes(), s2.Decodes(), s1.Reads(), s2.Reads())
 	}
 
 	writeByte(t, vs, id, 0x08)

@@ -10,11 +10,10 @@ import (
 
 // benchTree bulk-loads n random points into a tree whose pool holds the
 // whole index (warm-cache regime) and returns it with the counters reset.
-func benchTree(b *testing.B, n, dims int, cache bool) *Tree {
+func benchTree(b *testing.B, n, dims int) *Tree {
 	b.Helper()
 	store := pagestore.NewMemStore(4096)
 	pool := pagestore.NewBufferPool(store, 1<<20)
-	pool.SetDecodedCache(cache)
 	rng := rand.New(rand.NewSource(42))
 	items := make([]Item, n)
 	for i := range items {
@@ -36,24 +35,16 @@ func benchTree(b *testing.B, n, dims int, cache bool) *Tree {
 // hottest operation of every traversal. With the decoded-node cache it is
 // a pure map/LRU hit and must not allocate.
 func BenchmarkReadNodeWarm(b *testing.B) {
-	for _, cache := range []bool{true, false} {
-		name := "cache=on"
-		if !cache {
-			name = "cache=off"
+	tr := benchTree(b, 5000, 3)
+	root := tr.Root()
+	if _, err := tr.ReadNode(root); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.ReadNode(root); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			tr := benchTree(b, 5000, 3, cache)
-			root := tr.Root()
-			if _, err := tr.ReadNode(root); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.ReadNode(root); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

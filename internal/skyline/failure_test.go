@@ -38,7 +38,4 @@ func TestMaintainerSurfacesIOErrors(t *testing.T) {
 	if _, err := Compute(tr, nil); err == nil {
 		t.Fatal("compute should fail on a corrupted store")
 	}
-	if _, err := Skyband(tr, 2); err == nil {
-		t.Fatal("skyband should fail on a corrupted store")
-	}
 }

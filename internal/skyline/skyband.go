@@ -14,57 +14,6 @@ import (
 // downstream systems can pre-filter candidate sets for multi-winner
 // variants.
 
-// Skyband computes the k-skyband of an R-tree indexed object set with a
-// branch-and-bound traversal: an entry is pruned only when at least k
-// found objects dominate its best corner.
-func Skyband(t *rtree.Tree, k int) ([]rtree.Item, error) {
-	if k < 1 {
-		k = 1
-	}
-	if t.Len() == 0 {
-		return nil, nil
-	}
-	var band []rtree.Item
-	h := acquireEntryHeap()
-	defer releaseEntryHeap(h)
-	root, err := t.ReadNode(t.Root())
-	if err != nil {
-		return nil, err
-	}
-	pushNodeEntries(h, root)
-	for h.Len() > 0 {
-		e := h.pop()
-		if dominatorCount(band, e, k) >= k {
-			continue
-		}
-		if e.isPoint() {
-			band = append(band, rtree.Item{ID: e.id, Point: e.rect.Min})
-			continue
-		}
-		n, err := t.ReadNode(e.child)
-		if err != nil {
-			return nil, err
-		}
-		pushNodeEntries(h, n)
-	}
-	return band, nil
-}
-
-// dominatorCount counts band objects strictly dominating e's top corner,
-// early-exiting at limit.
-func dominatorCount(band []rtree.Item, e entry, limit int) int {
-	n := 0
-	for _, b := range band {
-		if b.Point.Dominates(e.rect.Max) {
-			n++
-			if n >= limit {
-				return n
-			}
-		}
-	}
-	return n
-}
-
 // SkybandMem computes the k-skyband of an in-memory item slice by a
 // sort-and-filter pass (the SFS idea generalized): objects are visited in
 // descending coordinate-sum order, so all potential dominators of an

@@ -29,14 +29,7 @@ func TestSkybandMatchesNaive(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5} {
 		for _, n := range []int{1, 50, 400} {
 			items := randItems(rng, n, 3)
-			want := naiveSkyband(items, k)
-			tr := buildTree(t, items, 3)
-			got, err := Skyband(tr, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameIDs(t, got, want, "Skyband")
-			sameIDs(t, SkybandMem(items, k), want, "SkybandMem")
+			sameIDs(t, SkybandMem(items, k), naiveSkyband(items, k), "SkybandMem")
 		}
 	}
 }
@@ -44,11 +37,7 @@ func TestSkybandMatchesNaive(t *testing.T) {
 func TestSkybandK1IsSkyline(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	items := antiItems(rng, 500, 3)
-	tr := buildTree(t, items, 3)
-	band, err := Skyband(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	band := SkybandMem(items, 1)
 	sky, err := Compute(buildTree(t, items, 3), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -59,13 +48,9 @@ func TestSkybandK1IsSkyline(t *testing.T) {
 func TestSkybandGrowsWithK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items := randItems(rng, 600, 2)
-	tr := buildTree(t, items, 2)
 	prev := -1
 	for _, k := range []int{1, 2, 4, 8} {
-		band, err := Skyband(tr, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		band := SkybandMem(items, k)
 		if len(band) < prev {
 			t.Fatalf("k=%d: band shrank (%d < %d)", k, len(band), prev)
 		}
@@ -119,12 +104,7 @@ func TestSkybandContainsEveryTopK(t *testing.T) {
 func TestSkybandInvalidKAndEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := randItems(rng, 40, 2)
-	tr := buildTree(t, items, 2)
-	band, err := Skyband(tr, 0) // treated as k=1
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameIDs(t, band, naiveSkyband(items, 1), "k=0")
+	sameIDs(t, SkybandMem(items, 0), naiveSkyband(items, 1), "k=0") // treated as k=1
 	if got := SkybandMem(nil, 3); len(got) != 0 {
 		t.Error("empty input should produce empty band")
 	}

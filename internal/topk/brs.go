@@ -2,9 +2,8 @@
 // al.) over an R-tree: an I/O-optimal incremental top-k iterator for
 // monotone preference functions (Section 2.3 of the paper). The
 // searcher prunes with score.Scorer.UpperBound over node MBRs, which is
-// sound for every monotone family in internal/score — the linear
-// weights constructors remain as the fast-path special case and compile
-// to the identical maxscore dot product as before.
+// sound for every monotone family in internal/score; for the linear
+// family it is the maxscore dot product.
 //
 // Results come in one total order on every input: score descending,
 // ties to the lower object ID. The heap makes that hold by ordering
@@ -18,7 +17,7 @@
 // fresh top-1 searches. Both tombstone assigned objects through a skip
 // filter instead of physically deleting them, which keeps the retained
 // heaps valid while producing the identical visit order. One-shot
-// searches (Top1, TopK) are bounded by their k and run on pooled
+// searches (Top1, TopKScorer) are bounded by their k and run on pooled
 // searchers.
 package topk
 
@@ -89,16 +88,10 @@ type Searcher struct {
 	NodeReads int64
 }
 
-// NewSearcher creates an unbounded iterator for the linear function with
-// the given weights. The root node is read lazily on the first Next call.
-func NewSearcher(t rtree.NodeReader, weights []float64, skip func(uint64) bool) *Searcher {
-	return NewScorerSearcher(t, score.LinearScorer(weights), skip)
-}
-
 // NewScorerSearcher creates an unbounded iterator for an arbitrary
 // monotone scorer: entries are keyed by the scorer's upper bound over
 // their MBR, so enumeration order is non-increasing in the scorer for
-// any family.
+// any family. The root node is read lazily on the first Next call.
 func NewScorerSearcher(t rtree.NodeReader, sc score.Scorer, skip func(uint64) bool) *Searcher {
 	return &Searcher{tree: t, sc: sc, skip: skip}
 }
@@ -216,13 +209,8 @@ func Top1Scorer(t rtree.NodeReader, sc score.Scorer, skip func(uint64) bool) (rt
 	return s.Next()
 }
 
-// TopK collects the k best non-skipped objects in score order.
-func TopK(t rtree.NodeReader, weights []float64, k int, skip func(uint64) bool) ([]rtree.Item, []float64, error) {
-	return TopKScorer(t, score.LinearScorer(weights), k, skip)
-}
-
-// TopKScorer is TopK for an arbitrary monotone scorer: score
-// descending, ties to the lower ID. The result slices are sized
+// TopKScorer collects the k best non-skipped objects for an arbitrary
+// monotone scorer: score descending, ties to the lower ID. The result slices are sized
 // min(k, t.Len()), and are nil when that is 0. A k that covers the
 // whole tree cannot prune, so that search runs unbounded.
 func TopKScorer(t rtree.NodeReader, sc score.Scorer, k int, skip func(uint64) bool) ([]rtree.Item, []float64, error) {

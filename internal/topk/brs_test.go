@@ -9,6 +9,7 @@ import (
 	"fairassign/internal/geom"
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
+	"fairassign/internal/score"
 )
 
 func randItems(rng *rand.Rand, n, dims int) []rtree.Item {
@@ -69,7 +70,7 @@ func TestNextEnumeratesInScoreOrder(t *testing.T) {
 			return want[i].id < want[j].id
 		})
 
-		s := NewSearcher(tr, w, nil)
+		s := NewScorerSearcher(tr, score.LinearScorer(w), nil)
 		for i := 0; i < len(items); i++ {
 			it, sc, ok, err := s.Next()
 			if err != nil {
@@ -116,7 +117,7 @@ func TestSkipFilterTombstones(t *testing.T) {
 	tr := buildTree(t, items, 2)
 	w := randWeights(rng, 2)
 	assigned := map[uint64]bool{}
-	s := NewSearcher(tr, w, func(id uint64) bool { return assigned[id] })
+	s := NewScorerSearcher(tr, score.LinearScorer(w), func(id uint64) bool { return assigned[id] })
 
 	// Consume the stream while tombstoning every other returned object
 	// after the fact — later results must never include tombstoned IDs.
@@ -155,7 +156,7 @@ func TestTop1WithGrowingSkipSetMatchesBrute(t *testing.T) {
 	tr := buildTree(t, items, 3)
 	w := randWeights(rng, 3)
 	assigned := map[uint64]bool{}
-	s := NewSearcher(tr, w, func(id uint64) bool { return assigned[id] })
+	s := NewScorerSearcher(tr, score.LinearScorer(w), func(id uint64) bool { return assigned[id] })
 	for round := 0; round < len(items); round++ {
 		it, sc, ok, err := s.Next()
 		if err != nil || !ok {
@@ -183,7 +184,7 @@ func TestTopK(t *testing.T) {
 	items := randItems(rng, 300, 2)
 	tr := buildTree(t, items, 2)
 	w := randWeights(rng, 2)
-	got, scores, err := TopK(tr, w, 10, nil)
+	got, scores, err := TopKScorer(tr, score.LinearScorer(w), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestTopK(t *testing.T) {
 		}
 	}
 	// k exceeding the population returns everything.
-	gotAll, _, err := TopK(tr, w, 10000, nil)
+	gotAll, _, err := TopKScorer(tr, score.LinearScorer(w), 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 // Package vfs is the small filesystem seam under the durability layer:
 // the snapshot writer and the write-ahead log perform every file
-// operation through the FS interface, so the crash-injection harness
-// (internal/crashtest) can substitute a fault-injecting in-memory
-// filesystem and kill the write stream at any byte offset, while
-// production uses the real OS filesystem.
+// operation through the FS interface. Production uses the real OS
+// filesystem; tests use MemFS, whose armed mode kills the write stream
+// at any byte offset for the crash sweep in internal/crashtest.
 //
-// Durability contract the OS implementation provides (and the in-memory
+// Durability contract the OS implementation provides (and MemFS's
 // fault model mirrors):
 //
 //   - File.Sync makes every byte written so far durable before it

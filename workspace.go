@@ -100,27 +100,9 @@ type WorkspaceStats struct {
 // NewSolver; the Algorithm field is ignored (the initial solve is SB,
 // mutations use chain repair).
 func NewWorkspace(objects []Object, functions []Function, opts Options) (*Workspace, error) {
-	if len(objects) == 0 && len(functions) == 0 {
-		return nil, fmt.Errorf("fairassign: nothing to assign")
-	}
-	dims := problemDims(objects, functions)
-	if dims == 0 {
-		return nil, fmt.Errorf("fairassign: cannot derive dimensionality (no objects and no function carries explicit weights)")
-	}
-	p := &assign.Problem{Dims: dims}
-	for _, o := range objects {
-		p.Objects = append(p.Objects, assign.Object{
-			ID:       o.ID,
-			Point:    geom.Point(o.Attributes).Clone(),
-			Capacity: o.Capacity,
-		})
-	}
-	for _, f := range functions {
-		af, err := resolveFunction(f, opts, dims)
-		if err != nil {
-			return nil, err
-		}
-		p.Functions = append(p.Functions, af)
+	p, err := buildProblem(objects, functions, opts)
+	if err != nil {
+		return nil, err
 	}
 	ws, err := assign.NewWorkspace(p, opts.assignConfig())
 	if err != nil {
