@@ -59,8 +59,7 @@ type RecoveryInfo struct {
 // (the un-acknowledged batch a crash interrupted) are truncated;
 // corrupt snapshots fall back to the previous generation with a longer
 // replay. The recovered workspace continues the exact epoch lineage of
-// the crashed one and, when opts.Durable is set, resumes logging into a
-// fresh segment.
+// the crashed one and resumes logging into a fresh segment.
 //
 // The population, weights, and capacities all come from the durable
 // state; opts supplies only the runtime configuration (buffering and
@@ -76,10 +75,9 @@ func OpenWorkspace(opts Options) (*Workspace, error) {
 	return &Workspace{ws: ws, opts: opts}, nil
 }
 
-// SaveSnapshot persists the current epoch into Options.WALDir and, on a
-// WAL-enabled workspace, rotates the log: recovery after this call
-// restores from the new snapshot and replays only mutations applied
-// after it. Old snapshots (beyond one fallback generation) and log
+// SaveSnapshot persists the current epoch into Options.WALDir and
+// rotates the log: recovery after this call restores from the new
+// snapshot and replays only mutations applied after it. Old snapshots (beyond one fallback generation) and log
 // segments no retained snapshot needs are pruned. Safe to call at any
 // time; a crash at any byte of the save leaves a recoverable directory.
 func (w *Workspace) SaveSnapshot() error { return w.ws.SaveSnapshot() }

@@ -12,7 +12,6 @@ func durableOpts(t *testing.T) Options {
 	return Options{
 		PageSize:       512,
 		BufferFraction: 0.1,
-		Durable:        true,
 		WALDir:         filepath.Join(t.TempDir(), "dur"),
 	}
 }

@@ -146,19 +146,14 @@ type Options struct {
 	// NormalizeWeights rescales every function's weights to sum to 1
 	// (default true via zero value: set SkipNormalization to opt out).
 	SkipNormalization bool
-	// Durable enables write-ahead logging on a Workspace: every Apply
-	// batch (and every single mutation) is encoded, checksummed, and
-	// fsynced into WALDir before it is acknowledged, and an initial
-	// snapshot is written at construction, so a crash at any moment
-	// recovers the exact acknowledged state through OpenWorkspace.
-	// Requires WALDir; ignored by Solver. See the package's durability
-	// section in the README for file formats and recovery semantics.
-	Durable bool
-	// WALDir is the durability directory holding snapshot files and WAL
-	// segments. Setting it without Durable enables snapshot-only
-	// warm-start mode: SaveSnapshot persists restore points, but
-	// mutations between snapshots are not logged and a crash rewinds to
-	// the last snapshot.
+	// WALDir makes a Workspace durable: it is the directory holding
+	// snapshot files and write-ahead-log segments. Every Apply batch
+	// (and every single mutation) is encoded, checksummed, and fsynced
+	// into the log before it is acknowledged, and an initial snapshot is
+	// written at construction, so a crash at any moment recovers the
+	// exact acknowledged state through OpenWorkspace. Ignored by Solver.
+	// See the package's durability section in the README for file
+	// formats and recovery semantics.
 	WALDir string
 }
 
@@ -170,7 +165,6 @@ func (o Options) assignConfig() assign.Config {
 		PageSize:   o.PageSize,
 		BufferFrac: o.BufferFraction,
 		OmegaFrac:  o.OmegaFraction,
-		Durable:    o.Durable,
 		WALDir:     o.WALDir,
 	}
 }
@@ -252,7 +246,7 @@ func (s *Solver) Dims() int { return s.problem.Dims }
 func (s *Solver) Solve() (*Result, error) {
 	cfg := s.opts.assignConfig()
 	// Solvers are one-shot: durability is a Workspace concern.
-	cfg.Durable, cfg.WALDir = false, ""
+	cfg.WALDir = ""
 	r, err := s.run(s.problem, cfg)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"path"
 	"sort"
 
+	"fairassign/internal/cow"
 	"fairassign/internal/geom"
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
@@ -58,7 +59,7 @@ const retainSnapshots = 2
 type durableState struct {
 	fs  vfs.FS
 	dir string
-	log *wal.Writer // nil in snapshot-only mode (WALDir without Durable)
+	log *wal.Writer
 }
 
 // RecoveryInfo describes how OpenWorkspace reconstructed a workspace.
@@ -95,13 +96,10 @@ func (c Config) fsOrOS() vfs.FS {
 // initDurable sets up the durability directory of a freshly built
 // workspace: an initial snapshot at the first published epoch (the WAL
 // cannot bootstrap an empty directory — the initial population is not
-// logged) and, when Durable, the first WAL segment. Runs at the tail of
-// NewWorkspace, before the workspace is handed out.
+// logged) and the first WAL segment. Runs at the tail of NewWorkspace,
+// before the workspace is handed out.
 func (w *Workspace) initDurable() error {
 	cfg := w.cfg
-	if cfg.WALDir == "" {
-		return fmt.Errorf("assign: Durable requires WALDir")
-	}
 	fs := cfg.fsOrOS()
 	if err := fs.MkdirAll(cfg.WALDir); err != nil {
 		return fmt.Errorf("assign: create durability dir: %w", err)
@@ -111,10 +109,6 @@ func (w *Workspace) initDurable() error {
 	} else if len(epochs) > 0 {
 		return fmt.Errorf("%w: %s (use OpenWorkspace)", ErrDurableDirInUse, cfg.WALDir)
 	}
-	w.dur = &durableState{fs: fs, dir: cfg.WALDir}
-	if !cfg.Durable {
-		return nil // snapshot-only mode: images on demand, no log
-	}
 	d, err := w.captureDataLocked()
 	if err != nil {
 		return err
@@ -122,15 +116,19 @@ func (w *Workspace) initDurable() error {
 	if _, err := snapshot.WriteFile(fs, cfg.WALDir, d); err != nil {
 		return err
 	}
-	w.dur.log, err = wal.Create(fs, cfg.WALDir, 1, w.epoch)
-	return err
+	log, err := wal.Create(fs, cfg.WALDir, 1, w.epoch)
+	if err != nil {
+		return err
+	}
+	w.dur = &durableState{fs: fs, dir: cfg.WALDir, log: log}
+	return nil
 }
 
 // SaveSnapshot persists the current epoch into the durability directory
-// and, on a WAL-enabled workspace, rotates the log: a fresh segment
-// based at the snapshot epoch is started and files no retained snapshot
-// needs are pruned (the newest retainSnapshots generations stay, so a
-// corrupt newest snapshot can still fall back). Crash-safe at every
+// and rotates the log: a fresh segment based at the snapshot epoch is
+// started and files no retained snapshot needs are pruned (the newest
+// retainSnapshots generations stay, so a corrupt newest snapshot can
+// still fall back). Crash-safe at every
 // byte: the snapshot commits atomically via rename, the new segment is
 // durable before the old one closes, and recovery tolerates every
 // intermediate file layout.
@@ -152,21 +150,21 @@ func (w *Workspace) SaveSnapshot() error {
 		// the old snapshot + WAL still recover everything.
 		return err
 	}
-	if w.dur.log != nil {
-		next, err := wal.Create(w.dur.fs, w.dur.dir, w.dur.log.Seq()+1, w.epoch)
-		if err != nil {
-			return err
-		}
-		w.dur.log.Close()
-		w.dur.log = next
+	next, err := wal.Create(w.dur.fs, w.dur.dir, w.dur.log.Seq()+1, w.epoch)
+	if err != nil {
+		return err
 	}
+	w.dur.log.Close()
+	w.dur.log = next
 	w.pruneDurableFiles()
 	return nil
 }
 
-// pruneDurableFiles removes snapshots older than the retained window
-// and WAL segments entirely covered by the oldest retained snapshot.
-// Best-effort: stray files never endanger recovery, missing space does.
+// pruneDurableFiles removes snapshots older than the retained window,
+// WAL segments entirely covered by the oldest retained snapshot, and
+// segments that can hold no record (a reopen that committed nothing
+// before the next one leaves such a segment). Best-effort: stray files
+// never endanger recovery, missing space does.
 func (w *Workspace) pruneDurableFiles() {
 	fs, dir := w.dur.fs, w.dur.dir
 	epochs, err := snapshot.List(fs, dir)
@@ -186,7 +184,8 @@ func (w *Workspace) pruneDurableFiles() {
 		return
 	}
 	// Segment i holds records in (base_i, base_{i+1}]; it is dead once
-	// the oldest retained snapshot is at or past everything it can hold.
+	// that range is empty or the oldest retained snapshot is at or past
+	// everything it can hold.
 	bases := make([]uint64, len(segs))
 	for i, sg := range segs {
 		if _, base, err := wal.ReadHeader(fs, dir, sg.Name); err == nil {
@@ -196,7 +195,7 @@ func (w *Workspace) pruneDurableFiles() {
 		}
 	}
 	for i := 0; i+1 < len(segs); i++ {
-		if bases[i+1] <= oldest {
+		if bases[i+1] <= oldest || bases[i+1] == bases[i] {
 			_ = fs.Remove(path.Join(dir, segs[i].Name))
 		}
 	}
@@ -204,9 +203,9 @@ func (w *Workspace) pruneDurableFiles() {
 
 // captureDataLocked freezes the workspace into a snapshot.Data: sorted
 // entity tables, the matching, capacity tables, the frontier ID set,
-// and page images of the object store (taken from the in-memory version
-// chains — no physical reads). The object pool is flushed first so its
-// chains hold the final bytes; that flush is the only I/O the capture
+// and page images of the object store (taken from the in-memory page
+// table — no physical reads). The object pool is flushed first so the
+// table holds the final bytes; that flush is the only I/O the capture
 // performs. Caller holds w.mu.
 func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 	pt := w.obj
@@ -224,13 +223,13 @@ func (w *Workspace) captureDataLocked() (*snapshot.Data, error) {
 			Resolves:   uint64(w.resolves),
 		},
 	}
-	d.Objects = make([]snapshot.ObjectRec, 0, pt.objs.len())
-	for _, o := range pt.objs.all() {
+	d.Objects = make([]snapshot.ObjectRec, 0, pt.objs.Len())
+	for _, o := range pt.objs.All() {
 		d.Objects = append(d.Objects, snapshot.ObjectRec{ID: o.ID, Capacity: int64(o.Capacity), Point: o.Point})
 	}
 	sort.Slice(d.Objects, func(i, j int) bool { return d.Objects[i].ID < d.Objects[j].ID })
-	d.Functions = make([]snapshot.FunctionRec, 0, w.funcs.len())
-	for _, f := range w.funcs.all() {
+	d.Functions = make([]snapshot.FunctionRec, 0, w.funcs.Len())
+	for _, f := range w.funcs.All() {
 		d.Functions = append(d.Functions, functionRec(f))
 	}
 	sort.Slice(d.Functions, func(i, j int) bool { return d.Functions[i].ID < d.Functions[j].ID })
@@ -290,8 +289,8 @@ func capsFromEntries(entries []snapshot.CapEntry) *capTable {
 }
 
 // storeImage freezes one versioned store plus its tree header. Page
-// bytes come off the version chains (CurrentPages), so the capture
-// leaves the physical I/O counters — the paper's metric — untouched.
+// bytes come off the page table (CurrentPages), so the capture leaves
+// the physical I/O counters — the paper's metric — untouched.
 func storeImage(vs *pagestore.VersionedStore, meta rtree.Meta) (snapshot.StoreImage, error) {
 	si := snapshot.StoreImage{
 		PageSize: vs.PageSize(),
@@ -358,9 +357,9 @@ func recMutations(recs []snapshot.MutationRec) []Mutation {
 // to older generations), rebuild the serving state from it with no
 // re-solve, replay the committed WAL batches past its epoch, truncate
 // any torn tail (ErrTornWrite — those bytes were never acknowledged),
-// and — when cfg.Durable — start a fresh segment so the workspace
-// continues logging. The recovered workspace continues the exact epoch
-// lineage of the one that crashed.
+// start a fresh segment so the workspace continues logging, and prune
+// what the directory no longer needs. The recovered workspace continues
+// the exact epoch lineage of the one that crashed.
 func OpenWorkspace(cfg Config) (*Workspace, error) {
 	if cfg.WALDir == "" {
 		return nil, ErrNotDurable
@@ -403,22 +402,25 @@ func OpenWorkspace(cfg Config) (*Workspace, error) {
 		w.Close()
 		return nil, err
 	}
-	w.dur = &durableState{fs: fs, dir: cfg.WALDir}
-	if cfg.Durable {
-		segs, err := wal.ListSegments(fs, cfg.WALDir)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		seq := uint64(1)
-		if n := len(segs); n > 0 {
-			seq = segs[n-1].Seq + 1
-		}
-		w.dur.log, err = wal.Create(fs, cfg.WALDir, seq, w.epoch)
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
+	segs, err := wal.ListSegments(fs, cfg.WALDir)
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	seq := uint64(1)
+	if n := len(segs); n > 0 {
+		seq = segs[n-1].Seq + 1
+	}
+	log, err := wal.Create(fs, cfg.WALDir, seq, w.epoch)
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	w.dur = &durableState{fs: fs, dir: cfg.WALDir, log: log}
+	if info.SnapshotsSkipped == 0 {
+		// After a fallback the window could drop the snapshot the
+		// restore used; the next SaveSnapshot prunes instead.
+		w.pruneDurableFiles()
 	}
 	info.FinalEpoch = w.epoch
 	w.recovery = info
@@ -517,18 +519,18 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		dims:     d.Dims,
 		obj:      pt,
 		epoch:    d.Epoch - 1, // the commit sealing the restored state publishes d.Epoch
-		funcs:    newCowTable[Function](len(p.Functions)),
+		funcs:    cow.New[Function](len(p.Functions)),
 		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
 		allFuncs: score.NewFuncBlocks(p.Dims),
 		funcCaps: capsFromEntries(d.FuncCaps),
-		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
+		byFunc:   cow.New[[]wsPair](len(p.Functions)),
 	}
 	fail := func(format string, args ...any) (*Workspace, error) {
 		w.Close()
 		return nil, fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
 	for _, o := range p.Objects {
-		pt.objs.set(o.ID, o)
+		pt.objs.Set(o.ID, o)
 	}
 	for _, f := range p.Functions {
 		w.addFunc(f)
@@ -537,7 +539,7 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 		if _, ok := w.eff[pr.FuncID]; !ok {
 			return fail("pair references unknown function %d", pr.FuncID)
 		}
-		if _, ok := pt.objs.get(pr.ObjID); !ok {
+		if _, ok := pt.objs.Get(pr.ObjID); !ok {
 			return fail("pair references unknown object %d", pr.ObjID)
 		}
 		w.link(wsPair{fid: pr.FuncID, oid: pr.ObjID, score: pr.Score})
@@ -546,15 +548,15 @@ func restoreWorkspace(d *snapshot.Data, cfg Config) (*Workspace, error) {
 	// the tables must be derivable, so a bit-rotted (yet
 	// checksum-passing — e.g. truncated by a buggy tool) state cannot
 	// serve.
-	if err := checkCaps(pt.caps, pt.objs.len(), func(id uint64) (int, int, bool) {
-		o, ok := pt.objs.get(id)
+	if err := checkCaps(pt.caps, pt.objs.Len(), func(id uint64) (int, int, bool) {
+		o, ok := pt.objs.Get(id)
 		return o.capacity(), len(pt.byObj[id]), ok
 	}); err != nil {
 		return fail("object capacity table: %v", err)
 	}
-	if err := checkCaps(w.funcCaps, w.funcs.len(), func(id uint64) (int, int, bool) {
-		f, ok := w.funcs.get(id)
-		ps, _ := w.byFunc.get(id)
+	if err := checkCaps(w.funcCaps, w.funcs.Len(), func(id uint64) (int, int, bool) {
+		f, ok := w.funcs.Get(id)
+		ps, _ := w.byFunc.Get(id)
 		return f.capacity(), len(ps), ok
 	}); err != nil {
 		return fail("function capacity table: %v", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path"
+	"slices"
 	"testing"
 
 	"fairassign/internal/geom"
@@ -28,7 +29,6 @@ func tempFileStoreFactory(t *testing.T, dir string) func(int) (pagestore.Store, 
 
 func durableCfg(fs vfs.FS) Config {
 	cfg := testCfg()
-	cfg.Durable = true
 	cfg.WALDir = "dur"
 	cfg.FS = fs
 	return cfg
@@ -352,50 +352,6 @@ func TestDurableWALDivergence(t *testing.T) {
 	}
 }
 
-func TestDurableSnapshotOnlyMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	p := randProblem(rng, 8, 40, 2)
-	fs := vfs.NewMem()
-
-	cfg := testCfg()
-	cfg.WALDir = "dur"
-	cfg.FS = fs
-	w, err := NewWorkspace(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := mutationScript(rng, 2, 8)
-	applyScript(t, w, batches)
-	if err := w.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Mutations after the snapshot are NOT logged in this mode: a crash
-	// rewinds to the snapshot.
-	applyScript(t, w, mutationScript(rng, 2, 4))
-
-	twin, err := NewWorkspace(p, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	applyScript(t, twin, batches)
-
-	r, err := OpenWorkspace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if info := r.Recovery(); info.BatchesReplayed != 0 || info.TornTail {
-		t.Fatalf("recovery info = %+v", info)
-	}
-	checkTwin(t, "snapshot-only", r, twin)
-	w.Close()
-
-	if segs, _ := wal.ListSegments(fs, "dur"); len(segs) != 0 {
-		t.Fatalf("snapshot-only mode wrote WAL segments: %v", segs)
-	}
-}
-
 func TestDurableTypedErrors(t *testing.T) {
 	fs := vfs.NewMem()
 	rng := rand.New(rand.NewSource(76))
@@ -405,14 +361,8 @@ func TestDurableTypedErrors(t *testing.T) {
 	if _, err := OpenWorkspace(testCfg()); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("OpenWorkspace without WALDir: %v", err)
 	}
-	cfg := testCfg()
-	cfg.Durable = true
-	if _, err := NewWorkspace(p, cfg); err == nil {
-		t.Fatal("Durable without WALDir accepted")
-	}
-
 	// Empty durability dir.
-	cfg = durableCfg(fs)
+	cfg := durableCfg(fs)
 	if _, err := OpenWorkspace(cfg); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("OpenWorkspace on empty dir: %v", err)
 	}
@@ -509,6 +459,63 @@ func TestDurableRotationPrunes(t *testing.T) {
 	r.Close()
 }
 
+// Reopening a durable directory does not pile up WAL segments: every
+// open starts a segment, and prunes the segment the previous open
+// started if nothing was logged into it.
+func TestDurableReopenPrunesEmptySegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	p := randProblem(rng, 6, 30, 2)
+	fs := vfs.NewMem()
+	cfg := durableCfg(fs)
+	batches := mutationScript(rng, 2, 8)
+
+	w, err := NewWorkspace(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := applyScript(t, w, batches[:4])
+	w.Close()
+	var counts []int
+	for cycle := 1; cycle <= 5; cycle++ {
+		r, err := OpenWorkspace(cfg)
+		if err != nil {
+			t.Fatalf("reopen %d: %v", cycle, err)
+		}
+		segs, err := wal.ListSegments(fs, "dur")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, len(segs))
+		if cycle == 3 {
+			more := applyScript(t, r, batches[4:])
+			if more == 0 {
+				t.Fatal("third cycle applied no batch")
+			}
+			applied += more
+		}
+		r.Close()
+	}
+	if want := []int{2, 2, 2, 3, 3}; !slices.Equal(counts, want) {
+		t.Fatalf("segments after each reopen = %v, want %v", counts, want)
+	}
+
+	twin, err := NewWorkspace(p, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	applyScript(t, twin, batches)
+	r, err := OpenWorkspace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if info := r.Recovery(); info.BatchesReplayed != applied || info.FinalEpoch != uint64(1+applied) {
+		t.Fatalf("recovery info = %+v, want %d batches replayed to epoch %d", info, applied, 1+applied)
+	}
+	checkTwin(t, "reopened", r, twin)
+}
+
 func TestDurableFileStoreBacked(t *testing.T) {
 	// End-to-end on the real filesystem with FileStore-backed page
 	// stores: durability does not depend on the in-memory test FS.
@@ -517,7 +524,6 @@ func TestDurableFileStoreBacked(t *testing.T) {
 	dir := t.TempDir()
 
 	cfg := testCfg()
-	cfg.Durable = true
 	cfg.WALDir = path.Join(dir, "dur")
 	cfg.StoreFactory = tempFileStoreFactory(t, dir)
 

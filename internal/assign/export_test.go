@@ -11,10 +11,13 @@ func CaptureChunks(v *View) (objs, funcs, pairs []uintptr) {
 	return chunkIDs(&v.pub.obj.objs), chunkIDs(&v.pub.funcs), chunkIDs(&v.pub.byFunc)
 }
 
-func chunkIDs[V any](t *frozenTable[V]) []uintptr {
-	ids := make([]uintptr, len(t.chunks))
-	for i, c := range t.chunks {
-		ids[i] = reflect.ValueOf(c).Pointer()
+// chunkIDs reads a frozen table's chunk maps (unexported in package
+// cow) through reflection.
+func chunkIDs(t any) []uintptr {
+	chunks := reflect.ValueOf(t).Elem().FieldByName("chunks")
+	ids := make([]uintptr, chunks.Len())
+	for i := range ids {
+		ids[i] = chunks.Index(i).Pointer()
 	}
 	return ids
 }

@@ -186,7 +186,7 @@ func TestPairIndexDesyncPoisons(t *testing.T) {
 
 	p := before.Pairs()[0]
 	ws.mu.Lock()
-	ws.byFunc.del(p.FuncID) // the object side still holds the pair
+	ws.byFunc.Del(p.FuncID) // the object side still holds the pair
 	ws.mu.Unlock()
 
 	if err := ws.RemoveObject(p.ObjectID); !errors.Is(err, ErrCorrupt) {

@@ -81,9 +81,9 @@ type Mutation struct {
 // untouched), then each mutation's structural change and chain repair
 // run in arrival order under one writer-lock hold, and a single epoch is
 // published at the end — so open snapshots observe either none or all of
-// the batch, and the per-epoch cost (buffer flush, version publish, and
-// the lazy snapshot capture the next reader performs) is paid once per
-// batch instead of once per mutation.
+// the batch, and the per-epoch cost (buffer flush and the lazy snapshot
+// capture the next reader performs) is paid once per batch instead of
+// once per mutation.
 //
 // Repair runs per mutation, not once over the pooled free-unit queue:
 // chain repair's quiescence argument assumes every latent blocking pair
@@ -152,7 +152,7 @@ func (w *Workspace) applyLocked(muts []Mutation) error {
 	// commitLocked is about to publish; the WAL writer enforces
 	// contiguity. A durability failure poisons the workspace —
 	// the in-memory state is ahead of what can be made durable.
-	if w.dur != nil && w.dur.log != nil {
+	if w.dur != nil {
 		if err := w.dur.log.Append(w.epoch+1, snapshot.EncodeBatch(mutationRecs(muts))); err != nil {
 			return w.corruptLocked(err)
 		}
@@ -295,7 +295,7 @@ func (w *Workspace) mutateLocked(m *Mutation) error {
 func (w *Workspace) addObjectLocked(o Object) error {
 	point := o.Point.Clone()
 	pt := w.obj
-	pt.objs.set(o.ID, Object{ID: o.ID, Point: point, Capacity: o.Capacity})
+	pt.objs.Set(o.ID, Object{ID: o.ID, Point: point, Capacity: o.Capacity})
 	pt.dropPub()
 	pt.pageDirty = true
 	if err := pt.tree.Insert(rtree.Item{ID: o.ID, Point: point}); err != nil {
@@ -309,7 +309,7 @@ func (w *Workspace) addObjectLocked(o Object) error {
 
 func (w *Workspace) removeObjectLocked(id uint64) error {
 	pt := w.obj
-	o, _ := pt.objs.get(id)
+	o, _ := pt.objs.Get(id)
 	pt.dropPub()
 	pt.pageDirty = true
 	// An available object leaves the availability frontier at the next
@@ -333,7 +333,7 @@ func (w *Workspace) removeObjectLocked(id uint64) error {
 		return err
 	}
 	pt.caps.drop(id)
-	pt.objs.del(id)
+	pt.objs.Del(id)
 	return nil
 }
 
@@ -347,7 +347,7 @@ func (w *Workspace) addFunctionLocked(f Function) {
 
 func (w *Workspace) removeFunctionLocked(id uint64) error {
 	// Unlinking the last pair drops the function's byFunc entry.
-	ps, _ := w.byFunc.get(id)
+	ps, _ := w.byFunc.Get(id)
 	for _, p := range ps {
 		if err := w.unlink(p); err != nil {
 			return err
@@ -357,7 +357,7 @@ func (w *Workspace) removeFunctionLocked(id uint64) error {
 	}
 	w.allFuncs.Remove(id)
 	w.funcCaps.drop(id)
-	w.funcs.del(id)
+	w.funcs.Del(id)
 	delete(w.eff, id)
 	return nil
 }

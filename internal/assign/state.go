@@ -71,9 +71,7 @@ func (c Config) newFuncStore() (pagestore.Store, *pagestore.BufferPool, error) {
 
 // versioned returns the config with its store factory wrapped so every
 // store it builds is a pagestore.VersionedStore whose snapshots a
-// Workspace can pin. Acquire is serialized: the workspace writer lock
-// orders snapshots with mutations, so page versions no live view
-// observes are recycled in place.
+// Workspace can pin.
 func (c Config) versioned() Config {
 	base := c
 	c.StoreFactory = func(int) (pagestore.Store, error) {
@@ -81,9 +79,7 @@ func (c Config) versioned() Config {
 		if err != nil {
 			return nil, err
 		}
-		vs := pagestore.NewVersioned(inner)
-		vs.SetSerializedAcquire(true)
-		return vs, nil
+		return pagestore.NewVersioned(inner), nil
 	}
 	return c
 }

@@ -198,16 +198,6 @@ func validateFunction(f *Function, dims int) error {
 	return nil
 }
 
-// TotalFunctionCapacity sums function capacities (the number of pairs
-// demanded by F).
-func (p *Problem) TotalFunctionCapacity() int {
-	n := 0
-	for _, f := range p.Functions {
-		n += f.capacity()
-	}
-	return n
-}
-
 // Config tunes the execution environment of the disk-based algorithms.
 type Config struct {
 	// PageSize of the simulated disk (default 4096, the paper's setting).
@@ -222,16 +212,11 @@ type Config struct {
 	// FuncBufferFrac sizes the buffer over disk-resident function lists
 	// for SBAlt (default = BufferFrac).
 	FuncBufferFrac float64
-	// Durable enables the workspace write-ahead log: every Apply batch
-	// is encoded, checksummed, and fsynced into WALDir before its epoch
-	// publishes, and an initial snapshot is written at construction so a
-	// crash at any moment recovers through OpenWorkspace. Requires
-	// WALDir.
-	Durable bool
-	// WALDir is the durability directory holding snapshot files and WAL
-	// segments. With Durable unset, a workspace can still SaveSnapshot
-	// warm-start images here (crash recovery then rewinds to the last
-	// snapshot; mutations since are not logged).
+	// WALDir makes a workspace durable: it is the directory holding
+	// snapshot files and write-ahead-log segments. Every Apply batch is
+	// encoded, checksummed, and fsynced into the log before its epoch
+	// publishes, and an initial snapshot is written at construction, so
+	// a crash at any moment recovers through OpenWorkspace.
 	WALDir string
 	// FS overrides the filesystem the durability layer writes through;
 	// nil means the real OS filesystem. The crash-injection harness

@@ -4,15 +4,16 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fairassign/internal/cow"
 	"fairassign/internal/pagestore"
 	"fairassign/internal/rtree"
 	"fairassign/internal/score"
 	"fairassign/internal/topk"
 )
 
-// partPub is the object side's capture: a pagestore snapshot pinning
-// the object index pages and a frozen copy of the object table, which
-// shares every chunk the writer has not written since. It holds no
+// partPub is the object side's capture: a pagestore snapshot freezing
+// the object index's page table and a frozen copy of the object table,
+// both sharing every chunk the writer has not written since. It holds no
 // availability state, so it is refcounted by the object side (which
 // caches it until the objects or tree next change) and by every
 // pubState composing it: an epoch that added or removed no object —
@@ -23,7 +24,7 @@ type partPub struct {
 
 	snap *pagestore.Snapshot
 	meta rtree.Meta
-	objs frozenTable[Object]
+	objs cow.Frozen[Object]
 }
 
 func (p *partPub) retain() { p.refs.Add(1) }
@@ -56,8 +57,8 @@ type pubState struct {
 	dims   int
 	stats  WorkspaceStats
 	obj    *partPub
-	funcs  frozenTable[Function]
-	byFunc frozenTable[[]wsPair]
+	funcs  cow.Frozen[Function]
+	byFunc cow.Frozen[[]wsPair]
 
 	pairs     []Pair // flattened in definitional order by pairsOnce
 	pairsOnce sync.Once
@@ -103,11 +104,11 @@ func (p *pubState) sortedPairs() []Pair {
 func (p *pubState) problem() ([]Object, []Function) {
 	p.problemOnce.Do(func() {
 		p.objs = make([]Object, 0, p.stats.Objects)
-		for _, o := range p.obj.objs.all() {
+		for _, o := range p.obj.objs.All() {
 			p.objs = append(p.objs, o)
 		}
-		p.funcList = make([]Function, 0, p.funcs.len())
-		for _, f := range p.funcs.all() {
+		p.funcList = make([]Function, 0, p.funcs.Len())
+		for _, f := range p.funcs.All() {
 			p.funcList = append(p.funcList, f)
 		}
 	})
@@ -119,10 +120,10 @@ func (p *pubState) problem() ([]Object, []Function) {
 // called, no matter how many mutations the workspace absorbs
 // afterwards. Logical reads (Pairs, Stats, Problem) are served from the
 // captured state; index-backed queries (TopK, Skyline) traverse the
-// object R-tree through the pinned page epoch. A View is safe for
+// object R-tree through its frozen page table. A View is safe for
 // concurrent use by multiple goroutines, stays valid after the
-// workspace is closed, and must be Closed to release the epoch's page
-// versions for reclamation.
+// workspace is closed, and must be Closed: while it is open, the
+// writer puts every write to a page it holds into a fresh version.
 type View struct {
 	pub    *pubState
 	closed atomic.Bool
@@ -136,8 +137,9 @@ func (v *View) Dims() int { return v.pub.dims }
 
 // Close releases the view's pin on its epoch. Idempotent. After the
 // last view of an epoch closes (and the workspace has moved on), the
-// page versions and decoded nodes only that epoch kept alive are
-// reclaimed.
+// page snapshot's pin is removed: the writer rewrites the page versions
+// only that epoch held in place, and the garbage collector frees the
+// superseded ones with their decoded nodes.
 func (v *View) Close() {
 	if v.closed.CompareAndSwap(false, true) {
 		v.pub.release()
@@ -161,7 +163,7 @@ func (v *View) PairsOf(fid uint64) []Pair {
 	if v.closed.Load() {
 		return nil
 	}
-	ps, _ := v.pub.byFunc.get(fid)
+	ps, _ := v.pub.byFunc.Get(fid)
 	if len(ps) == 0 {
 		return nil
 	}
@@ -185,7 +187,7 @@ func (v *View) Object(id uint64) (Object, bool) {
 	if v.closed.Load() {
 		return Object{}, false
 	}
-	return v.pub.obj.objs.get(id)
+	return v.pub.obj.objs.Get(id)
 }
 
 // Problem materializes the frozen population as a Problem, flattening

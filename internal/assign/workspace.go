@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fairassign/internal/cow"
 	"fairassign/internal/geom"
 	"fairassign/internal/metrics"
 	"fairassign/internal/pagestore"
@@ -87,16 +88,18 @@ var (
 // page image.
 //
 // Snapshot capture is O(Δ), not O(population): the object tables, the
-// function table and the function half of the matching live in
-// copy-on-write chunked tables (cowTable). A capture freezes them —
-// one chunk-pointer array per table — and the writer clones a chunk
-// only on its first write after the freeze, so an epoch pays for the
-// chunks it wrote. Pair slices are immutable values, so frozen pair
-// tables share them too. Writer-only state (the object half of the
-// matching, the per-function scorers, the capacity tables) stays in
-// plain maps, and the availability frontier is never captured, so an
-// epoch that only exhausted or revived objects reuses the previous
-// object capture whole.
+// function table, the function half of the matching and the object
+// index's page table (pagestore.VersionedStore) are copy-on-write
+// chunked tables (cow.Table). A capture freezes them — one
+// chunk-pointer array per table — and the writer clones a chunk only
+// on its first write after the freeze, so an epoch pays for the chunks
+// it wrote; a page that no open view holds is rewritten in place. Pair
+// slices are immutable values, so frozen pair tables share them too.
+// Writer-only state (the object half of the matching, the per-function
+// scorers, the capacity tables) stays in plain maps, and the
+// availability frontier is never captured, so an epoch that only
+// exhausted or revived objects reuses the previous object capture
+// whole.
 type Workspace struct {
 	// mu is the single-writer lock: it serializes mutations, epoch
 	// publication, and snapshot acquisition. Snapshot readers never take
@@ -131,7 +134,7 @@ type Workspace struct {
 	// funcs is the function table; views read frozen copies of it. eff
 	// is the writer's own per-function scorer (family over the effective
 	// weights), which repair reads on every candidate.
-	funcs *cowTable[Function]
+	funcs *cow.Table[Function]
 	eff   map[uint64]score.Scorer
 	// allFuncs holds every live function's effective weights in
 	// per-family columnar blocks, beside its floor (see syncFloor): the
@@ -145,7 +148,7 @@ type Workspace struct {
 	// slice of each side. Pair slices are immutable values — link and
 	// unlink build new ones — so frozen copies of byFunc share them with
 	// the writer; a function with no pairs has no entry.
-	byFunc *cowTable[[]wsPair]
+	byFunc *cow.Table[[]wsPair]
 
 	queue []repairItem // free units awaiting chain repair
 
@@ -181,7 +184,7 @@ type objPart struct {
 	pendingIDs []uint64
 	discards   []uint64 // syncFrontier's Discard scratch
 
-	objs  *cowTable[Object] // views read frozen copies of it
+	objs  *cow.Table[Object] // views read frozen copies of it
 	caps  *capTable
 	byObj map[uint64][]wsPair
 	units int // assigned units: the number of pairs in the matching
@@ -191,7 +194,7 @@ type objPart struct {
 	// with caps and byObj; views never see it.
 	full *displacementBlock
 
-	pageDirty bool // tree pages written since the last publish
+	pageDirty bool // tree pages written since the last flush
 	// pub caches the capture of the current objects and tree. An object
 	// arrival or departure drops it; otherwise every epoch's capture
 	// reuses it for the cost of a refcount increment (availability
@@ -233,8 +236,8 @@ type WorkspaceStats struct {
 // NewWorkspace builds the shared state, solves the initial instance with
 // SB, and returns a workspace ready for mutations. The object store is
 // built through a versioned wrapper around the configured store
-// factory, so snapshots can pin page epochs. The workspace adopts the SB
-// solve's object tree.
+// factory, so snapshots can freeze its page table. The workspace adopts
+// the SB solve's object tree.
 func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	st, err := newSolveState(p, cfg.versioned())
 	if err != nil {
@@ -249,15 +252,15 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 		cfg:      cfg,
 		dims:     p.Dims,
 		obj:      newObjPart(st.store, st.pool, st.tree, len(p.Objects)),
-		funcs:    newCowTable[Function](len(p.Functions)),
+		funcs:    cow.New[Function](len(p.Functions)),
 		eff:      make(map[uint64]score.Scorer, len(p.Functions)),
 		allFuncs: score.NewFuncBlocks(p.Dims),
 		funcCaps: st.funcCaps,
-		byFunc:   newCowTable[[]wsPair](len(p.Functions)),
+		byFunc:   cow.New[[]wsPair](len(p.Functions)),
 		resolves: 1,
 	}
 	for _, o := range p.Objects {
-		w.obj.objs.set(o.ID, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
+		w.obj.objs.Set(o.ID, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
 		w.obj.caps.add(o.ID, st.objCaps.remaining[o.ID])
 	}
 	for _, f := range p.Functions {
@@ -271,13 +274,13 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	// logical state but parks pruned subtrees by page reference, which
 	// would go stale under the physical tree mutations ahead.
 	w.obj.buildFrontier(p.Dims)
-	// Publish the initial epoch so snapshots taken before any mutation
-	// have a sealed page state to pin.
+	// Commit the initial epoch so snapshots taken before any mutation
+	// freeze the built tree's pages.
 	if err := w.commitLocked(); err != nil {
 		w.Close()
 		return nil, err
 	}
-	if cfg.WALDir != "" || cfg.Durable {
+	if cfg.WALDir != "" {
 		if err := w.initDurable(); err != nil {
 			w.Close()
 			return nil, err
@@ -291,20 +294,20 @@ func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 // constructing the workspace).
 func (w *Workspace) addFunc(f Function) {
 	ew := f.Effective()
-	w.funcs.set(f.ID, f)
+	w.funcs.Set(f.ID, f)
 	w.eff[f.ID] = score.Scorer{Fam: f.Fam, W: ew}
 	w.allFuncs.Add(f.ID, f.Fam, ew)
 }
 
 // newObjPart wraps a freshly built object index (store from a versioned
 // config) over n objects as an object side with empty tables, whose
-// pages await their first publish.
+// pages await their first flush.
 func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.Tree, n int) *objPart {
 	return &objPart{
 		vstore:    store.(*pagestore.VersionedStore),
 		pool:      pool,
 		tree:      tree,
-		objs:      newCowTable[Object](n),
+		objs:      cow.New[Object](n),
 		caps:      &capTable{remaining: make(map[uint64]int, n)},
 		byObj:     make(map[uint64][]wsPair),
 		pending:   make(map[uint64]bool),
@@ -317,7 +320,7 @@ func newObjPart(store pagestore.Store, pool *pagestore.BufferPool, tree *rtree.T
 // capacity table.
 func (pt *objPart) buildFrontier(dims int) {
 	var items []rtree.Item
-	for id, o := range pt.objs.all() {
+	for id, o := range pt.objs.All() {
 		if pt.caps.remaining[id] > 0 {
 			items = append(items, rtree.Item{ID: id, Point: o.Point})
 		}
@@ -326,7 +329,7 @@ func (pt *objPart) buildFrontier(dims int) {
 	// and its ID may even be reused for a different point); the live
 	// check drops them the moment they resurface.
 	pt.avail = skyline.NewMaintainerFromItems(dims, items, func(id uint64, p geom.Point) bool {
-		o, ok := pt.objs.get(id)
+		o, ok := pt.objs.Get(id)
 		return ok && pt.caps.remaining[id] > 0 && o.Point.Equal(p)
 	}, nil)
 }
@@ -392,7 +395,7 @@ func (pt *objPart) syncFrontier() error {
 		was, now := pt.pending[id], pt.caps.remaining[id] > 0
 		switch {
 		case now && !was:
-			o, _ := pt.objs.get(id)
+			o, _ := pt.objs.Get(id)
 			if err := pt.avail.Insert(rtree.Item{ID: id, Point: o.Point}); err != nil {
 				// Insert only errors on a live duplicate, which consistent
 				// availability bookkeeping rules out.
@@ -417,7 +420,7 @@ func (pt *objPart) syncFull(oid uint64) {
 		pt.full.remove(oid)
 		return
 	}
-	o, _ := pt.objs.get(oid)
+	o, _ := pt.objs.Get(oid)
 	pt.full.put(oid, o.Point, worstOfObj(ps))
 }
 
@@ -502,24 +505,21 @@ func (b *displacementBlock) best(fid uint64, sc score.Scorer) (oid uint64, s flo
 
 // objLive reports whether an object is live. Caller holds w.mu.
 func (w *Workspace) objLive(id uint64) bool {
-	_, ok := w.obj.objs.get(id)
+	_, ok := w.obj.objs.Get(id)
 	return ok
 }
 
 // commitLocked seals the current epoch: the workspace's cached
 // published state is dropped (open views keep theirs alive), and if the
-// object pages changed, the object buffer pool flushes, so the version
-// layer holds the epoch's final bytes, and publishes — after which every
-// page the epoch retired and no snapshot still pins is reclaimed. An
-// epoch that wrote no object page publishes nothing. Caller holds w.mu
-// (or is constructing the workspace).
+// object pages changed, the object buffer pool flushes, so the page
+// table holds the epoch's final bytes for the next capture to freeze.
+// Caller holds w.mu (or is constructing the workspace).
 func (w *Workspace) commitLocked() error {
 	w.dropPubLocked()
 	if pt := w.obj; pt.pageDirty {
 		if err := pt.pool.Flush(); err != nil {
 			return err
 		}
-		pt.vstore.Publish()
 		pt.pageDirty = false
 	}
 	w.epoch++
@@ -540,7 +540,7 @@ func (w *Workspace) dropPubLocked() {
 
 // Snapshot returns a read view pinned to the latest published epoch.
 // The view is immune to later mutations, safe for concurrent use, and
-// must be Closed to let the epoch's retired page versions be reclaimed.
+// must be Closed, so the writer may rewrite the pages it holds in place.
 // The capture is performed at most once per epoch — concurrent
 // snapshots between two mutations share one immutable state — and the
 // shared case is lock-free: only the first snapshot after a mutation
@@ -592,8 +592,8 @@ func (w *Workspace) captureLocked() *pubState {
 		obj:   w.obj.pub,
 	}
 	p.refs.Store(1) // the workspace's own cache reference
-	p.funcs = w.funcs.freeze()
-	p.byFunc = w.byFunc.freeze()
+	p.funcs = w.funcs.Freeze()
+	p.byFunc = w.byFunc.Freeze()
 	return p
 }
 
@@ -603,7 +603,7 @@ func (pt *objPart) capture() *partPub {
 	p := &partPub{
 		snap: pt.vstore.Acquire(),
 		meta: pt.tree.Meta(),
-		objs: pt.objs.freeze(),
+		objs: pt.objs.Freeze(),
 	}
 	p.refs.Store(1) // the object side's own cache reference
 	return p
@@ -625,7 +625,7 @@ func (w *Workspace) Close() {
 	w.dropPubLocked()
 	w.obj.dropPub()
 	w.obj.vstore.Close()
-	if w.dur != nil && w.dur.log != nil {
+	if w.dur != nil {
 		w.dur.log.Close()
 	}
 }
@@ -640,8 +640,8 @@ func (w *Workspace) link(p wsPair) {
 	pt.byObj[p.oid] = append(ps[:len(ps):len(ps)], p)
 	pt.units++
 	pt.syncFull(p.oid)
-	ps, _ = w.byFunc.get(p.fid)
-	w.byFunc.set(p.fid, append(ps[:len(ps):len(ps)], p))
+	ps, _ = w.byFunc.Get(p.fid)
+	w.byFunc.Set(p.fid, append(ps[:len(ps):len(ps)], p))
 	w.syncFloor(p.fid)
 }
 
@@ -655,14 +655,14 @@ func (w *Workspace) unlink(p wsPair) error {
 	pt.byObj[p.oid] = ps
 	pt.units--
 	pt.syncFull(p.oid)
-	ps, _ = w.byFunc.get(p.fid)
+	ps, _ = w.byFunc.Get(p.fid)
 	if ps, err = cutPair(ps, p); err != nil {
 		return err
 	}
 	if len(ps) == 0 {
-		w.byFunc.del(p.fid)
+		w.byFunc.Del(p.fid)
 	} else {
-		w.byFunc.set(p.fid, ps)
+		w.byFunc.Set(p.fid, ps)
 	}
 	w.syncFloor(p.fid)
 	return nil
@@ -674,7 +674,7 @@ func (w *Workspace) unlink(p wsPair) error {
 // taking its last unit and linking the pair it has no worst yet, and
 // stays free until the link.
 func (w *Workspace) syncFloor(fid uint64) {
-	ps, _ := w.byFunc.get(fid)
+	ps, _ := w.byFunc.Get(fid)
 	if w.funcCaps.remaining[fid] > 0 || len(ps) == 0 {
 		w.allFuncs.ClearFloor(fid)
 		return
@@ -860,7 +860,7 @@ func (w *Workspace) bestEntry(fid uint64) (oid uint64, sc float64, displace, ok 
 // fillObject runs vacancy chains for every free unit of an object.
 func (w *Workspace) fillObject(oid uint64) error {
 	pt := w.obj
-	o, ok := pt.objs.get(oid)
+	o, ok := pt.objs.Get(oid)
 	if !ok {
 		return nil // departed while queued
 	}
@@ -874,7 +874,7 @@ func (w *Workspace) fillObject(oid uint64) error {
 			w.syncFloor(gid)
 		} else {
 			// The mover abandons its worst unit, cascading the vacancy.
-			ps, _ := w.byFunc.get(gid)
+			ps, _ := w.byFunc.Get(gid)
 			left := worstOfFunc(ps)
 			if err := w.unlink(left); err != nil {
 				return err
@@ -917,9 +917,9 @@ func sortPairsDefinitional(out []Pair) {
 
 // flattenPairs copies a pair table holding n pairs into a fresh
 // unordered slice.
-func flattenPairs(t *frozenTable[[]wsPair], n int) []Pair {
+func flattenPairs(t *cow.Frozen[[]wsPair], n int) []Pair {
 	out := make([]Pair, 0, n)
-	for _, ps := range t.all() {
+	for _, ps := range t.All() {
 		out = appendPairs(out, ps)
 	}
 	return out
@@ -935,7 +935,7 @@ func appendPairs(out []Pair, ps []wsPair) []Pair {
 // pairsLocked flattens the matching into a fresh unordered slice.
 // Caller holds w.mu.
 func (w *Workspace) pairsLocked() []Pair {
-	return flattenPairs(&w.byFunc.frozenTable, w.obj.units)
+	return flattenPairs(&w.byFunc.Frozen, w.obj.units)
 }
 
 // Pairs returns the current matching in the definitional greedy order:
@@ -952,7 +952,7 @@ func (w *Workspace) Pairs() []Pair {
 func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	o, ok := w.obj.objs.get(id)
+	o, ok := w.obj.objs.Get(id)
 	if !ok {
 		return nil, false
 	}
@@ -963,7 +963,7 @@ func (w *Workspace) ObjectPoint(id uint64) (geom.Point, bool) {
 func (w *Workspace) PairsOf(fid uint64) []Pair {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ps, _ := w.byFunc.get(fid)
+	ps, _ := w.byFunc.Get(fid)
 	return appendPairs(make([]Pair, 0, len(ps)), ps)
 }
 
@@ -979,11 +979,11 @@ func (w *Workspace) ProblemSnapshot() *Problem {
 
 func (w *Workspace) problemLocked() *Problem {
 	p := &Problem{Dims: w.dims}
-	for _, o := range w.obj.objs.all() {
+	for _, o := range w.obj.objs.All() {
 		p.Objects = append(p.Objects, Object{ID: o.ID, Point: o.Point.Clone(), Capacity: o.Capacity})
 	}
 	sort.Slice(p.Objects, func(i, j int) bool { return p.Objects[i].ID < p.Objects[j].ID })
-	for _, f := range w.funcs.all() {
+	for _, f := range w.funcs.All() {
 		weights := make([]float64, len(f.Weights))
 		copy(weights, f.Weights)
 		p.Functions = append(p.Functions, Function{ID: f.ID, Weights: weights, Gamma: f.Gamma, Capacity: f.Capacity, Fam: f.Fam})
@@ -1029,8 +1029,8 @@ func (w *Workspace) Stats() WorkspaceStats {
 
 func (w *Workspace) statsLocked() WorkspaceStats {
 	s := WorkspaceStats{
-		Objects:       w.obj.objs.len(),
-		Functions:     w.funcs.len(),
+		Objects:       w.obj.objs.Len(),
+		Functions:     w.funcs.Len(),
 		AssignedUnits: w.obj.units,
 		SkylineSize:   w.obj.avail.Size(),
 		Mutations:     w.mutations,

@@ -204,7 +204,7 @@ func TestWorkspaceObjectIDReuseNewPoint(t *testing.T) {
 		// else, repeatedly — stale parked entries for reused IDs pile up
 		// and must never resurface with old coordinates.
 		id := snap.Objects[rng.Intn(len(snap.Objects))].ID
-		if _, ok := w.obj.objs.get(id); !ok {
+		if _, ok := w.obj.objs.Get(id); !ok {
 			continue
 		}
 		if err := w.RemoveObject(id); err != nil {
@@ -219,7 +219,7 @@ func TestWorkspaceObjectIDReuseNewPoint(t *testing.T) {
 		pairs := w.Pairs()
 		if len(pairs) > 0 {
 			oid := pairs[rng.Intn(len(pairs))].ObjectID
-			if _, ok := w.obj.objs.get(oid); ok {
+			if _, ok := w.obj.objs.Get(oid); ok {
 				opt, _ := w.ObjectPoint(oid)
 				keep := opt.Clone()
 				if err := w.RemoveObject(oid); err != nil {
@@ -343,7 +343,7 @@ func TestDisplacementBlockMatchesRowScan(t *testing.T) {
 				t.Errorf("%s: warm bestEntry for function %d allocates %v times per call", in.name, fid, allocs)
 			}
 		}
-		for id, o := range w.obj.objs.all() {
+		for id, o := range w.obj.objs.All() {
 			if allocs := testing.AllocsPerRun(20, func() { w.bestTaker(id, o.Point) }); allocs != 0 {
 				t.Errorf("%s: warm bestTaker for object %d allocates %v times per call", in.name, id, allocs)
 			}
@@ -358,7 +358,7 @@ func checkDisplacementBlock(t *testing.T, w *Workspace, label string) {
 	t.Helper()
 	pt, b := w.obj, w.obj.full
 	full := 0
-	for id, o := range pt.objs.all() {
+	for id, o := range pt.objs.All() {
 		if pt.caps.remaining[id] > 0 {
 			continue
 		}
@@ -390,7 +390,7 @@ func checkDisplacementBlock(t *testing.T, w *Workspace, label string) {
 		var wantID uint64
 		var wantS float64
 		wantOK := false
-		for id, o := range pt.objs.all() {
+		for id, o := range pt.objs.All() {
 			if pt.caps.remaining[id] > 0 {
 				continue
 			}
@@ -420,7 +420,7 @@ func checkFrontierAndFloors(t *testing.T, w *Workspace, label string) {
 		t.Fatalf("%s: %d frontier changes (%d listed) still pending", label, len(pt.pending), len(pt.pendingIDs))
 	}
 	var avail []rtree.Item
-	for id, o := range pt.objs.all() {
+	for id, o := range pt.objs.All() {
 		if pt.caps.remaining[id] > 0 {
 			avail = append(avail, rtree.Item{ID: id, Point: o.Point})
 		}
@@ -446,21 +446,21 @@ func checkFrontierAndFloors(t *testing.T, w *Workspace, label string) {
 			}
 			continue
 		}
-		ps, _ := w.byFunc.get(fid)
+		ps, _ := w.byFunc.Get(fid)
 		worst := worstOfFunc(ps)
 		if !floored || math.Float64bits(s) != math.Float64bits(worst.score) || oid != worst.oid {
 			t.Fatalf("%s: function %d floor (%v, %d, floored %v), worst assignment (%v, %d)", label, fid, s, oid, floored, worst.score, worst.oid)
 		}
 	}
 
-	for oid, o := range pt.objs.all() {
+	for oid, o := range pt.objs.All() {
 		var wantID uint64
 		var wantS float64
 		wantOK := false
 		for fid, sc := range w.eff {
 			s := sc.Score(o.Point)
 			if w.funcCaps.remaining[fid] == 0 {
-				ps, _ := w.byFunc.get(fid)
+				ps, _ := w.byFunc.Get(fid)
 				worst := worstOfFunc(ps)
 				if !(s > worst.score || (s == worst.score && oid < worst.oid)) {
 					continue

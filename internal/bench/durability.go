@@ -35,7 +35,7 @@ func runDurability(n, dims, batchSize int, o Options) (Row, error) {
 		return row, fmt.Errorf("durability: wal-off twin: %w", err)
 	}
 	defer off.Close()
-	cfg.Durable, cfg.WALDir = true, filepath.Join(dir, "wal")
+	cfg.WALDir = filepath.Join(dir, "wal")
 	fsync, err := assign.NewWorkspace(incrementalProblem(n, dims, o), cfg)
 	if err != nil {
 		return row, fmt.Errorf("durability: fsync twin: %w", err)

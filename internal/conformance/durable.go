@@ -27,7 +27,6 @@ func VerifyCrashReplay(spec MutationSpec) error {
 	defer os.RemoveAll(dir)
 
 	cfg := config()
-	cfg.Durable = true
 	cfg.WALDir = filepath.Join(dir, "wal")
 
 	p, muts := generateBatchScript(spec)

@@ -1,4 +1,4 @@
-package assign
+package cow
 
 import (
 	"math/rand"
@@ -6,22 +6,22 @@ import (
 	"testing"
 )
 
-// tableContents copies a table into a plain map, checking that len and
-// get agree with iteration.
-func tableContents(t *testing.T, f *frozenTable[int]) map[uint64]int {
+// tableContents copies a table into a plain map, checking that Len and
+// Get agree with iteration.
+func tableContents(t *testing.T, f *Frozen[int]) map[uint64]int {
 	t.Helper()
-	out := make(map[uint64]int, f.len())
-	for k, v := range f.all() {
+	out := make(map[uint64]int, f.Len())
+	for k, v := range f.All() {
 		if _, dup := out[k]; dup {
 			t.Fatalf("key %d iterated twice", k)
 		}
 		out[k] = v
-		if got, ok := f.get(k); !ok || got != v {
-			t.Fatalf("get(%d) = %d, %v; iterated %d", k, got, ok, v)
+		if got, ok := f.Get(k); !ok || got != v {
+			t.Fatalf("Get(%d) = %d, %v; iterated %d", k, got, ok, v)
 		}
 	}
-	if len(out) != f.len() {
-		t.Fatalf("len() = %d, iterated %d entries", f.len(), len(out))
+	if len(out) != f.Len() {
+		t.Fatalf("Len() = %d, iterated %d entries", f.Len(), len(out))
 	}
 	return out
 }
@@ -44,10 +44,10 @@ func sameContents(t *testing.T, what string, got, want map[uint64]int) {
 // after a freeze unshares exactly the chunk it lands in.
 func TestCowTableFreezeIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tab := newCowTable[int](0)
+	tab := New[int](0)
 	ref := map[uint64]int{}
 	type frozen struct {
-		f    frozenTable[int]
+		f    Frozen[int]
 		want map[uint64]int
 	}
 	var frozens []frozen
@@ -59,16 +59,16 @@ func TestCowTableFreezeIsolation(t *testing.T) {
 			k := uint64(rng.Intn(6000))
 			switch rng.Intn(4) {
 			case 0:
-				tab.del(k)
+				tab.Del(k)
 				delete(ref, k)
 			default:
 				v := rng.Int()
-				tab.set(k, v)
+				tab.Set(k, v)
 				ref[k] = v
 			}
 		}
-		sameContents(t, "writer", tableContents(t, &tab.frozenTable), ref)
-		f := tab.freeze()
+		sameContents(t, "writer", tableContents(t, &tab.Frozen), ref)
+		f := tab.Freeze()
 		want := make(map[uint64]int, len(ref))
 		for k, v := range ref {
 			want[k] = v
@@ -79,18 +79,18 @@ func TestCowTableFreezeIsolation(t *testing.T) {
 		}
 	}
 	if len(tab.chunks) < 32 {
-		t.Fatalf("table never grew: %d chunks for %d entries", len(tab.chunks), tab.len())
+		t.Fatalf("table never grew: %d chunks for %d entries", len(tab.chunks), tab.Len())
 	}
 
 	// One write after a freeze clones exactly one chunk; the rest stay
 	// pointer-shared. Deleting an absent key clones nothing.
-	f := tab.freeze()
+	f := tab.Freeze()
 	var k uint64
 	for k = range ref {
 		break
 	}
-	tab.set(k, -1)
-	tab.del(1 << 40)
+	tab.Set(k, -1)
+	tab.Del(1 << 40)
 	changed := 0
 	for i := range f.chunks {
 		if reflect.ValueOf(f.chunks[i]).Pointer() != reflect.ValueOf(tab.chunks[i]).Pointer() {
@@ -103,10 +103,10 @@ func TestCowTableFreezeIsolation(t *testing.T) {
 	if changed != 1 {
 		t.Fatalf("%d chunks unshared after one write, want 1", changed)
 	}
-	if v, _ := f.get(k); v != ref[k] {
+	if v, _ := f.Get(k); v != ref[k] {
 		t.Fatalf("frozen copy saw the write: %d, want %d", v, ref[k])
 	}
-	if v, _ := tab.get(k); v != -1 {
+	if v, _ := tab.Get(k); v != -1 {
 		t.Fatalf("writer lost its write: %d", v)
 	}
 }

@@ -81,7 +81,6 @@ func sweepCfg(fs *vfs.MemFS, factory func(int) (pagestore.Store, error)) assign.
 		PageSize:     256,
 		BufferFrac:   0.1,
 		OmegaFrac:    0.05,
-		Durable:      true,
 		WALDir:       sweepDir,
 		FS:           fs,
 		StoreFactory: factory,

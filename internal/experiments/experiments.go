@@ -23,14 +23,6 @@ type Params struct {
 	Seed int64
 }
 
-// DefaultParams returns the paper's Table 2 defaults at the given scale.
-func DefaultParams(scale float64) Params {
-	if scale <= 0 {
-		scale = 1
-	}
-	return Params{Scale: scale, Seed: 20090824} // VLDB'09 started Aug 24, 2009
-}
-
 // Paper defaults (Table 2, bold values).
 const (
 	defaultFuncs   = 5000

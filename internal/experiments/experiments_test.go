@@ -173,11 +173,10 @@ func TestFigureIDsComplete(t *testing.T) {
 	}
 }
 
+// At the paper's full scale the cardinalities are Table 2's; scaled
+// down, they floor at 16.
 func TestDefaultParams(t *testing.T) {
-	p := DefaultParams(0)
-	if p.Scale != 1 {
-		t.Errorf("Scale = %v, want 1", p.Scale)
-	}
+	p := Params{Scale: 1}
 	if p.scaled(100) != 100 {
 		t.Errorf("scaled(100) at 1.0 = %d", p.scaled(100))
 	}

@@ -10,7 +10,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -71,17 +70,6 @@ func (p Point) DominatesOrEqual(q Point) bool {
 	return true
 }
 
-// L1ToSky returns the L1 (Manhattan) distance from p to the sky point,
-// assuming every coordinate lies in [0, hi] and the sky point is
-// (hi, ..., hi). BBS visits entries in ascending order of this distance.
-func (p Point) L1ToSky(hi float64) float64 {
-	d := 0.0
-	for _, v := range p {
-		d += hi - v
-	}
-	return d
-}
-
 // Dot returns the inner product of weights w and point p. It is the score
 // of p under the linear preference function with coefficients w
 // (Equation 1 of the paper).
@@ -131,19 +119,6 @@ func (r Rect) Dims() int { return len(r.Min) }
 // Clone returns a deep copy of r.
 func (r Rect) Clone() Rect {
 	return Rect{Min: r.Min.Clone(), Max: r.Max.Clone()}
-}
-
-// Valid reports whether the rectangle is well formed.
-func (r Rect) Valid() bool {
-	if len(r.Min) != len(r.Max) || len(r.Min) == 0 {
-		return false
-	}
-	for i := range r.Min {
-		if r.Min[i] > r.Max[i] || math.IsNaN(r.Min[i]) || math.IsNaN(r.Max[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Contains reports whether p lies inside r (boundaries inclusive).
@@ -204,38 +179,9 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of edge lengths of r.
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for i := range r.Min {
-		m += r.Max[i] - r.Min[i]
-	}
-	return m
-}
-
 // EnlargementArea returns the increase in area of r needed to cover s.
 func (r Rect) EnlargementArea(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
-}
-
-// MaxScore returns the score of the best corner of r under the linear
-// function with coefficients w (assumed non-negative), i.e. an upper bound
-// of f(o) for any o inside r. This is maxscore(M) from BRS (Section 2.3).
-func (r Rect) MaxScore(w []float64) float64 {
-	return Dot(w, r.Max)
-}
-
-// MinScore returns the score of the worst corner of r under the linear
-// function with non-negative coefficients w.
-func (r Rect) MinScore(w []float64) float64 {
-	return Dot(w, r.Min)
-}
-
-// DominatedBy reports whether every point inside r is dominated (or
-// equalled) by p, i.e. the whole rectangle can be pruned once p is a
-// skyline point. This holds when p dominates-or-equals the top corner.
-func (r Rect) DominatedBy(p Point) bool {
-	return p.DominatesOrEqual(r.Max)
 }
 
 // IntersectsDominanceRegion reports whether r intersects the region

@@ -95,33 +95,14 @@ func TestPaperFigure1Scores(t *testing.T) {
 
 func TestRectBasics(t *testing.T) {
 	r := Rect{Min: pt(0, 0), Max: pt(2, 4)}
-	if !r.Valid() {
-		t.Fatal("rect should be valid")
-	}
 	if got := r.Area(); got != 8 {
 		t.Errorf("Area = %v, want 8", got)
-	}
-	if got := r.Margin(); got != 6 {
-		t.Errorf("Margin = %v, want 6", got)
 	}
 	if !r.Contains(pt(1, 1)) || !r.Contains(pt(0, 0)) || !r.Contains(pt(2, 4)) {
 		t.Error("Contains should include interior and boundary")
 	}
 	if r.Contains(pt(3, 1)) {
 		t.Error("Contains should exclude outside points")
-	}
-}
-
-func TestRectInvalid(t *testing.T) {
-	bad := []Rect{
-		{Min: pt(1, 1), Max: pt(0, 2)},
-		{Min: pt(), Max: pt()},
-		{Min: pt(1), Max: pt(1, 2)},
-	}
-	for i, r := range bad {
-		if r.Valid() {
-			t.Errorf("case %d: rect %v should be invalid", i, r)
-		}
 	}
 }
 
@@ -161,47 +142,6 @@ func TestRectIntersects(t *testing.T) {
 	}
 }
 
-func TestMaxScoreBoundsEveryInteriorPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		d := 2 + rng.Intn(4)
-		r := Rect{Min: make(Point, d), Max: make(Point, d)}
-		w := make([]float64, d)
-		for i := 0; i < d; i++ {
-			a, b := rng.Float64(), rng.Float64()
-			if a > b {
-				a, b = b, a
-			}
-			r.Min[i], r.Max[i] = a, b
-			w[i] = rng.Float64()
-		}
-		// random interior point
-		p := make(Point, d)
-		for i := 0; i < d; i++ {
-			p[i] = r.Min[i] + rng.Float64()*(r.Max[i]-r.Min[i])
-		}
-		if Dot(w, p) > r.MaxScore(w)+1e-12 {
-			t.Fatalf("interior point score %v exceeds MaxScore %v", Dot(w, p), r.MaxScore(w))
-		}
-		if Dot(w, p) < r.MinScore(w)-1e-12 {
-			t.Fatalf("interior point score below MinScore")
-		}
-	}
-}
-
-func TestDominatedByRect(t *testing.T) {
-	r := Rect{Min: pt(0.1, 0.1), Max: pt(0.4, 0.4)}
-	if !r.DominatedBy(pt(0.5, 0.5)) {
-		t.Error("rect fully below point should be dominated")
-	}
-	if r.DominatedBy(pt(0.3, 0.9)) {
-		t.Error("rect exceeding point in dim 0 should not be dominated")
-	}
-	if !r.DominatedBy(pt(0.4, 0.4)) {
-		t.Error("top corner equal counts as dominated (prunable)")
-	}
-}
-
 func TestIntersectsDominanceRegion(t *testing.T) {
 	p := pt(0.5, 0.5)
 	if !(Rect{Min: pt(0.4, 0.4), Max: pt(0.9, 0.9)}).IntersectsDominanceRegion(p) {
@@ -209,15 +149,6 @@ func TestIntersectsDominanceRegion(t *testing.T) {
 	}
 	if (Rect{Min: pt(0.6, 0.0), Max: pt(0.9, 0.9)}).IntersectsDominanceRegion(p) {
 		t.Error("rect entirely right of dominance box should not intersect")
-	}
-}
-
-func TestL1ToSky(t *testing.T) {
-	if got := pt(0.2, 0.7).L1ToSky(1.0); got != 1.1 {
-		t.Errorf("L1ToSky = %v, want 1.1", got)
-	}
-	if got := pt(1, 1, 1).L1ToSky(1.0); got != 0 {
-		t.Errorf("sky point distance = %v, want 0", got)
 	}
 }
 

@@ -20,9 +20,10 @@ func TestCurrentPages(t *testing.T) {
 	if err := vs.Free(ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	vs.Publish()
-	// Overwrite a page after publish: CurrentPages must see the newest
-	// bytes, not the published ones.
+	// Overwrite a page after a snapshot: CurrentPages must see the
+	// newest bytes, not the frozen ones.
+	snap := vs.Acquire()
+	defer snap.Release()
 	writeByte(t, vs, ids[0], 99)
 
 	got := map[PageID]byte{}

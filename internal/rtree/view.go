@@ -10,7 +10,7 @@ import (
 // the live *Tree (reading through its buffer pool) and the frozen *View
 // (reading a pagestore.Snapshot) implement it, so every read-only
 // search — BRS ranked search, BBS skyline — can run unchanged over
-// either the writer's current state or a pinned epoch.
+// either the writer's current state or a pagestore snapshot.
 type NodeReader interface {
 	// Dims returns the dimensionality of indexed points.
 	Dims() int
@@ -69,11 +69,11 @@ func FromMeta(pool *pagestore.BufferPool, dims int, meta Meta) (*Tree, error) {
 	return t, nil
 }
 
-// View is a read-only R-tree frozen at one pagestore epoch: node reads
-// resolve page versions through the snapshot (with the per-version
-// decoded-node cache), so searches observe exactly the tree as it was
-// when the snapshot was taken, no matter how the live tree mutates
-// afterwards. A View performs no writer I/O and holds no locks between
+// View is a read-only R-tree frozen at one pagestore snapshot: node
+// reads look page versions up in the snapshot's frozen page table (with
+// the per-version decoded-node cache), so searches observe exactly the
+// tree as it was when the snapshot was taken, no matter how the live
+// tree mutates afterwards. A View performs no writer I/O and holds no locks between
 // node reads; it is safe for concurrent use by any number of
 // goroutines and stays valid until the snapshot is released.
 type View struct {
@@ -83,9 +83,8 @@ type View struct {
 	decode func(pagestore.PageID, []byte) (any, error)
 }
 
-// NewView freezes a tree of the given dimensionality at the snapshot's
-// epoch. meta must have been captured at the moment the snapshot was
-// acquired.
+// NewView freezes a tree of the given dimensionality at the snapshot.
+// meta must have been captured when the snapshot was acquired.
 func NewView(snap *pagestore.Snapshot, dims int, meta Meta) *View {
 	v := &View{snap: snap, dims: dims, meta: meta}
 	v.decode = func(id pagestore.PageID, data []byte) (any, error) {
@@ -103,8 +102,8 @@ func (v *View) Len() int { return v.meta.Size }
 // Root implements NodeReader.
 func (v *View) Root() pagestore.PageID { return v.meta.Root }
 
-// ReadNode implements NodeReader: the node as of the view's epoch,
-// decoded at most once per retained page version.
+// ReadNode implements NodeReader: the node as of the view's snapshot,
+// decoded at most once per page version.
 func (v *View) ReadNode(id pagestore.PageID) (*Node, error) {
 	obj, err := v.snap.GetDecoded(id, v.decode)
 	if err != nil {

@@ -9,14 +9,12 @@ import (
 	"fairassign/internal/pagestore"
 )
 
-// freeze flushes the pool, publishes the epoch, and returns a view of
-// the tree at it.
+// freeze flushes the pool and returns a view of the tree as it stands.
 func freeze(t *testing.T, tree *Tree, vs *pagestore.VersionedStore) (*View, *pagestore.Snapshot) {
 	t.Helper()
 	if err := tree.Pool().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	vs.Publish()
 	snap := vs.Acquire()
 	return NewView(snap, tree.Dims(), tree.Meta()), snap
 }

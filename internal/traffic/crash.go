@@ -50,7 +50,7 @@ func RunCrashReplay(tr *Trace, walDir string) (*CrashResult, error) {
 		return nil, fmt.Errorf("traffic: crash replay needs >= 4 mutations in the trace, got %d", len(muts))
 	}
 
-	opts := fairassign.Options{Durable: true, WALDir: filepath.Join(walDir, "wal")}
+	opts := fairassign.Options{WALDir: filepath.Join(walDir, "wal")}
 	dur, err := fairassign.NewWorkspace(tr.Objects, tr.Functions, opts)
 	if err != nil {
 		return nil, fmt.Errorf("traffic: build durable workspace: %w", err)

@@ -119,9 +119,8 @@ func (m Mutation) internal(opts Options, dims int) (assign.Mutation, error) {
 // same — but the batch publishes one epoch instead of one per
 // mutation. That is the throughput lever under read traffic: every
 // observed epoch costs its first reader a snapshot capture, O(Δ) in the
-// table chunks the epoch wrote (and the store a flush and version
-// publish), so per-mutation commits make a served workspace pay that
-// per mutation, a batch once.
+// table chunks the epoch wrote (and the store a flush), so per-mutation
+// commits make a served workspace pay that per mutation, a batch once.
 //
 // Atomicity: if any mutation fails validation (bad attribute, duplicate
 // or unknown ID, bad weights...), the error identifies its index and

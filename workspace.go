@@ -41,10 +41,11 @@ import (
 // internal writer lock serializes mutations — and Snapshot returns a
 // View pinned to the epoch published by the last mutation. Readers
 // never block behind repairs and repairs never block behind readers:
-// each mutation publishes a new epoch of the page store (copy-on-write
-// against whatever open views still observe), and a view keeps
-// answering from its epoch until it is Closed, at which point the page
-// versions and cached nodes only that epoch kept alive are reclaimed.
+// a snapshot freezes the index's copy-on-write page table, a write to a
+// page that an open view holds goes into a fresh version (any other
+// write is made in place), and a view keeps answering from its epoch
+// until it is Closed. The garbage collector frees the superseded page
+// versions and cached nodes once no view holds them.
 type Workspace struct {
 	ws   *assign.Workspace
 	opts Options
@@ -241,7 +242,8 @@ func (w *Workspace) Close() { w.ws.Close() }
 // Assignment, Stats, and TopK results after the batch lands, while a
 // fresh Snapshot reflects it. Any number of views may be open
 // concurrently, across goroutines, at the same or different epochs;
-// each must be Closed to release the page versions its epoch retains.
+// each must be Closed: while a view is open, every write to an index
+// page it holds goes into a fresh page version.
 func (w *Workspace) Snapshot() (*View, error) {
 	v, err := w.ws.Snapshot()
 	if err != nil {
@@ -254,9 +256,11 @@ func (w *Workspace) Snapshot() (*View, error) {
 // immutable observation of the matching, the population, and the object
 // index at one epoch. All methods are safe for concurrent use, keep
 // working while the workspace mutates (and even after it is closed),
-// and never touch the writer's I/O accounting. Close releases the
-// epoch; query methods on a closed view fail with ErrViewClosed (or
-// return empty results where no error channel exists).
+// and never touch the writer's I/O accounting. The view's index is a
+// frozen copy of the workspace's copy-on-write page table. Close
+// releases the epoch; query methods on a closed view fail with
+// ErrViewClosed (or return empty results where no error channel
+// exists).
 type View struct {
 	v    *assign.View
 	opts Options
