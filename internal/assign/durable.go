@@ -357,9 +357,10 @@ func recMutations(recs []snapshot.MutationRec) []Mutation {
 // to older generations), rebuild the serving state from it with no
 // re-solve, replay the committed WAL batches past its epoch, truncate
 // any torn tail (ErrTornWrite — those bytes were never acknowledged),
-// start a fresh segment so the workspace continues logging, and prune
-// what the directory no longer needs. The recovered workspace continues
-// the exact epoch lineage of the one that crashed.
+// start a fresh segment so the workspace continues logging (in place of
+// a newest segment whose header is torn), and prune what the directory
+// no longer needs. The recovered workspace continues the exact epoch
+// lineage of the one that crashed.
 func OpenWorkspace(cfg Config) (*Workspace, error) {
 	if cfg.WALDir == "" {
 		return nil, ErrNotDurable
@@ -398,18 +399,10 @@ func OpenWorkspace(cfg Config) (*Workspace, error) {
 	if w == nil {
 		return nil, fmt.Errorf("assign: every snapshot unreadable: %w", lastErr)
 	}
-	if err := w.replayWAL(fs, cfg.WALDir, info); err != nil {
-		w.Close()
-		return nil, err
-	}
-	segs, err := wal.ListSegments(fs, cfg.WALDir)
+	seq, err := w.replayWAL(fs, cfg.WALDir, info)
 	if err != nil {
 		w.Close()
 		return nil, err
-	}
-	seq := uint64(1)
-	if n := len(segs); n > 0 {
-		seq = segs[n-1].Seq + 1
 	}
 	log, err := wal.Create(fs, cfg.WALDir, seq, w.epoch)
 	if err != nil {
@@ -431,11 +424,15 @@ func OpenWorkspace(cfg Config) (*Workspace, error) {
 // segment order. Records at or before the current epoch are skipped
 // (segments overlap snapshots after rotation); a record that does not
 // extend the lineage contiguously means the log and the snapshot
-// diverged — typed ErrWALDiverged, never a guess.
-func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) error {
+// diverged — typed ErrWALDiverged, never a guess. It returns the
+// sequence number of the segment the workspace logs into next: one past
+// the newest segment, or the newest segment's own when its header is
+// torn, so the new segment replaces it (a torn segment followed by a
+// live one would read as a diverged log).
+func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) (uint64, error) {
 	segs, err := wal.ListSegments(fs, dir)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i, sg := range segs {
 		sd, err := wal.ReadSegment(fs, dir, sg.Name)
@@ -446,9 +443,9 @@ func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) error {
 				// tail.
 				info.TornTail = true
 				info.TornDetail = err.Error()
-				return nil
+				return sg.Seq, nil
 			}
-			return fmt.Errorf("%w: %w", ErrWALDiverged, err)
+			return 0, fmt.Errorf("%w: %w", ErrWALDiverged, err)
 		}
 		if sd.TornError != nil {
 			info.TornTail = true
@@ -459,25 +456,28 @@ func (w *Workspace) replayWAL(fs vfs.FS, dir string, info *RecoveryInfo) error {
 			case rec.Epoch <= w.epoch:
 				continue // already covered by the snapshot
 			case rec.Epoch != w.epoch+1:
-				return fmt.Errorf("%w: record epoch %d after workspace epoch %d (segment %s)",
+				return 0, fmt.Errorf("%w: record epoch %d after workspace epoch %d (segment %s)",
 					ErrWALDiverged, rec.Epoch, w.epoch, sg.Name)
 			}
 			recs, err := snapshot.DecodeBatch(rec.Payload)
 			if err != nil {
-				return fmt.Errorf("%w: %w", ErrWALDiverged, err)
+				return 0, fmt.Errorf("%w: %w", ErrWALDiverged, err)
 			}
 			muts := recMutations(recs)
 			w.mu.Lock()
 			err = w.applyLocked(muts)
 			w.mu.Unlock()
 			if err != nil {
-				return fmt.Errorf("%w: replaying epoch %d: %w", ErrWALDiverged, rec.Epoch, err)
+				return 0, fmt.Errorf("%w: replaying epoch %d: %w", ErrWALDiverged, rec.Epoch, err)
 			}
 			info.BatchesReplayed++
 			info.MutationsReplayed += len(muts)
 		}
 	}
-	return nil
+	if len(segs) == 0 {
+		return 1, nil
+	}
+	return segs[len(segs)-1].Seq + 1, nil
 }
 
 // restoreWorkspace rebuilds a serving workspace from one decoded

@@ -516,6 +516,69 @@ func TestDurableReopenPrunesEmptySegments(t *testing.T) {
 	checkTwin(t, "reopened", r, twin)
 }
 
+// A crash inside SaveSnapshot's rotation can tear the new segment's
+// header before any record lands. Recovery reads that segment as an
+// empty torn tail, and the reopened workspace must log into its place:
+// a segment started after the torn one would leave the torn one inside
+// the log, and the next recovery would fail as diverged, losing every
+// batch acknowledged since.
+func TestDurableTornSegmentHeader(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	p := randProblem(rng, 6, 30, 2)
+	fs := vfs.NewMem()
+	cfg := durableCfg(fs)
+	batches := mutationScript(rng, 2, 6)
+	if len(batches) < 6 {
+		t.Fatalf("script has %d batches, want 6", len(batches))
+	}
+
+	w, err := NewWorkspace(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := applyScript(t, w, batches[:3])
+	if err := w.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	segs, err := wal.ListSegments(fs, "dur")
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v %v", segs, err)
+	}
+	name := path.Join("dur", segs[len(segs)-1].Name)
+	raw, _ := fs.ReadAll(name)
+	fs.WriteAll(name, raw[:10])
+
+	r, err := OpenWorkspace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Recovery().TornTail {
+		t.Fatal("torn segment header not reported")
+	}
+	after := applyScript(t, r, batches[3:6])
+	if before == 0 || after == 0 {
+		t.Fatalf("applied %d batches before the tear and %d after, want some of each", before, after)
+	}
+	r.Close()
+
+	twin, err := NewWorkspace(p, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	applyScript(t, twin, batches[:6])
+	r, err = OpenWorkspace(cfg)
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer r.Close()
+	if info := r.Recovery(); info.BatchesReplayed != after {
+		t.Fatalf("recovery info = %+v, want %d batches replayed", info, after)
+	}
+	checkTwin(t, "reopened after a torn segment header", r, twin)
+}
+
 func TestDurableFileStoreBacked(t *testing.T) {
 	// End-to-end on the real filesystem with FileStore-backed page
 	// stores: durability does not depend on the in-memory test FS.

@@ -2,8 +2,8 @@ package assign
 
 import "reflect"
 
-// CaptureChunks returns the identities (map pointers) of the chunks of
-// the frozen tables view v reads: the object table's, the function
+// CaptureChunks returns the identities (chunk pointers) of the chunks
+// of the frozen tables view v reads: the object table's, the function
 // table's, and the pair table's. External tests compare them across
 // epochs to check that a capture shares every chunk its epoch left
 // unwritten.
@@ -11,13 +11,19 @@ func CaptureChunks(v *View) (objs, funcs, pairs []uintptr) {
 	return chunkIDs(&v.pub.obj.objs), chunkIDs(&v.pub.funcs), chunkIDs(&v.pub.byFunc)
 }
 
-// chunkIDs reads a frozen table's chunk maps (unexported in package
-// cow) through reflection.
+// chunkIDs walks a frozen table's directory (unexported in package
+// cow) through reflection: the chunk pointers of every root page, in
+// directory order.
 func chunkIDs(t any) []uintptr {
-	chunks := reflect.ValueOf(t).Elem().FieldByName("chunks")
-	ids := make([]uintptr, chunks.Len())
-	for i := range ids {
-		ids[i] = chunks.Index(i).Pointer()
+	var ids []uintptr
+	root := reflect.ValueOf(t).Elem().FieldByName("root")
+	for i := range root.Len() {
+		chunks := root.Index(i).Elem().FieldByName("chunks")
+		for j := range chunks.Len() {
+			if c := chunks.Index(j); !c.IsNil() {
+				ids = append(ids, c.Pointer())
+			}
+		}
 	}
 	return ids
 }

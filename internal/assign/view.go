@@ -43,13 +43,14 @@ func (p *partPub) release() {
 // last reference drops.
 //
 // The function, pair and object tables are frozen copy-on-write copies
-// of the writer's own tables: a capture copies their chunk-pointer
-// arrays, and the chunks themselves — with the object points, weight
-// vectors and pair slices they hold, none of which the writer edits in
-// place — are shared with the writer until it next writes to them. The
-// view's lookups (Object, PairsOf) read the frozen tables directly; the
-// flat forms (the sorted matching, the Problem) are built lazily, once
-// per epoch, for readers that want everything.
+// of the writer's own tables: a capture copies their directory roots
+// (one pointer per 64 chunks), and the directory pages and chunks —
+// with the object points, weight vectors and pair slices they hold,
+// none of which the writer edits in place — are shared with the writer
+// until it next writes to them. The view's lookups (Object, PairsOf)
+// read the frozen tables directly; the flat forms (the sorted matching,
+// the Problem) are built lazily, once per epoch, for readers that want
+// everything.
 type pubState struct {
 	refs atomic.Int64
 

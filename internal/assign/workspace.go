@@ -90,11 +90,12 @@ var (
 // Snapshot capture is O(Δ), not O(population): the object tables, the
 // function table, the function half of the matching and the object
 // index's page table (pagestore.VersionedStore) are copy-on-write
-// chunked tables (cow.Table). A capture freezes them — one
-// chunk-pointer array per table — and the writer clones a chunk only
-// on its first write after the freeze, so an epoch pays for the chunks
-// it wrote; a page that no open view holds is rewritten in place. Pair
-// slices are immutable values, so frozen pair tables share them too.
+// chunked tables (cow.Table). A capture freezes them — copying each
+// table's directory root, one pointer per 64 chunks — and the writer
+// clones a chunk and its directory page only on its first write to
+// them after the freeze, so an epoch pays for the chunks it wrote; a
+// page that no open view holds is rewritten in place. Pair slices are
+// immutable values, so frozen pair tables share them too.
 // Writer-only state (the object half of the matching, the per-function
 // scorers, the capacity tables) stays in plain maps, and the
 // availability frontier is never captured, so an epoch that only
@@ -575,11 +576,11 @@ func (w *Workspace) Snapshot() (*View, error) {
 
 // captureLocked freezes the logical state of the current epoch. The
 // object side contributes its cached capture, re-captured only if the
-// objects or tree changed since; the function and pair tables
-// are frozen copy-on-write copies, costing a chunk-pointer array each.
-// Per entity points, weights and pair slices alias the immutable
-// originals; flat forms (the sorted matching, the Problem) are built
-// lazily by the views. Holds w.mu.
+// objects or tree changed since; the function and pair tables are
+// frozen copy-on-write copies, costing a directory root (one pointer
+// per 64 chunks) each. Per entity points, weights and pair slices
+// alias the immutable originals; flat forms (the sorted matching, the
+// Problem) are built lazily by the views. Holds w.mu.
 func (w *Workspace) captureLocked() *pubState {
 	if w.obj.pub == nil {
 		w.obj.pub = w.obj.capture()
