@@ -56,8 +56,8 @@ func (l diskLists) scorer(fid uint64) (score.Scorer, error) {
 }
 
 // pairStep is Lines 12–17 of Algorithms 1 and 3, the one pairing step
-// of SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt, SBTwoSkylines and
-// Progressive.
+// of SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt, SBTwoSkylines,
+// Progressive and the Workspace build.
 type pairStep struct {
 	lists    pairLists
 	sky      skylineDriver

@@ -1,9 +1,12 @@
 package assign
 
 import (
+	"fmt"
+
 	"fairassign/internal/geom"
 	"fairassign/internal/metrics"
 	"fairassign/internal/rtree"
+	"fairassign/internal/score"
 	"fairassign/internal/skyline"
 	"fairassign/internal/ta"
 )
@@ -51,6 +54,9 @@ var (
 	sbBasic = sbVariant{onePair: true, source: memTA(false)}
 	// sbDeltaSky is sbBasic with DeltaSky maintenance.
 	sbDeltaSky = sbVariant{deltaSky: true, onePair: true, source: memTA(false)}
+	// sbBlocks is the Workspace build: Algorithm 3's loop with every
+	// skyline object's best function from one FuncBlocks pass.
+	sbBlocks = sbVariant{source: newBlockSource}
 )
 
 // SB runs the fully optimized skyline-based stable assignment
@@ -96,11 +102,12 @@ func memTA(resume bool) func(st *solveState) (bestSource, pairLists, error) {
 	}
 }
 
-// runSB runs one SB variant to completion on the shared state. Inside
-// the timed region it builds the skyline structure, the capacity tables
-// and the variant's source, then iterates. On return the state reflects
-// the completed matching: the capacity tables hold the remaining units,
-// and the maintainer (UpdateSkyline variants) holds the skyline of the
+// runSB runs one SB variant to completion on the shared state: one of
+// the one-shot solvers, or the Workspace build (sbBlocks). Inside the
+// timed region it builds the skyline structure, the capacity tables and
+// the variant's source, then iterates. On return the state reflects the
+// completed matching: the capacity tables hold the remaining units, and
+// the maintainer (UpdateSkyline variants) holds the skyline of the
 // objects that still have capacity — which is exactly the availability
 // frontier the incremental Workspace continues from.
 func (st *solveState) runSB(v sbVariant) (*Result, error) {
@@ -125,10 +132,14 @@ func (st *solveState) runSB(v sbVariant) (*Result, error) {
 }
 
 // sbLoop is the iteration of Algorithms 1 and 3 that every SB variant
-// runs (SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt, SBTwoSkylines and
-// Progressive): take the skyline in ID order, find each skyline
-// object's best live function from the variant's source (Lines 9–11),
-// emit the mutual best pairs (Lines 12–17) and note the memory peak.
+// runs (SB, SBBasic, SBDeltaSky, SBDiskFuncs, SBAlt, SBTwoSkylines,
+// Progressive and the Workspace build): take the skyline in ID order,
+// find each skyline object's best live function from the variant's
+// source (Lines 9–11), emit the mutual best pairs (Lines 12–17) and
+// note the memory peak. The sources are TA searches (taSearches), one
+// batch pass per loop over disk lists (batchSource), a scan of the
+// function skyline (funcSkyline) and one FuncBlocks pass per object
+// (blockSource).
 type sbLoop struct {
 	pairStep
 	st        *solveState
@@ -312,3 +323,70 @@ func (c *taSearches) count(s *metrics.Stats) {
 	s.TASorted = c.counters.SortedAccesses
 	s.TARandom = c.counters.RandomAccesses
 }
+
+// blockSource answers Lines 9–11 of the Workspace build with one
+// score.FuncBlocks pass per skyline object over every live function's
+// effective weights, with no floors: the reverse search that repair
+// runs, so the build breaks exact ties by (score, function ID) as
+// repair does. It serves the pairing step too: scorer reads a
+// function's effective weights, and Remove swap-deletes an exhausted
+// function from the blocks.
+type blockSource struct {
+	dims   int
+	blocks *score.FuncBlocks
+	eff    map[uint64]score.Scorer
+	runs   int64
+}
+
+func newBlockSource(st *solveState) (bestSource, pairLists, error) {
+	b := &blockSource{
+		dims:   st.p.Dims,
+		blocks: score.NewFuncBlocks(st.p.Dims),
+		eff:    make(map[uint64]score.Scorer, len(st.p.Functions)),
+	}
+	for _, f := range st.p.Functions {
+		w := f.Effective()
+		b.eff[f.ID] = score.Scorer{Fam: f.Fam, W: w}
+		b.blocks.Add(f.ID, f.Fam, w)
+	}
+	return b, b, nil
+}
+
+func (b *blockSource) best(sky []rtree.Item) ([]bestFunc, error) {
+	out := make([]bestFunc, len(sky))
+	for i, o := range sky {
+		fid, s, ok := b.blocks.Best(o.Point, o.ID)
+		b.runs++
+		if !ok {
+			return nil, nil
+		}
+		out[i] = bestFunc{fid: fid, score: s}
+	}
+	return out, nil
+}
+
+func (b *blockSource) scorer(fid uint64) (score.Scorer, error) {
+	sc, ok := b.eff[fid]
+	if !ok {
+		return sc, fmt.Errorf("assign: internal error: best function %d is not live", fid)
+	}
+	return sc, nil
+}
+
+// Remove takes an exhausted function out of the blocks.
+func (b *blockSource) Remove(fid uint64) error {
+	b.blocks.Remove(fid)
+	delete(b.eff, fid)
+	return nil
+}
+
+// drop is a no-op: the pass keeps no per-object state.
+func (b *blockSource) drop(uint64) {}
+
+// memory charges the live functions' weights and IDs.
+func (b *blockSource) memory([]rtree.Item) int64 {
+	return int64(b.blocks.Len()*(b.dims+1)) * 8
+}
+
+// count sets the searches: one pass per skyline object and loop.
+func (b *blockSource) count(s *metrics.Stats) { s.TopKRuns = b.runs }

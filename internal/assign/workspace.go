@@ -59,9 +59,15 @@ var (
 //
 // Exact score ties (bit-equal f(o) for different pairs — measure zero
 // for continuous data, but reachable through duplicate or diagonal
-// points) are resolved by the definitional greedy order: lower function
-// ID, then lower object ID. A one-shot SB solve resolves such ties by
-// TA scan order instead, so on tied instances the two can return
+// points) are broken by (score, function ID, object ID), the order of
+// Oracle's definitional greedy, in the build as in repair: every best
+// function comes from the same FuncBlocks pass (ties to the lower
+// function ID) and every best object from a scan that ties to the lower
+// object ID. On 2-D integer-grid instances with positive weights, where
+// ties are everywhere, the built and the repaired matchings equal
+// Oracle's (TestWorkspaceBuildMatchesOracleOnTies,
+// TestWorkspaceRepairUnchanged). A one-shot SB solve breaks such ties
+// by TA scan order instead, so on tied instances the two can return
 // different — equally stable — resolutions of the tie.
 //
 // The availability frontier — the skyline of objects with remaining
@@ -234,17 +240,20 @@ type WorkspaceStats struct {
 	IO metrics.IOCounter
 }
 
-// NewWorkspace builds the shared state, solves the initial instance with
-// SB, and returns a workspace ready for mutations. The object store is
-// built through a versioned wrapper around the configured store
+// NewWorkspace builds the shared state, solves the initial instance
+// with Algorithm 3's loop, and returns a workspace ready for mutations.
+// The build finds each skyline object's best function with one
+// FuncBlocks pass over every live function (sbBlocks), the reverse
+// search repair runs, instead of SB's resumable TA searches. The object
+// store is built through a versioned wrapper around the configured store
 // factory, so snapshots can freeze its page table. The workspace adopts
-// the SB solve's object tree.
+// the solve's object tree.
 func NewWorkspace(p *Problem, cfg Config) (*Workspace, error) {
 	st, err := newSolveState(p, cfg.versioned())
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.runSB(sbOptimized)
+	res, err := st.runSB(sbBlocks)
 	if err != nil {
 		st.release()
 		return nil, err

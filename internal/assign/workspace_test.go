@@ -51,6 +51,42 @@ func TestWorkspaceInitialMatchesSolve(t *testing.T) {
 	}
 }
 
+// TestWorkspaceBuildMatchesOracleOnTies builds workspaces over 2-D
+// integer-grid instances, where exact score ties are everywhere:
+// objects on the {0, ¼, ½, ¾}² grid (so many share a point) and linear
+// functions from three weight profiles (so many score every object
+// identically). Every weight is positive, so an object that dominates
+// another outscores it under every function. The built matching must
+// be Oracle's, pair for pair in the definitional order.
+func TestWorkspaceBuildMatchesOracleOnTies(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(2700 + seed))
+		p := &Problem{Dims: 2}
+		for i := 0; i < 60; i++ {
+			pt := geom.Point{float64(rng.Intn(4)) / 4, float64(rng.Intn(4)) / 4}
+			p.Objects = append(p.Objects, Object{ID: uint64(i + 1), Point: pt, Capacity: 1 + rng.Intn(2)})
+		}
+		for i := 0; i < 20; i++ {
+			a := float64(1+rng.Intn(3)) / 4
+			p.Functions = append(p.Functions, Function{ID: uint64(i + 1), Weights: []float64{a, 1 - a}, Capacity: 1 + rng.Intn(2)})
+		}
+		want, err := Oracle(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortPairsDefinitional(want.Pairs)
+		w, err := NewWorkspace(p, testCfg())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got := w.Pairs()
+		w.Close()
+		if !slices.Equal(got, want.Pairs) {
+			t.Errorf("seed %d: built matching differs from Oracle's\n got  %v\n want %v", seed, got, want.Pairs)
+		}
+	}
+}
+
 func TestWorkspaceAddFunctionChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := randProblem(rng, 10, 60, 2)

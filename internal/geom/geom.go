@@ -180,8 +180,23 @@ func (r Rect) Area() float64 {
 }
 
 // EnlargementArea returns the increase in area of r needed to cover s.
+// It takes the union's extent per dimension with Enlarge's comparisons
+// and multiplies in Area's order, so it equals
+// r.Union(s).Area() - r.Area() bit for bit without building the union.
 func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
+	a, u := 1.0, 1.0
+	for i := range r.Min {
+		lo, hi := r.Min[i], r.Max[i]
+		a *= hi - lo
+		if s.Min[i] < lo {
+			lo = s.Min[i]
+		}
+		if s.Max[i] > hi {
+			hi = s.Max[i]
+		}
+		u *= hi - lo
+	}
+	return u - a
 }
 
 // IntersectsDominanceRegion reports whether r intersects the region

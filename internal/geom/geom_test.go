@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,6 +122,50 @@ func TestRectUnionEnlargement(t *testing.T) {
 	}
 	if got := a.EnlargementArea(Rect{Min: pt(0.2, 0.2), Max: pt(0.5, 0.5)}); got != 0 {
 		t.Errorf("enlargement for contained rect = %v, want 0", got)
+	}
+}
+
+// TestEnlargementAreaMatchesUnion checks EnlargementArea bit for bit
+// against the union it no longer builds, on random rectangles in 1–6
+// dimensions whose coordinates come from a small pool (so extents
+// coincide, nest and degenerate to points) that includes zero, a
+// subnormal, huge values and an infinity.
+func TestEnlargementAreaMatchesUnion(t *testing.T) {
+	pool := []float64{0, 5e-324, 1e-300, 0.25, 0.5, 1 / 3.0, 0.75, 1, 7, 1e300, math.Inf(1)}
+	rng := rand.New(rand.NewSource(1))
+	coord := func() float64 {
+		if rng.Intn(2) == 0 {
+			return pool[rng.Intn(len(pool))]
+		}
+		return rng.Float64()
+	}
+	rect := func(dims int) Rect {
+		r := Rect{Min: make(Point, dims), Max: make(Point, dims)}
+		for d := range r.Min {
+			lo, hi := coord(), coord()
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			r.Min[d], r.Max[d] = lo, hi
+		}
+		return r
+	}
+	for i := 0; i < 20000; i++ {
+		dims := 1 + rng.Intn(6)
+		r, s := rect(dims), rect(dims)
+		got, want := r.EnlargementArea(s), r.Union(s).Area()-r.Area()
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("%v.EnlargementArea(%v) = %v, union gives %v", r, s, got, want)
+		}
+	}
+}
+
+func TestEnlargementAreaAllocs(t *testing.T) {
+	r := Rect{Min: pt(0, 0.1, 0.2, 0.3), Max: pt(0.5, 0.6, 0.7, 0.8)}
+	s := Rect{Min: pt(0.4, 0, 0.3, 0.9), Max: pt(0.9, 0.2, 0.4, 0.95)}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += r.EnlargementArea(s) }); n != 0 {
+		t.Fatalf("EnlargementArea allocates %v times per call", n)
 	}
 }
 
